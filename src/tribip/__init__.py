@@ -8,12 +8,12 @@ hypervolume indicator.
 
 from .errors import (DimensionError, EnumerationLimitError, InfeasibleProblemError,
                      InsufficientSolutionsError, NoRoundedSolutionError, ParseError,
-                     SimplexError, TribipError, UnboundedProblemError, ValidationError)
+                     TribipError, ValidationError)
 from .model import (P_OBJECTIVES, FrontData, Problem, Solution, assignment_problem,
                     evaluate, general_problem, generate_assignment, generate_knapsack,
                     is_feasible, knapsack_problem, make_solution, read_front,
                     read_instance, write_front, write_instance)
-from .lp import LpCounter, LpSolveResult, RelaxationSolver, is_integral, solve_weighted_lp
+from .lp import LpSolveResult, RelaxationSolver, is_integral, solve_weighted_lp
 from .lbset import LbPoint, LbSet, compute_lb_set, lb_front_records
 from .metrics import (ReferenceFront, dominates, exact_front, exact_front_solutions,
                       filter_nondominated, filter_nondominated_solutions, hv_percent,
@@ -31,7 +31,7 @@ __all__ = [
     "generate_assignment", "generate_knapsack",
     "evaluate", "is_feasible", "make_solution",
     "read_instance", "write_instance", "read_front", "write_front",
-    "LpSolveResult", "LpCounter", "RelaxationSolver", "solve_weighted_lp", "is_integral",
+    "LpSolveResult", "RelaxationSolver", "solve_weighted_lp", "is_integral",
     "LbPoint", "LbSet", "compute_lb_set", "lb_front_records",
     "ReferenceFront", "dominates", "filter_nondominated", "filter_nondominated_solutions",
     "normalize", "hypervolume", "hypervolume_mc", "exact_front", "exact_front_solutions",
@@ -41,7 +41,7 @@ __all__ = [
     "path_relink_once", "path_relink_walk", "run", "similarity",
     "Xoshiro256StarStar",
     "TribipError", "DimensionError", "ValidationError", "ParseError",
-    "InfeasibleProblemError", "UnboundedProblemError", "SimplexError",
+    "InfeasibleProblemError",
     "EnumerationLimitError", "NoRoundedSolutionError", "InsufficientSolutionsError",
     "__version__",
 ]

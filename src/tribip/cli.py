@@ -8,6 +8,7 @@ header; wall times cover the solve pipeline only (file I/O excluded).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import statistics
 import sys
@@ -164,7 +165,8 @@ def _mean_or_blank(values) -> str:
 
 
 def cmd_report(args) -> int:
-    rows = list(csv.DictReader(open(args.run_csv, newline="")))
+    with open(args.run_csv, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     if not rows:
         print("no rows to aggregate", file=sys.stderr)
         return 1
@@ -205,12 +207,11 @@ def cmd_report(args) -> int:
             "mean_hv": _mean_or_blank([g["hv"] for g in grp]),
             "mean_hv_pct": _mean_or_blank([g["hv_pct"] for g in grp]),
         })
-    out_fh = open(args.out, "w", newline="") if args.out else sys.stdout
-    writer = csv.DictWriter(out_fh, fieldnames=out_fields)
-    writer.writeheader()
-    writer.writerows(out_rows)
-    if args.out:
-        out_fh.close()
+    out = open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+    with out as out_fh:
+        writer = csv.DictWriter(out_fh, fieldnames=out_fields)
+        writer.writeheader()
+        writer.writerows(out_rows)
     return 0
 
 
@@ -254,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", help="front file (single run)")
     s.add_argument("--out-dir", help="front file directory (batches)")
     s.add_argument("--lb-front", help="also export the LB set (fractional "
-                                      "solutions flagged) to this front file")
+                                      "solutions flagged) to this front file; "
+                                      "one instance, --runs 1 and --jobs 1 only")
     s.add_argument("--report-csv", help="append run rows to this CSV")
     s.add_argument("--jobs", type=int, default=1)
     s.set_defaults(func=cmd_solve)
@@ -274,7 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "solve" and args.lb_front and (
+            len(args.instances) > 1 or args.runs > 1 or args.jobs > 1):
+        # every job would write its LB set to the same file
+        parser.error("--lb-front needs a single instance, --runs 1 and --jobs 1")
     try:
         return args.func(args)
     except TribipError as exc:

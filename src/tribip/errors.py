@@ -26,14 +26,6 @@ class InfeasibleProblemError(TribipError):
     """The LP relaxation (or the problem itself) has no feasible point."""
 
 
-class UnboundedProblemError(TribipError):
-    """Defensive: the LP claims unboundedness, impossible with [0,1] bounds."""
-
-
-class SimplexError(TribipError):
-    """The simplex solver failed even after the anti-cycling fallback."""
-
-
 class EnumerationLimitError(TribipError):
     """Instance is too large for brute-force enumeration."""
 

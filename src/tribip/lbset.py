@@ -18,13 +18,13 @@ cached so no LP is solved twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import InfeasibleProblemError
-from .lp import LpCounter, RelaxationSolver
+from .lp import RelaxationSolver
 from .model import Problem
 
 SEED_EPSILON = 1e-4
@@ -56,13 +56,13 @@ class LbSet:
 
     points are pairwise nondominated and pairwise distinct (within
     POINT_TOL); lp_count is the number of weighted-sum LPs actually solved;
-    probes, when collected, records every (weight, optimal value) pair the
-    enumeration used.
+    probes records every (weight, optimal value) pair the enumeration used,
+    in the order they were solved.
     """
 
     points: list[LbPoint]
     lp_count: int
-    probes: list[tuple[tuple[float, float, float], float]] | None = None
+    probes: list[tuple[tuple[float, float, float], float]] = field(default_factory=list)
 
     def __len__(self):
         return len(self.points)
@@ -85,32 +85,25 @@ def _lower_facet_weights(nodes: np.ndarray) -> np.ndarray:
 
 
 def compute_lb_set(problem: Problem, seed_epsilon: float = SEED_EPSILON,
-                   point_tol: float = POINT_TOL, collect_probes: bool = False) -> LbSet:
+                   point_tol: float = POINT_TOL) -> LbSet:
     """Enumerate the extreme supported nondominated points of the relaxation.
 
     Raises InfeasibleProblemError when the relaxation has no feasible point.
     Deterministic: re-running yields the identical point set.
     """
     solver = RelaxationSolver(problem)
-    counter = LpCounter()
     c_float = problem.C.astype(np.float64)
-    probes: list | None = [] if collect_probes else None
-    weight_cache: dict[tuple, tuple] = {}
+    # every LP solved, in order: rounded weight -> (weight, value, x, y)
+    weight_cache: dict[bytes, tuple] = {}
 
     def solve(w: np.ndarray):
         wkey = np.round(w, 12).tobytes()
-        hit = weight_cache.get(wkey)
-        if hit is not None:
-            return hit
-        res = solver.solve_weighted(w, counter=counter, warm=True)
-        if res.status == "infeasible":
-            raise InfeasibleProblemError("LP relaxation is infeasible")
-        y = c_float @ res.x
-        out = (res.value, res.x, y)
-        weight_cache[wkey] = out
-        if probes is not None:
-            probes.append((tuple(float(v) for v in w), float(res.value)))
-        return out
+        if wkey not in weight_cache:
+            res = solver.solve_weighted(w)
+            if res.status == "infeasible":
+                raise InfeasibleProblemError("LP relaxation is infeasible")
+            weight_cache[wkey] = (w, res.value, res.x, c_float @ res.x)
+        return weight_cache[wkey][1:]
 
     ys: list[np.ndarray] = []
     xs: list[np.ndarray] = []
@@ -183,7 +176,9 @@ def compute_lb_set(problem: Problem, seed_epsilon: float = SEED_EPSILON,
     dropped = dominates.any(axis=0) | (duplicate & earlier).any(axis=0)
     kept = sorted(np.flatnonzero(~dropped), key=lambda i: tuple(ys[i]))
     points = [LbPoint(xs[i], tuple(ys[i]), tuple(ws[i])) for i in kept]
-    return LbSet(points=points, lp_count=counter.count, probes=probes)
+    probes = [(tuple(float(v) for v in w), float(value))
+              for w, value, _, _ in weight_cache.values()]
+    return LbSet(points=points, lp_count=len(weight_cache), probes=probes)
 
 
 def lb_front_records(lb: LbSet) -> list[tuple[np.ndarray, tuple]]:

@@ -1,26 +1,13 @@
-"""Scalar LP core: bounded-variable primal simplex over the [0,1] relaxation.
+"""Weighted-sum LP oracles over the [0,1] relaxation, one per problem kind.
 
-Solves min c.x subject to the problem's rows and 0 <= x <= 1.  The solver is
-deliberately self-contained and deterministic:
+Each minimises (w^T C).x subject to the problem's rows and 0 <= x <= 1 and
+returns an optimal vertex of the relaxed polytope, the same one for the same w:
 
-* Dantzig pricing with ties broken by lowest column index; after a stall of
-  degenerate steps Bland's rule takes over, which guarantees termination.
-* Ratio-test ties are broken by lowest row index.
-* Rows are normalised to nonnegative right-hand sides; '<=' rows start from
-  their slack basis, '>=' and '=' rows go through an artificial-variable
-  phase 1.  After phase 1 the artificial columns stay in the tableau but are
-  fixed at zero, so no column surgery is needed.
-* Reduced costs are maintained incrementally and refreshed from scratch on a
-  fixed schedule, keeping the iteration cost low without losing determinism.
-
-Repeated solves over the same rows can reuse the previous optimal basis
-(`warm=True`): phase 1 is skipped and pricing restarts from the stored
-tableau.  Warm starts change which optimal vertex ties resolve to, never
-optimality itself, and a fixed call sequence reproduces bit-identically.
-
-Returned solutions are basic (vertices of the relaxed polytope).  Default
-tolerances: feasibility 1e-7, objective comparisons 1e-6, integrality
-detection 1e-6; all configurable per call.
+* ``knapsack``: Dantzig's greedy ("Discrete-variable extremum problems",
+  1957): items of negative cost by cost per unit weight, ties by index, at
+  most one fractional; zero-weight ones always enter.
+* ``assignment``: ``scipy.optimize.linear_sum_assignment``, an integral vertex.
+* ``general``: ``scipy.optimize.linprog`` with the HiGHS dual simplex.
 """
 
 from __future__ import annotations
@@ -29,260 +16,91 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, SimplexError, UnboundedProblemError, ValidationError
-from .model import Problem
+from .errors import DimensionError, TribipError, ValidationError
+from .model import KIND_ASSIGNMENT, KIND_KNAPSACK, Problem
 
-FEAS_TOL = 1e-7
-OBJ_TOL = 1e-6
 INT_TOL = 1e-6
-
-_PIVOT_TOL = 1e-9
-_DUAL_TOL = 1e-9
-_STALL_LIMIT = 200
-_REFRESH_EVERY = 128     # full reduced-cost recomputation schedule
-
-_AT_LOWER = 0
-_AT_UPPER = 1
-_BASIC = 2
 
 
 @dataclass
 class LpSolveResult:
     """Outcome of one scalar LP solve."""
 
-    status: str                      # optimal | infeasible | unbounded
+    status: str                      # optimal | infeasible
     x: np.ndarray | None             # structural values in [0,1], basic solution
     value: float | None
-    iterations: int
-
-
-class LpCounter:
-    """Per-run counter of weighted-sum LPs solved (appendix-style bookkeeping)."""
-
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
-
-    def add(self, k: int = 1):
-        self.count += k
-
-
-class _Tableau:
-    """Dense bounded-simplex state: tableau rows, basis, bound statuses."""
-
-    __slots__ = ("t", "xb", "basis", "status", "upper", "sign")
-
-    def __init__(self, t, xb, basis, status, upper):
-        self.t = t
-        self.xb = xb
-        self.basis = basis
-        self.status = status
-        self.upper = upper
-        # pricing sign: +1 eligible-from-lower, -1 eligible-from-upper,
-        # 0 for basic or fixed columns
-        sign = np.where(status == _AT_LOWER, 1.0, np.where(status == _AT_UPPER, -1.0, 0.0))
-        sign[upper <= 0.0] = 0.0
-        self.sign = sign
 
 
 class RelaxationSolver:
-    """Reusable simplex machine for the LP relaxation of one problem.
-
-    Cold solves start from scratch, so repeated cold solves of the same
-    objective give identical results; `warm=True` continues from the last
-    optimal basis.
-    """
+    """LP relaxation oracle of one problem, dispatched on ``problem.kind``."""
 
     def __init__(self, problem: Problem):
         self.problem = problem
-        n, m = problem.n, problem.m
-        a = problem.A.astype(np.float64)
-        b = problem.b.astype(np.float64)
-        senses = list(problem.row_sense)
-        # nonnegative rhs
-        for i in range(m):
-            if b[i] < 0:
-                a[i] = -a[i]
-                b[i] = -b[i]
-                senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
-        slack_cols = []
-        for i, s in enumerate(senses):
-            if s == "<=":
-                slack_cols.append((i, 1.0))
-            elif s == ">=":
-                slack_cols.append((i, -1.0))
-        ns = len(slack_cols)
-        body = np.zeros((m, n + ns), dtype=np.float64)
-        body[:, :n] = a
-        slack_of_row = np.full(m, -1, dtype=np.int64)
-        for j, (i, coef) in enumerate(slack_cols):
-            body[i, n + j] = coef
-            if coef > 0:
-                slack_of_row[i] = n + j
-        self._body = body
-        self._rhs = b
-        self._slack_of_row = slack_of_row
-        self._art_rows = [i for i in range(m) if slack_of_row[i] < 0]
-        self._n_struct = n
-        self._n_cols = n + ns
-        self._n_total = self._n_cols + len(self._art_rows)
         self._c_float = problem.C.astype(np.float64)
-        self._state: _Tableau | None = None
 
-    # -- public API ---------------------------------------------------------
-
-    def solve(self, c_struct, counter: LpCounter | None = None,
-              feas_tol: float = FEAS_TOL, warm: bool = False) -> LpSolveResult:
-        """Minimise c_struct . x over the relaxation."""
-        c_struct = np.asarray(c_struct, dtype=np.float64)
-        if c_struct.shape != (self._n_struct,):
-            raise DimensionError(f"cost vector must have length {self._n_struct}")
-        if counter is not None:
-            counter.add()
-
-        iterations = 0
-        state = self._state if warm else None
-        if state is None:
-            state = self._cold_state()
-            if self._art_rows:
-                c1 = np.zeros(self._n_total)
-                c1[self._n_cols:] = 1.0
-                iterations += self._optimize(state, c1)
-                infeas = c1[state.basis] @ state.xb
-                if infeas > feas_tol:
-                    self._state = None
-                    return LpSolveResult("infeasible", None, None, iterations)
-                # lock artificials at zero for phase 2
-                state.upper[self._n_cols:] = 0.0
-                state.sign[self._n_cols:] = 0.0
-                art_basic = state.basis >= self._n_cols
-                state.xb[art_basic & (np.abs(state.xb) <= feas_tol)] = 0.0
-
-        c2 = np.zeros(self._n_total)
-        c2[:self._n_struct] = c_struct
-        iterations += self._optimize(state, c2)
-        self._state = state
-
-        values = np.where(state.status == _AT_UPPER,
-                          np.where(np.isfinite(state.upper), state.upper, 0.0), 0.0)
-        values[state.basis] = state.xb
-        x = values[:self._n_struct].copy()
-        np.clip(x, 0.0, 1.0, out=x)
-        return LpSolveResult("optimal", x, float(c_struct @ x), iterations)
-
-    def solve_weighted(self, w, counter: LpCounter | None = None,
-                       warm: bool = False) -> LpSolveResult:
+    def solve_weighted(self, w) -> LpSolveResult:
         """Minimise (w^T C) . x over the relaxation, w a nonnegative weight vector."""
         w = np.asarray(w, dtype=np.float64)
         if w.shape != (self.problem.p,):
             raise DimensionError(f"weight vector must have length {self.problem.p}")
         if (w < 0).any() or not (w > 0).any():
             raise ValidationError("weights must be nonnegative and not all zero")
-        return self.solve(w @ self._c_float, counter=counter, warm=warm)
+        c = w @ self._c_float
+        if self.problem.kind == KIND_KNAPSACK:
+            x = self._knapsack(c)
+        elif self.problem.kind == KIND_ASSIGNMENT:
+            x = self._assignment(c)
+        else:
+            x = self._general(c)
+            if x is None:
+                return LpSolveResult("infeasible", None, None)
+        return LpSolveResult("optimal", x, float(c @ x))
 
-    # -- simplex core -------------------------------------------------------
+    def _knapsack(self, c: np.ndarray) -> np.ndarray:
+        a = self.problem.weights
+        x = np.zeros(c.shape[0])
+        take = c < 0
+        x[take & (a == 0)] = 1.0
+        items = np.flatnonzero(take & (a > 0))
+        order = items[np.argsort(c[items] / a[items], kind="stable")]
+        filled = np.cumsum(a[order])
+        whole = int(np.searchsorted(filled, self.problem.capacity, side="right"))
+        x[order[:whole]] = 1.0
+        if whole < order.shape[0]:
+            room = self.problem.capacity - (filled[whole - 1] if whole else 0)
+            x[order[whole]] = room / a[order[whole]]
+        return x
 
-    def _cold_state(self) -> _Tableau:
-        m = self._rhs.shape[0]
-        n0 = self._n_cols
-        t = np.zeros((m, self._n_total), dtype=np.float64)
-        t[:, :n0] = self._body
-        upper = np.empty(self._n_total, dtype=np.float64)
-        upper[:self._n_struct] = 1.0
-        upper[self._n_struct:] = np.inf
-        basis = np.empty(m, dtype=np.int64)
-        for k, r in enumerate(self._art_rows):
-            t[r, n0 + k] = 1.0
-            basis[r] = n0 + k
-        for r in range(m):
-            if self._slack_of_row[r] >= 0:
-                basis[r] = self._slack_of_row[r]
-        status = np.full(self._n_total, _AT_LOWER, dtype=np.int8)
-        status[basis] = _BASIC
-        return _Tableau(t, self._rhs.copy(), basis, status, upper)
+    def _assignment(self, c: np.ndarray) -> np.ndarray:
+        # imported here: scipy.optimize adds ~0.1 s and ~12 MiB to every start-up
+        from scipy.optimize import linear_sum_assignment
 
-    def _optimize(self, state: _Tableau, c: np.ndarray) -> int:
-        t, xb, basis, status, upper, sign = (state.t, state.xb, state.basis,
-                                             state.status, state.upper, state.sign)
-        m = xb.shape[0]
-        max_iter = 20000 + 200 * (m + self._n_total)
-        stall = 0
-        iterations = 0
-        d = c - c[basis] @ t
-        while True:
-            if iterations > max_iter:
-                raise SimplexError("iteration cap exceeded after anti-cycling fallback")
-            if iterations % _REFRESH_EVERY == 0 and iterations:
-                d = c - c[basis] @ t
-            viol = d * -sign
-            if stall >= _STALL_LIMIT:
-                cand = np.flatnonzero(viol > _DUAL_TOL)
-                if cand.size == 0:
-                    return iterations
-                j = int(cand[0])                          # Bland
-            else:
-                j = int(np.argmax(viol))                  # Dantzig, first max
-                if viol[j] <= _DUAL_TOL:
-                    return iterations
-            iterations += 1
-            sigma = sign[j]
-            dcol = sigma * t[:, j]
+        t = self.problem.tasks
+        agents, tasks = linear_sum_assignment(c.reshape(t, t))
+        x = np.zeros(c.shape[0])
+        x[agents * t + tasks] = 1.0
+        return x
 
-            ratios = np.full(m, np.inf)
-            pos = dcol > _PIVOT_TOL
-            ratios[pos] = xb[pos] / dcol[pos]
-            ub = upper[basis]
-            neg = (dcol < -_PIVOT_TOL) & np.isfinite(ub)
-            ratios[neg] = (ub[neg] - xb[neg]) / (-dcol[neg])
-            t_rows = ratios.min() if m else np.inf
-            t_own = upper[j]
-            t_star = min(t_rows, t_own)
-            if not np.isfinite(t_star):
-                raise UnboundedProblemError(
-                    "LP relaxation unbounded; impossible with [0,1] variable bounds")
-            t_star = max(t_star, 0.0)
-            stall = stall + 1 if t_star <= 1e-12 else 0
+    def _general(self, c: np.ndarray) -> np.ndarray | None:
+        # imported here: scipy.optimize adds ~0.1 s and ~12 MiB to every start-up
+        from scipy.optimize import linprog
 
-            if t_own <= t_rows:
-                # bound flip, no basis change, reduced costs unchanged
-                xb -= t_star * dcol
-                status[j] = _AT_UPPER if sigma > 0 else _AT_LOWER
-                sign[j] = -sigma
-            else:
-                r = int(np.argmin(ratios))                # first min
-                xb -= t_star * dcol
-                leaving = basis[r]
-                if dcol[r] > 0:
-                    status[leaving] = _AT_LOWER
-                    sign[leaving] = 1.0 if upper[leaving] > 0 else 0.0
-                else:
-                    status[leaving] = _AT_UPPER
-                    sign[leaving] = -1.0 if upper[leaving] > 0 else 0.0
-                piv = t[r, j]
-                trow = t[r] / piv
-                col = t[:, j].copy()
-                col[r] = 0.0
-                t -= np.outer(col, trow)
-                t[r] = trow
-                t[:, j] = 0.0
-                t[r, j] = 1.0
-                d -= d[j] * trow
-                d[j] = 0.0
-                enter_from = 0.0 if sigma > 0 else upper[j]
-                basis[r] = j
-                status[j] = _BASIC
-                sign[j] = 0.0
-                xb[r] = enter_from + sigma * t_star
+        p = self.problem
+        sense = np.array(p.row_sense)
+        flip = np.where(sense == ">=", -1, 1)
+        ub, eq = sense != "=", sense == "="
+        res = linprog(c, A_ub=(flip[:, None] * p.A)[ub], b_ub=(flip * p.b)[ub],
+                      A_eq=p.A[eq], b_eq=p.b[eq], bounds=(0, 1), method="highs-ds")
+        if res.status == 2:
+            return None
+        if res.status != 0:
+            raise TribipError(f"LP solve failed: {res.message}")
+        return np.clip(res.x, 0.0, 1.0) + 0.0      # + 0.0 turns -0.0 into 0.0
 
 
-def solve_weighted_lp(problem: Problem, w, counter: LpCounter | None = None) -> LpSolveResult:
-    """One-shot weighted-sum LP over the relaxation of `problem`.
-
-    Callers doing many solves on the same problem should hold a
-    RelaxationSolver and call `solve_weighted` to skip the setup cost.
-    """
-    return RelaxationSolver(problem).solve_weighted(w, counter=counter)
+def solve_weighted_lp(problem: Problem, w) -> LpSolveResult:
+    """One-shot weighted-sum LP over the relaxation of `problem`."""
+    return RelaxationSolver(problem).solve_weighted(w)
 
 
 def is_integral(x, tol: float = INT_TOL) -> bool:

@@ -239,8 +239,11 @@ def _enumerate_binary_front(problem: Problem):
     for start in range(0, total, _ENUM_CHUNK):
         stop = min(start + _ENUM_CHUNK, total)
         ids = np.arange(start, stop, dtype=np.uint64)
-        bits = ((ids[:, None] >> shifts[None, :]) & 1).astype(np.int8)
-        lhs = bits.astype(np.int64) @ problem.A.T
+        b = ids[:, None] >> shifts
+        b &= 1
+        bits = b.astype(np.int8)
+        del b                     # free the 8-byte matrix before the products
+        lhs = bits @ problem.A.T
         feas = np.ones(bits.shape[0], dtype=bool)
         for i, sense in enumerate(problem.row_sense):
             if sense == "<=":
@@ -252,7 +255,7 @@ def _enumerate_binary_front(problem: Problem):
         if not feas.any():
             continue
         xc = bits[feas]
-        yc = xc.astype(np.int64) @ ct
+        yc = xc @ ct
         y_run, id_run, x_run = _merge_front(y_run, id_run, x_run, yc, ids[feas], xc)
     return y_run, x_run
 

@@ -57,6 +57,29 @@ def brute_force_feasible_points(problem):
     return out
 
 
+def highs_lp_value(problem, w):
+    """Weighted-sum LP optimum over the [0,1] relaxation by scipy's HiGHS,
+    built straight from the problem's rows; None when infeasible."""
+    from scipy.optimize import linprog
+
+    c = np.asarray(w, dtype=float) @ problem.C.astype(float)
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for row, rhs, sense in zip(problem.A, problem.b, problem.row_sense):
+        if sense == "=":
+            a_eq.append(row)
+            b_eq.append(rhs)
+        else:
+            sign = 1 if sense == "<=" else -1
+            a_ub.append(sign * row)
+            b_ub.append(sign * rhs)
+    res = linprog(c, A_ub=a_ub or None, b_ub=b_ub or None, A_eq=a_eq or None,
+                  b_eq=b_eq or None, bounds=(0, 1), method="highs")
+    return float(res.fun) if res.status == 0 else None
+
+
+NEAR_AXIS_WEIGHTS = [(1, 1e-4, 1e-4), (1e-4, 1, 1e-4), (1e-4, 1e-4, 1)]
+
+
 def naive_improved_nd(obj_s_i, nd):
     """Literal rank-table implementation of the most-improved selection."""
     nd = [list(map(float, row)) for row in nd]

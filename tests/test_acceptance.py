@@ -133,7 +133,7 @@ def test_criterion_08_lp_lower_bound_property():
     for i in range(10):
         n = (10, 11, 12)[i % 3]
         p = tribip.generate_knapsack(n, seed=200 + i)
-        lb = tribip.compute_lb_set(p, collect_probes=True)
+        lb = tribip.compute_lb_set(p)
         ids = np.arange(1 << n, dtype=np.uint64)
         bits = ((ids[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & 1).astype(np.int8)
         feas = bits @ p.weights <= p.capacity

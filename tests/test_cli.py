@@ -1,4 +1,7 @@
 import csv
+import gc
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -259,3 +262,35 @@ def test_solve_force_pr_on_assignment(tmp_path):
     assert rc == 0
     row = next(iter(csv.DictReader(csv_path.open())))
     assert int(row["y_count"]) > 0
+
+
+def test_solve_lb_front_rejects_several_jobs(tmp_path, capsys):
+    main(["generate", "--kind", "knapsack", "--n", "6", "--count", "2",
+          "--seed", "12", "--out-dir", str(tmp_path)])
+    first, second = sorted(tmp_path.glob("*.txt"))
+    lb_path = tmp_path / "lb.front.txt"
+    one, two = [str(first)], [str(first), str(second)]
+    for instances, extra in ((one, ["--runs", "2"]), (one, ["--jobs", "2"]), (two, [])):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", *instances, "--variant", "RD", "--lb-front", str(lb_path), *extra])
+        assert exc.value.code == 2
+        assert "--lb-front" in capsys.readouterr().err
+    assert not lb_path.exists()
+
+
+def test_report_closes_its_files(tmp_path, monkeypatch):
+    main(["generate", "--kind", "knapsack", "--n", "6", "--count", "1",
+          "--seed", "13", "--out-dir", str(tmp_path)])
+    inst = next(tmp_path.glob("*.txt"))
+    csv_path = tmp_path / "runs.csv"
+    assert main(["solve", str(inst), "--variant", "RD", "--report-csv", str(csv_path)]) == 0
+    # an unclosed file warns when it is collected; inside __del__ the error
+    # this filter makes of it reaches sys.unraisablehook
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        rc = main(["report", str(csv_path), "--out", str(tmp_path / "summary.csv")])
+        gc.collect()
+    assert rc == 0
+    assert [u.exc_type for u in unraisable] == []

@@ -7,6 +7,12 @@ import tribip
 from tribip import InfeasibleProblemError, compute_lb_set
 from tribip.lp import is_integral
 
+from conftest import NEAR_AXIS_WEIGHTS, highs_lp_value
+
+# knapsack and assignment instances of the LB-set completeness certificate
+CERTIFICATE_PROBLEMS = [tribip.generate_knapsack(9, seed=s) for s in range(4)] + [
+    tribip.generate_assignment(6, seed=6)]
+
 
 def test_symmetric_three_items():
     # unit weights, W=1: the only LP vertices are the origin and the three
@@ -65,27 +71,26 @@ def test_points_pairwise_nondominated_and_distinct():
 
 
 def test_each_point_optimal_for_its_weight():
-    p = tribip.generate_knapsack(10, seed=5)
-    lb = compute_lb_set(p)
-    for pt in lb.points:
-        res = tribip.solve_weighted_lp(p, pt.w)
-        w = np.array(pt.w)
-        assert float(w @ pt.y) == pytest.approx(res.value, abs=1e-6)
+    for p in (tribip.generate_knapsack(10, seed=5), tribip.generate_assignment(6, seed=6)):
+        lb = compute_lb_set(p)
+        for pt in lb.points:
+            want = highs_lp_value(p, pt.w)
+            w = np.array(pt.w)
+            assert float(w @ pt.y) == pytest.approx(want, abs=1e-9 * max(1, abs(want)))
 
 
 def test_weighted_value_coverage():
-    # for any sampled weight, the best LB point matches the LP optimum:
-    # the enumeration found every extreme supported point
+    # for random and near-axis weights, the best LB point matches the LP
+    # optimum of an independent solver: the enumeration found every extreme
+    # supported point
     rng = np.random.default_rng(0)
-    for seed in range(4):
-        p = tribip.generate_knapsack(9, seed=seed)
+    for p in CERTIFICATE_PROBLEMS:
         lb = compute_lb_set(p)
         ys = np.array([pt.y for pt in lb.points])
-        for _ in range(40):
-            w = rng.dirichlet([1, 1, 1])
-            res = tribip.solve_weighted_lp(p, w)
-            best = float(np.min(ys @ w))
-            assert best == pytest.approx(res.value, abs=1e-6 * max(1, abs(best)))
+        for w in [rng.dirichlet([1, 1, 1]) for _ in range(40)] + NEAR_AXIS_WEIGHTS:
+            want = highs_lp_value(p, w)
+            best = float(np.min(ys @ np.asarray(w)))
+            assert best == pytest.approx(want, abs=1e-9 * max(1, abs(want)))
 
 
 def test_assignment_points_integral():
@@ -110,9 +115,9 @@ def test_lb_values_bound_integer_front():
 
 def test_probes_collected():
     p = tribip.generate_knapsack(6, seed=1)
-    lb = compute_lb_set(p, collect_probes=True)
-    assert lb.probes is not None
+    lb = compute_lb_set(p)
     assert len(lb.probes) == lb.lp_count
+    assert len(set(w for w, _ in lb.probes)) == lb.lp_count
     assert all(len(w) == 3 for w, _ in lb.probes)
 
 

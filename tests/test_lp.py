@@ -1,13 +1,15 @@
-import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tribip
-from tribip import LpCounter, RelaxationSolver, solve_weighted_lp
+from tribip import RelaxationSolver, solve_weighted_lp
 from tribip.lp import is_integral
 
-from conftest import brute_force_feasible_points
+from conftest import NEAR_AXIS_WEIGHTS, brute_force_feasible_points, highs_lp_value
 
 
 def test_hand_lp():
@@ -37,22 +39,12 @@ def test_assignment_lp_integral():
             assert is_integral(res.x, tol=1e-6)
 
 
-def test_lp_counter():
-    p = tribip.generate_knapsack(5, seed=0)
-    counter = LpCounter()
-    solver = RelaxationSolver(p)
-    solver.solve_weighted([1, 1, 1], counter=counter)
-    solver.solve_weighted([1, 2, 3], counter=counter)
-    assert counter.count == 2
-
-
 def test_deterministic_resolve():
     p = tribip.generate_knapsack(12, seed=9)
     a = solve_weighted_lp(p, [0.5, 0.3, 0.2])
     b = solve_weighted_lp(p, [0.5, 0.3, 0.2])
     assert a.value == b.value
     assert np.array_equal(a.x, b.x)
-    assert a.iterations == b.iterations
 
 
 def test_lower_bound_property():
@@ -111,30 +103,6 @@ def test_ge_rows():
     assert np.allclose(res.x, [1.0, 0.0])
 
 
-def test_warm_start_matches_cold():
-    p = tribip.generate_knapsack(20, seed=4)
-    solver = RelaxationSolver(p)
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        w = rng.dirichlet([1, 1, 1])
-        warm = solver.solve_weighted(w, warm=True)
-        cold = solve_weighted_lp(p, w)
-        assert warm.status == cold.status == "optimal"
-        assert warm.value == pytest.approx(cold.value, abs=1e-7)
-
-
-def test_warm_start_assignment_matches_cold():
-    p = tribip.generate_assignment(4, seed=11)
-    solver = RelaxationSolver(p)
-    rng = np.random.default_rng(1)
-    for _ in range(15):
-        w = rng.dirichlet([1, 1, 1])
-        warm = solver.solve_weighted(w, warm=True)
-        cold = solve_weighted_lp(p, w)
-        assert warm.value == pytest.approx(cold.value, abs=1e-7)
-        assert is_integral(warm.x, tol=1e-6)
-
-
 def test_basic_solution_is_vertex():
     # a knapsack LP vertex has at most one fractional component
     rng = np.random.default_rng(3)
@@ -152,3 +120,96 @@ def test_weight_validation():
         solve_weighted_lp(p, [0, 0, 0])
     with pytest.raises(tribip.ValidationError):
         solve_weighted_lp(p, [1, -1, 1])
+
+
+# -- every oracle against an independent HiGHS solve --------------------------
+
+def _oracle_weights(seed, count=6):
+    rng = np.random.default_rng(seed)
+    return [tuple(rng.dirichlet([1, 1, 1])) for _ in range(count)] + NEAR_AXIS_WEIGHTS
+
+
+def _fractional(x):
+    return int(np.sum(np.abs(x - np.round(x)) > 1e-9))
+
+
+def _assert_matches_highs(p, w):
+    res = RelaxationSolver(p).solve_weighted(w)
+    want = highs_lp_value(p, w)
+    tol = 1e-9 * max(1.0, abs(want))
+    assert res.status == "optimal"
+    assert res.value == pytest.approx(want, rel=0, abs=tol)
+    assert res.value == pytest.approx(float(np.asarray(w) @ p.C @ res.x), rel=0, abs=tol)
+    assert np.all((res.x >= 0) & (res.x <= 1))
+    return res
+
+
+KNAPSACK_EDGE_CASES = {
+    "zero capacity": tribip.knapsack_problem([[3, 1, 2], [1, 1, 1], [2, 0, 5]], [2, 1, 3], 0),
+    "one zero-weight item": tribip.knapsack_problem(
+        [[3, 1, 2, 7], [1, 1, 1, 2], [2, 0, 5, 1]], [2, 0, 3, 4], 5),
+    "all-zero profits": tribip.knapsack_problem([[0, 0, 0], [0, 0, 0], [0, 0, 0]], [2, 1, 3], 3),
+}
+
+
+@pytest.mark.parametrize("n", [1, 5, 16, 40, 150])
+def test_knapsack_greedy_matches_highs(n):
+    for seed in range(3):
+        p = tribip.generate_knapsack(n, seed=seed)
+        for w in _oracle_weights(seed):
+            res = _assert_matches_highs(p, w)
+            assert _fractional(res.x) <= 1
+            assert float(p.weights @ res.x) <= p.capacity + 1e-9
+
+
+@pytest.mark.parametrize("case", sorted(KNAPSACK_EDGE_CASES))
+def test_knapsack_edge_cases_match_highs(case):
+    p = KNAPSACK_EDGE_CASES[case]
+    for w in _oracle_weights(0):
+        res = _assert_matches_highs(p, w)
+        assert _fractional(res.x) <= 1
+        assert float(p.weights @ res.x) <= p.capacity
+
+
+@pytest.mark.parametrize("tasks", [2, 5, 8, 25])
+def test_assignment_lsap_matches_highs(tasks):
+    p = tribip.generate_assignment(tasks, seed=tasks)
+    t = p.tasks
+    for w in _oracle_weights(tasks):
+        res = _assert_matches_highs(p, w)
+        assert is_integral(res.x, tol=0.0)
+        grid = res.x.reshape(t, t)
+        assert np.array_equal(grid.sum(axis=0), np.ones(t))
+        assert np.array_equal(grid.sum(axis=1), np.ones(t))
+
+
+def test_general_rows_match_highs():
+    # mixed-sense rows around a known feasible point
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        n = 12
+        a = rng.integers(-5, 10, size=(4, n))
+        x0 = rng.integers(0, 2, size=n)
+        lhs = a @ x0
+        p = tribip.general_problem(
+            objectives=rng.integers(-20, 20, size=(3, n)),
+            senses=("min", "max", "min"),
+            a=a, row_sense=("<=", ">=", "=", "<="),
+            b=[lhs[0] + 3, lhs[1] - 2, lhs[2], lhs[3]])
+        for w in _oracle_weights(int(x0.sum())):
+            res = _assert_matches_highs(p, w)
+            row = p.A @ res.x
+            assert row[0] <= p.b[0] + 1e-7 and row[3] <= p.b[3] + 1e-7
+            assert row[1] >= p.b[1] - 1e-7
+            assert row[2] == pytest.approx(p.b[2], abs=1e-7)
+
+
+def test_knapsack_run_does_not_import_scipy_optimize():
+    # the greedy keeps scipy.optimize out of knapsack runs and their start-up
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, tribip\n"
+            "tribip.run(tribip.generate_knapsack(8, seed=0), tribip.PrConfig(variant='PI'))\n"
+            "sys.exit('scipy.optimize' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
