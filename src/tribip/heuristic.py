@@ -21,6 +21,22 @@ order per iteration: pair draws first (one index for sim/dif rules, two for
 the random rule), then per step one coin draw, then one neighbour index draw
 when the step is random.  The coin is drawn even when its probability is
 zero so that all variants consume the stream identically per step.
+
+Walk kernel
+-----------
+`path_relink_walk` builds its state once per walk, on three facts:
+
+* D, the ascending positions where x differs from the guide, loses only the
+  flipped entry per step, so it stays ``np.flatnonzero(x != x_g)`` in order
+  and every index drawn or tie broken over it picks the same position.
+* A flip at j moves y by the displacement s_j c_j, with s_j = 1 - 2 x_j fixed
+  until j is flipped, so neighbour dominance is displacement dominance: built
+  at the first best-move step, then updated as positions leave D.
+* `improved_nd` ranks depend on y only through sign(y_k): (y_k + d)/y_k
+  orders candidates as d for y_k > 0 and as -d otherwise (the y_k = 0
+  fallback included), so the kernel ranks displacements against that sign
+  vector.  This is exact while objective values stay below 2**52 in
+  magnitude, where float64 division keeps distinct integers apart.
 """
 
 from __future__ import annotations
@@ -28,6 +44,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -80,6 +97,7 @@ class IrSet:
         self.provenance: list[list[int]] = []
         self.dropped_infeasible = 0
         self._keys: dict[bytes, int] = {}
+        self._x = np.empty((0, 0), dtype=np.int8)   # row k is solutions[k].x
 
     def __len__(self):
         return len(self.solutions)
@@ -95,13 +113,24 @@ class IrSet:
             if lb_index is not None:
                 self.provenance[at].append(lb_index)
             return False
-        self._keys[key] = len(self.solutions)
+        k = len(self.solutions)
+        if k == len(self._x):
+            grown = np.empty((max(16, 2 * k), solution.x.size), dtype=np.int8)
+            if k:
+                grown[:k] = self._x
+            self._x = grown
+        self._x[k] = solution.x
+        self._keys[key] = k
         self.solutions.append(solution)
         self.provenance.append([lb_index] if lb_index is not None else [])
         return True
 
     def x_matrix(self) -> np.ndarray:
-        return np.array([s.x for s in self.solutions], dtype=np.int8)
+        """Read-only (|IR|, n) view of the x vectors in IR order; later adds
+        do not show in it."""
+        view = self._x[:len(self.solutions)]
+        view.setflags(write=False)
+        return view
 
 
 @dataclass
@@ -151,13 +180,19 @@ def round_down(lb: LbSet, problem: Problem, int_tol: float = INT_TOL) -> IrSet:
     return ir
 
 
+def _row_bounds(problem: Problem) -> list[tuple[float, float]]:
+    """Per-row (lo, hi) with lo <= A.x <= hi meaning feasible; an open side is infinite."""
+    inf = float("inf")
+    return [(-inf if sense == "<=" else rhs, inf if sense == ">=" else rhs)
+            for sense, rhs in zip(problem.row_sense, problem.b.tolist())]
+
+
+def _within(lhs, bounds) -> bool:
+    return all(lo <= v <= hi for v, (lo, hi) in zip(lhs, bounds))
+
+
 def _feasible_int(problem: Problem, x: np.ndarray) -> bool:
-    lhs = problem.A @ x.astype(np.int64)
-    for i, sense in enumerate(problem.row_sense):
-        v, rhs = int(lhs[i]), int(problem.b[i])
-        if (sense == "<=" and v > rhs) or (sense == ">=" and v < rhs) or (sense == "=" and v != rhs):
-            return False
-    return True
+    return _within((problem.A @ x.astype(np.int64)).tolist(), _row_bounds(problem))
 
 
 def similarity(a, b) -> int:
@@ -194,31 +229,6 @@ def select_pair(ir: IrSet, rule: str, rng: Xoshiro256StarStar) -> tuple[Solution
     return ir.solutions[i], ir.solutions[g]
 
 
-def generate_neighborhood(s_i, s_g) -> list[np.ndarray]:
-    """One neighbour per differing position: s_i with that bit flipped,
-    in ascending position order."""
-    a = np.asarray(s_i, dtype=np.int8)
-    b = np.asarray(s_g, dtype=np.int8)
-    if a.shape != b.shape:
-        raise ValidationError("solutions of different length")
-    delta = np.flatnonzero(a != b)
-    if delta.size == 0:
-        raise ValidationError("initiating and guiding solutions are identical")
-    out = []
-    for j in delta:
-        nb = a.copy()
-        nb[j] = 1 - nb[j]
-        out.append(nb)
-    return out
-
-
-def _nondominated_rows(y: np.ndarray) -> np.ndarray:
-    """Mask of rows not strictly dominated by another row (duplicates all kept)."""
-    le = (y[None, :, :] <= y[:, None, :]).all(axis=2)
-    lt = (y[None, :, :] < y[:, None, :]).any(axis=2)
-    return ~np.logical_and(le, lt).any(axis=1)
-
-
 def improved_nd(obj_s_i, nd) -> int:
     """Index of the most-improved point among mutually nondominated neighbours.
 
@@ -228,52 +238,31 @@ def improved_nd(obj_s_i, nd) -> int:
     again to the lower index.  A zero current value falls back to ranking
     that objective by raw value, smaller meaning more improved.
     """
-    nd = np.asarray(nd, dtype=np.float64).reshape(-1, len(obj_s_i))
-    k = nd.shape[0]
-    if k == 0:
+    rows = [[float(v) for v in row] for row in nd]
+    if not rows:
         raise ValidationError("improved_nd needs at least one candidate")
-    obj = np.asarray(obj_s_i, dtype=np.float64)
-    degrees = np.zeros(k, dtype=np.int64)
-    rows = np.arange(k)
-    for j in range(nd.shape[1]):
-        if obj[j] != 0.0:
-            key = nd[:, j] / obj[j]          # larger ratio = larger improvement
+    degrees = [0] * len(rows)
+    for j, obj in enumerate(obj_s_i):
+        obj = float(obj)
+        if obj != 0.0:
+            key = [row[j] / obj for row in rows]   # larger ratio = larger improvement
         else:
-            key = -nd[:, j]                  # smaller raw value = larger improvement
-        order = np.lexsort((rows, key))      # ascending key, ties by lower index
-        ranks = np.empty(k, dtype=np.int64)
-        ranks[order] = np.arange(1, k + 1)
-        degrees += ranks
-    return int(np.argmax(degrees))
+            key = [-row[j] for row in rows]        # smaller raw value = larger improvement
+        # a stable sort ranks ties by the lower index
+        for rank, i in enumerate(sorted(range(len(rows)), key=key.__getitem__), 1):
+            degrees[i] += rank
+    return degrees.index(max(degrees))
 
 
-class _WalkState:
-    """Incremental state of one relinking walk: current x, objective point,
-    and constraint left-hand sides."""
-
-    def __init__(self, problem: Problem, x0: np.ndarray):
-        self.problem = problem
-        self.ct = problem.C.T.astype(np.int64)      # (n, 3)
-        self.at = problem.A.T.astype(np.int64)      # (n, m)
-        self.x = np.asarray(x0, dtype=np.int8).copy()
-        xi = self.x.astype(np.int64)
-        self.y = problem.C @ xi
-        self.lhs = problem.A @ xi
-
-    def advance(self, x_new: np.ndarray, j: int):
-        """Move to a neighbour that differs from the current x in bit j."""
-        sign = 1 - 2 * int(self.x[j])
-        self.x = x_new
-        self.y += sign * self.ct[j]
-        self.lhs += sign * self.at[j]
-
-    def feasible(self) -> bool:
-        for i, sense in enumerate(self.problem.row_sense):
-            v, rhs = int(self.lhs[i]), int(self.problem.b[i])
-            if (sense == "<=" and v > rhs) or (sense == ">=" and v < rhs) \
-                    or (sense == "=" and v != rhs):
-                return False
-        return True
+def _displacement_dominance(disp: list, rest: list[int]):
+    """Dominance among the displacements disp[r], r in rest: per r, the
+    entries it strictly dominates and the number of entries dominating it."""
+    d = np.array([disp[r] for r in rest], dtype=np.int64)
+    a, b = d[:, None, :], d[None, :, :]
+    beats = (a <= b).all(axis=2) & (a < b).any(axis=2)     # beats[i, k]: row i dominates row k
+    beaten = {r: list(compress(rest, row)) for r, row in zip(rest, beats.tolist())}
+    dominators = dict(zip(rest, beats.sum(axis=0).tolist()))
+    return beaten, dominators
 
 
 def path_relink_walk(problem: Problem, s_i: Solution, s_g: Solution, ir: IrSet,
@@ -285,41 +274,53 @@ def path_relink_walk(problem: Problem, s_i: Solution, s_g: Solution, ir: IrSet,
     and to the IR set; infeasible intermediates keep walking but are never
     archived.  The walk stops when the current solution reaches the guiding
     one or the current (S_i, S_g) pair was already used.  Returns the list
-    of visited vectors when collect_visits is set.
+    of visited vectors (read-only int8 arrays) when collect_visits is set.
     """
-    visits: list[np.ndarray] = []
-    key_g = s_g.key()
-    x_g = np.asarray(s_g.x, dtype=np.int8)
-    state = _WalkState(problem, s_i.x)
-    ct = state.ct
+    key, key_g = s_i.key(), s_g.key()
+    pairs = archives.ig_pairs
+    if key == key_g or (key, key_g) in pairs:
+        return []
+    x = bytearray(key)
+    pos = np.flatnonzero(s_i.x != s_g.x)
+    signs = 1 - 2 * s_i.x[pos].astype(np.int64)
+    disp = (problem.C[:, pos] * signs).T.tolist()     # objective move of each flip
+    row_disp = (problem.A[:, pos] * signs).T.tolist()
+    pos = pos.tolist()
+    y = (problem.C @ s_i.x).tolist()
+    lhs = (problem.A @ s_i.x).tolist()
+    bounds = _row_bounds(problem)
+    rest = list(range(len(pos)))       # indices into pos still differing, ascending
+    beaten = dominators = None         # displacement dominance, built on first use
+    random, randint = rng.random, rng.randint
+    visits: list[bytes] = []
     while True:
-        key_cur = state.x.tobytes()
-        if key_cur == key_g or (key_cur, key_g) in archives.ig_pairs:
-            break
-        delta = np.flatnonzero(state.x != x_g)
-        neighborhood = np.repeat(state.x[None, :], delta.size, axis=0)
-        neighborhood[np.arange(delta.size), delta] ^= 1
-        coin = rng.random()
-        if coin < best_move_prob:
-            signs = (1 - 2 * state.x[delta]).astype(np.int64)
-            y_nb = state.y[None, :] + signs[:, None] * ct[delta]
-            nd_idx = np.flatnonzero(_nondominated_rows(y_nb))
-            if nd_idx.size == 1:
-                pick = int(nd_idx[0])
+        if random() < best_move_prob:
+            if beaten is None:
+                beaten, dominators = _displacement_dominance(disp, rest)
+            nd = [at for at, r in enumerate(rest) if not dominators[r]]
+            if len(nd) == 1:
+                at = nd[0]
             else:
-                pick = int(nd_idx[improved_nd(state.y, y_nb[nd_idx])])
+                sign_y = [1 if v > 0 else -1 for v in y]
+                at = nd[improved_nd(sign_y, [disp[rest[k]] for k in nd])]
         else:
-            pick = int(rng.randint(delta.size))
-        state.advance(neighborhood[pick], int(delta[pick]))
-        if collect_visits:
-            visits.append(state.x.copy())
-        if state.feasible():
-            key_new = state.x.tobytes()
-            if key_new not in ir:
-                sol = Solution(state.x.copy(), tuple(int(v) for v in state.y), True)
-                archives.cand_x.append(sol)
-                ir.add(sol)
-    return visits
+            at = randint(len(rest))
+        r = rest.pop(at)
+        if beaten is not None:
+            for b in beaten[r]:
+                dominators[b] -= 1
+        x[pos[r]] ^= 1
+        y = [a + b for a, b in zip(y, disp[r])]
+        lhs = [a + b for a, b in zip(lhs, row_disp[r])]
+        key = bytes(x)
+        visits.append(key)
+        if _within(lhs, bounds) and key not in ir:
+            sol = Solution(np.frombuffer(key, dtype=np.int8), y, True)
+            archives.cand_x.append(sol)
+            ir.add(sol)
+        if not rest or (key, key_g) in pairs:
+            break
+    return [np.frombuffer(v, dtype=np.int8) for v in visits] if collect_visits else []
 
 
 def path_relink_once(ir: IrSet, archives: PrArchives, config: PrConfig,

@@ -109,10 +109,9 @@ def compute_lb_set(problem: Problem, seed_epsilon: float = SEED_EPSILON,
     xs: list[np.ndarray] = []
     ws: list[np.ndarray] = []
 
-    def known(y) -> bool:
-        if not ys:
-            return False
-        return bool(np.min(np.max(np.abs(np.array(ys) - y), axis=1)) <= point_tol)
+    def near(points: np.ndarray, y) -> bool:
+        """Whether y lies within point_tol of a row of points (in every coordinate)."""
+        return points.size > 0 and bool(np.min(np.max(np.abs(points - y), axis=1)) <= point_tol)
 
     def add_point(x, y, w):
         ys.append(np.asarray(y, dtype=np.float64))
@@ -124,7 +123,7 @@ def compute_lb_set(problem: Problem, seed_epsilon: float = SEED_EPSILON,
         w[k] = 1.0
         w = w / w.sum()
         value, x, y = solve(w)
-        if not known(y):
+        if not near(np.array(ys), y):
             add_point(x, y, w)
 
     # anchors: one per objective, high above the ideal corner along that
@@ -149,6 +148,7 @@ def compute_lb_set(problem: Problem, seed_epsilon: float = SEED_EPSILON,
         if weights.shape[0] == 0:
             break
         hull_values = (nodes @ weights.T).min(axis=0)
+        known_ys = nodes[:-problem.p]          # ys, unchanged until the round ends
         new_points = []
         new_ys = np.empty((0, problem.p))
         for i in range(weights.shape[0]):
@@ -156,9 +156,7 @@ def compute_lb_set(problem: Problem, seed_epsilon: float = SEED_EPSILON,
             value, x, y = solve(w)
             hv = float(hull_values[i])
             if hv - value > _FACET_REL_TOL * max(1.0, abs(hv)):
-                seen_this_round = new_ys.size and bool(
-                    np.min(np.max(np.abs(new_ys - y), axis=1)) <= point_tol)
-                if not seen_this_round and not known(y):
+                if not near(new_ys, y) and not near(known_ys, y):
                     new_points.append((x, w, y))
                     new_ys = np.vstack([new_ys, y])
         if not new_points:

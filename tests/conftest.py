@@ -99,3 +99,79 @@ def naive_improved_nd(obj_s_i, nd):
     degree = [sum(rank[i]) for i in range(k)]
     best = max(degree)
     return degree.index(best)
+
+
+def _nondominated_rows(y):
+    """Mask of rows not strictly dominated by another row (duplicates all kept)."""
+    le = (y[None, :, :] <= y[:, None, :]).all(axis=2)
+    lt = (y[None, :, :] < y[:, None, :]).any(axis=2)
+    return ~np.logical_and(le, lt).any(axis=1)
+
+
+class _WalkState:
+    """Incremental state of one relinking walk: current x, objective point,
+    and constraint left-hand sides."""
+
+    def __init__(self, problem, x0):
+        self.problem = problem
+        self.ct = problem.C.T.astype(np.int64)      # (n, 3)
+        self.at = problem.A.T.astype(np.int64)      # (n, m)
+        self.x = np.asarray(x0, dtype=np.int8).copy()
+        xi = self.x.astype(np.int64)
+        self.y = problem.C @ xi
+        self.lhs = problem.A @ xi
+
+    def advance(self, x_new, j):
+        """Move to a neighbour that differs from the current x in bit j."""
+        sign = 1 - 2 * int(self.x[j])
+        self.x = x_new
+        self.y += sign * self.ct[j]
+        self.lhs += sign * self.at[j]
+
+    def feasible(self):
+        for i, sense in enumerate(self.problem.row_sense):
+            v, rhs = int(self.lhs[i]), int(self.problem.b[i])
+            if (sense == "<=" and v > rhs) or (sense == ">=" and v < rhs) \
+                    or (sense == "=" and v != rhs):
+                return False
+        return True
+
+
+def naive_path_relink_walk(problem, s_i, s_g, ir, archives, rng, best_move_prob,
+                           collect_visits=False):
+    """Reference walk: rebuilds the whole neighbourhood, its dominance and its
+    ranks from the current point at every step, with the same draw order and
+    the same archive updates as `tribip.path_relink_walk`."""
+    visits = []
+    key_g = s_g.key()
+    x_g = np.asarray(s_g.x, dtype=np.int8)
+    state = _WalkState(problem, s_i.x)
+    ct = state.ct
+    while True:
+        key_cur = state.x.tobytes()
+        if key_cur == key_g or (key_cur, key_g) in archives.ig_pairs:
+            break
+        delta = np.flatnonzero(state.x != x_g)
+        neighborhood = np.repeat(state.x[None, :], delta.size, axis=0)
+        neighborhood[np.arange(delta.size), delta] ^= 1
+        coin = rng.random()
+        if coin < best_move_prob:
+            signs = (1 - 2 * state.x[delta]).astype(np.int64)
+            y_nb = state.y[None, :] + signs[:, None] * ct[delta]
+            nd_idx = np.flatnonzero(_nondominated_rows(y_nb))
+            if nd_idx.size == 1:
+                pick = int(nd_idx[0])
+            else:
+                pick = int(nd_idx[naive_improved_nd(state.y.tolist(), y_nb[nd_idx])])
+        else:
+            pick = int(rng.randint(delta.size))
+        state.advance(neighborhood[pick], int(delta[pick]))
+        if collect_visits:
+            visits.append(state.x.copy())
+        if state.feasible():
+            key_new = state.x.tobytes()
+            if key_new not in ir:
+                sol = tribip.Solution(state.x.copy(), tuple(int(v) for v in state.y), True)
+                archives.cand_x.append(sol)
+                ir.add(sol)
+    return visits

@@ -10,6 +10,11 @@ import tribip
 from tribip.cli import main
 
 
+def _rows(path):
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_generate_count_and_determinism(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -41,7 +46,7 @@ def test_solve_writes_front_and_csv(tmp_path):
     rc = main(["solve", str(inst), "--variant", "PI", "--seed", "2",
                "--out", str(front_path), "--report-csv", str(csv_path)])
     assert rc == 0
-    rows = list(csv.DictReader(csv_path.open()))
+    rows = _rows(csv_path)
     assert len(rows) == 1
     assert rows[0]["variant"] == "PI"
     assert rows[0]["seed"] == "2"
@@ -73,7 +78,7 @@ def test_oracle_and_hv_percent(tmp_path):
     rc = main(["solve", str(inst), "--variant", "RD", "--ref-front", str(ref_path),
                "--report-csv", str(csv_path)])
     assert rc == 0
-    row = next(iter(csv.DictReader(csv_path.open())))
+    row = _rows(csv_path)[0]
     assert row["hv"] != ""
     assert 0.0 <= float(row["hv"]) <= 1.0
     assert 0.0 < float(row["hv_pct"]) <= 100.0
@@ -111,7 +116,7 @@ def test_report_aggregates_means(tmp_path):
     out = tmp_path / "agg.csv"
     rc = main(["report", str(csv_path), "--out", str(out)])
     assert rc == 0
-    rows = {(r["variant"]): r for r in csv.DictReader(out.open())}
+    rows = {(r["variant"]): r for r in _rows(out)}
     # hand-computed means
     assert float(rows["PI"]["mean_y"]) == pytest.approx(5.0)
     assert float(rows["PI"]["mean_time_sec"]) == pytest.approx(1.0)
@@ -133,7 +138,7 @@ def test_report_single_row_identity(tmp_path):
                              hv="0.61", hv_pct="88.5", front_file=""))
     out = tmp_path / "agg.csv"
     main(["report", str(csv_path), "--out", str(out)])
-    row = next(iter(csv.DictReader(out.open())))
+    row = _rows(out)[0]
     assert float(row["mean_y"]) == pytest.approx(7.0)
     assert float(row["mean_time_sec"]) == pytest.approx(0.125)
     assert float(row["mean_hv_pct"]) == pytest.approx(88.5)
@@ -183,7 +188,7 @@ def test_solve_batch_runs(tmp_path):
     rc = main(["solve", *insts, "--variant", "PRrand", "--seed", "0", "--runs", "3",
                "--report-csv", str(csv_path), "--out-dir", str(tmp_path / "fronts")])
     assert rc == 0
-    rows = list(csv.DictReader(csv_path.open()))
+    rows = _rows(csv_path)
     assert len(rows) == 6
     assert sorted({r["seed"] for r in rows}) == ["0", "1", "2"]
     assert len(list((tmp_path / "fronts").glob("*.front.txt"))) == 6
@@ -200,7 +205,7 @@ def test_solve_parallel_jobs_match_serial(tmp_path):
                    "--jobs", str(jobs), "--report-csv", str(csv_path)])
         assert rc == 0
         rows = sorted((r["instance"], r["seed"], r["y_count"])
-                      for r in csv.DictReader(csv_path.open()))
+                      for r in _rows(csv_path))
         csvs.append(rows)
     assert csvs[0] == csvs[1]
 
@@ -215,12 +220,12 @@ def test_report_ref_dir_fills_missing_hv(tmp_path):
     csv_path = tmp_path / "runs.csv"
     main(["solve", str(inst), "--variant", "RD", "--report-csv", str(csv_path),
           "--out-dir", str(tmp_path / "fronts")])
-    row = next(iter(csv.DictReader(csv_path.open())))
+    row = _rows(csv_path)[0]
     assert row["hv_pct"] == ""
     out = tmp_path / "agg.csv"
     rc = main(["report", str(csv_path), "--ref-dir", str(refs), "--out", str(out)])
     assert rc == 0
-    agg = next(iter(csv.DictReader(out.open())))
+    agg = _rows(out)[0]
     assert agg["mean_hv_pct"] != ""
     assert 0.0 < float(agg["mean_hv_pct"]) <= 100.0
 
@@ -246,7 +251,7 @@ def test_solve_ref_point_raw_hv(tmp_path):
     rc = main(["solve", str(inst), "--variant", "RD", "--ref-point", "0,0,0",
                "--report-csv", str(csv_path)])
     assert rc == 0
-    row = next(iter(csv.DictReader(csv_path.open())))
+    row = _rows(csv_path)[0]
     assert float(row["raw_hv"]) > 0   # all profits positive, boxes below origin
     assert row["hv"] == ""
     assert row["hv_pct"] == ""
@@ -260,7 +265,7 @@ def test_solve_force_pr_on_assignment(tmp_path):
     rc = main(["solve", str(inst), "--variant", "PI", "--force-pr",
                "--report-csv", str(csv_path)])
     assert rc == 0
-    row = next(iter(csv.DictReader(csv_path.open())))
+    row = _rows(csv_path)[0]
     assert int(row["y_count"]) > 0
 
 

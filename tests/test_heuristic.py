@@ -1,14 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tribip
 from tribip import (InsufficientSolutionsError, IrSet, NoRoundedSolutionError,
                     PrArchives, PrConfig, ValidationError, Xoshiro256StarStar,
-                    generate_neighborhood, improved_nd, path_relink_once,
-                    path_relink_walk, round_down, run, select_pair, similarity)
+                    improved_nd, path_relink_once, path_relink_walk, round_down, run,
+                    select_pair, similarity)
+from tribip import heuristic
 from tribip.lbset import LbPoint, LbSet
 
-from conftest import naive_improved_nd
+from conftest import naive_improved_nd, naive_path_relink_walk
 
 
 def _lbset_from(problem, xs):
@@ -123,29 +128,6 @@ def test_similarity_counts_equal_positions():
     assert similarity([0, 0, 1, 0], [1, 1, 0, 0]) == 1
 
 
-# -- generate_neighborhood ----------------------------------------------------
-
-def test_neighborhood_worked_example():
-    nbrs = generate_neighborhood([0, 0, 1, 0], [1, 1, 0, 0])
-    assert [n.tolist() for n in nbrs] == [
-        [1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0]]
-
-
-def test_neighborhood_second_step():
-    nbrs = generate_neighborhood([1, 0, 1, 0], [1, 1, 0, 0])
-    assert [n.tolist() for n in nbrs] == [[1, 1, 1, 0], [1, 0, 0, 0]]
-
-
-def test_neighborhood_hamming_one():
-    nbrs = generate_neighborhood([1, 0], [1, 1])
-    assert [n.tolist() for n in nbrs] == [[1, 1]]
-
-
-def test_neighborhood_identical_raises():
-    with pytest.raises(ValidationError):
-        generate_neighborhood([1, 0], [1, 0])
-
-
 # -- improved_nd --------------------------------------------------------------
 
 def test_improved_nd_single():
@@ -257,6 +239,92 @@ def test_candx_members_feasible_and_new(p_matrix_problem):
         assert sol.key() not in ir0_keys
 
 
+def _ints(lo, hi, size):
+    return st.lists(st.integers(lo, hi), min_size=size, max_size=size)
+
+
+@st.composite
+def _relink_problems(draw):
+    """Small knapsacks, and general problems with mixed row senses and
+    objectives of mixed sign, so that y_k = 0 and sign changes of y_k occur
+    during walks."""
+    n = draw(st.integers(3, 9))
+    if draw(st.booleans()):
+        weights = draw(_ints(0, 9, n))
+        return tribip.knapsack_problem(draw(st.lists(_ints(0, 12, n), min_size=3, max_size=3)),
+                                       weights, draw(st.integers(0, sum(weights))))
+    m = draw(st.integers(1, 3))
+    return tribip.general_problem(
+        objectives=draw(st.lists(_ints(-4, 4, n), min_size=3, max_size=3)),
+        senses=draw(st.lists(st.sampled_from(("min", "max")), min_size=3, max_size=3)),
+        a=draw(st.lists(_ints(-3, 3, n), min_size=m, max_size=m)),
+        row_sense=draw(st.lists(st.sampled_from(("<=", ">=", "=")), min_size=m, max_size=m)),
+        b=draw(_ints(-3, 6, m)),
+    )
+
+
+def _recording(walk, visits):
+    """path_relink_walk stand-in that logs each walk's visits."""
+    def wrapper(problem, s_i, s_g, ir, archives, rng, best_move_prob, collect_visits=False):
+        visited = walk(problem, s_i, s_g, ir, archives, rng, best_move_prob, collect_visits=True)
+        visits.append([v.tobytes() for v in visited])
+        return []
+    return wrapper
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_relink_problems(), data=st.data(),
+       variant=st.sampled_from([v for v in tribip.VARIANTS if v != "RD"]),
+       prob=st.sampled_from((0.0, 0.7, 1.0)), seed=st.integers(0, 2**32),
+       iterations=st.integers(1, 40))
+def test_walk_kernel_matches_reference_walk(problem, data, variant, prob, seed, iterations):
+    n = problem.n
+    starts = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                                min_size=2, max_size=6, unique_by=tuple))
+    config = PrConfig(variant=variant, seed=seed, best_move_prob=prob)
+    sides = [(walk, _ir_from(problem, starts), PrArchives(), Xoshiro256StarStar(seed), [])
+             for walk in (path_relink_walk, naive_path_relink_walk)]
+
+    def snapshot(side):
+        _, ir, archives, rng, visits = side
+        return (visits, [(s.key(), s.y) for s in ir.solutions],
+                [(s.key(), s.y, s.feasible) for s in archives.cand_x],
+                set(archives.ig_pairs), (rng._s0, rng._s1, rng._s2, rng._s3))
+
+    for _ in range(iterations):
+        for walk, ir, archives, rng, visits in sides:
+            with mock.patch.object(heuristic, "path_relink_walk", _recording(walk, visits)):
+                path_relink_once(ir, archives, config, rng, problem)
+        assert snapshot(sides[0]) == snapshot(sides[1])
+
+
+# derandomized: a drawn problem can also fail inside the LB enumeration,
+# which is not under test here
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(problem=_relink_problems(), variant=st.sampled_from(tribip.VARIANTS),
+       prob=st.sampled_from((0.0, 0.7, 1.0)), seed=st.integers(0, 2**32))
+def test_run_front_matches_reference_walk(problem, variant, prob, seed):
+    config = PrConfig(variant=variant, seed=seed, best_move_prob=prob, iteration_multiplier=5)
+    try:
+        front, report = run(problem, config)
+    except (tribip.InfeasibleProblemError, NoRoundedSolutionError):
+        return
+    with mock.patch.object(heuristic, "path_relink_walk", naive_path_relink_walk):
+        front_ref, report_ref = run(problem, config)
+    assert [(s.key(), s.y) for s in front] == [(s.key(), s.y) for s in front_ref]
+    assert (report.ir_size, report.pr_iterations) == (report_ref.ir_size, report_ref.pr_iterations)
+
+
+def test_ir_x_matrix_grows_with_adds():
+    rng = np.random.default_rng(3)
+    ir = IrSet()
+    for bits in rng.integers(0, 2, size=(40, 9)):
+        ir.add(tribip.Solution(bits, (0, 0, 0), True))
+        xs = ir.x_matrix()
+        assert np.array_equal(xs, np.array([s.x for s in ir.solutions], dtype=np.int8))
+    assert not xs.flags.writeable
+
+
 # -- run ----------------------------------------------------------------------
 
 def test_run_rd_assignment_uses_lb_directly():
@@ -314,12 +382,6 @@ def test_run_all_variants_complete():
     for variant in tribip.VARIANTS:
         front, report = run(p, PrConfig(variant=variant, seed=0))
         assert report.y_count == len(front) > 0
-
-
-def test_run_neighborhood_size_equals_hamming():
-    a = np.array([0, 1, 1, 0, 1], dtype=np.int8)
-    b = np.array([1, 1, 0, 0, 0], dtype=np.int8)
-    assert len(generate_neighborhood(a, b)) == int(np.sum(a != b))
 
 
 def test_config_validation():
