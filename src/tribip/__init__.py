@@ -20,7 +20,7 @@ from .metrics import (ReferenceFront, dominates, exact_front, exact_front_soluti
                       hypervolume, hypervolume_mc, normalize)
 from .heuristic import (VARIANTS, IrSet, PrArchives, PrConfig, RunReport, improved_nd,
                         path_relink_once, path_relink_walk, round_down, run, select_pair,
-                        similarity)
+                        similarity, solve_from_lb)
 from .rng import Xoshiro256StarStar
 
 __version__ = "0.1.0"
@@ -38,7 +38,7 @@ __all__ = [
     "hv_percent",
     "VARIANTS", "PrConfig", "IrSet", "PrArchives", "RunReport",
     "round_down", "select_pair", "improved_nd",
-    "path_relink_once", "path_relink_walk", "run", "similarity",
+    "path_relink_once", "path_relink_walk", "run", "similarity", "solve_from_lb",
     "Xoshiro256StarStar",
     "TribipError", "DimensionError", "ValidationError", "ParseError",
     "InfeasibleProblemError",

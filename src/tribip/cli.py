@@ -3,6 +3,13 @@ exact oracle, and aggregate run CSVs into table-style reports.
 
 Subcommands: generate | solve | oracle | report.  Run rows share a fixed CSV
 header; wall times cover the solve pipeline only (file I/O excluded).
+
+`solve` groups its runs by instance: it reads each instance once and
+enumerates its LB set once, and every run (seed) of that instance starts
+from the same set, which `--jobs` threads share read-only.  A row's
+`time_sec` is the instance's LB enumeration time plus the run's own
+`solve_from_lb` time, the same span `run()` reports.  A failure to read an
+instance or to enumerate its LB set fails that instance's runs only.
 """
 
 from __future__ import annotations
@@ -12,12 +19,14 @@ import contextlib
 import csv
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 from . import model
 from .errors import TribipError
-from .heuristic import VARIANTS, PrConfig, run
+# `run` stays in this namespace for perfbench/tracing.py, which wraps cli.run
+from .heuristic import VARIANTS, PrConfig, run, solve_from_lb
 from .lbset import compute_lb_set, lb_front_records
 from .metrics import ReferenceFront, exact_front_solutions, hv_percent, hypervolume, normalize
 
@@ -45,13 +54,26 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _solve_one(instance_path: Path, variant: str, seed: int, args, ref: ReferenceFront | None):
+def _prepare(instance_path: Path, args):
+    """Read one instance, enumerate its LB set for all of its runs and, with
+    --lb-front, write that set; returns (problem, lb, enumeration seconds)."""
     problem = model.read_instance(instance_path)
-    config = PrConfig(variant=variant, seed=seed,
+    t0 = time.perf_counter()
+    lb = compute_lb_set(problem)
+    lb_sec = time.perf_counter() - t0
+    if args.lb_front:
+        model.write_front(args.lb_front, problem, lb_front_records(lb))
+    return problem, lb, lb_sec
+
+
+def _solve_one(instance_path: Path, problem, lb, lb_sec: float, seed: int, args,
+               ref: ReferenceFront | None):
+    config = PrConfig(variant=args.variant, seed=seed,
                       iteration_multiplier=args.iter_mult,
                       best_move_prob=args.best_prob,
                       force_pr=args.force_pr)
-    front, report = run(problem, config)
+    front, report = solve_from_lb(problem, lb, config)
+    report.time_sec += lb_sec
     report.instance = instance_path.stem
 
     raw_hv = None
@@ -70,12 +92,17 @@ def _solve_one(instance_path: Path, variant: str, seed: int, args, ref: Referenc
         else:
             base = Path(args.out_dir or ".")
             base.mkdir(parents=True, exist_ok=True)
-            front_file = base / f"{instance_path.stem}__{variant}_s{seed}.front.txt"
+            front_file = base / f"{instance_path.stem}__{args.variant}_s{seed}.front.txt"
         model.write_front(front_file, problem, front)
-    if args.lb_front:
-        lb = compute_lb_set(problem)
-        model.write_front(args.lb_front, problem, lb_front_records(lb))
-    return report, front_file, problem, raw_hv
+    return _report_row(report, front_file, problem, raw_hv)
+
+
+def _attempt(job):
+    """The CSV row of one run, or the error that failed it."""
+    try:
+        return _solve_one(*job)
+    except (TribipError, OSError) as exc:
+        return exc
 
 
 def _report_row(report, front_file, problem, raw_hv) -> dict:
@@ -98,36 +125,29 @@ def _report_row(report, front_file, problem, raw_hv) -> dict:
 
 def cmd_solve(args) -> int:
     ref = _load_reference(args.ref_front) if args.ref_front else None
-    jobs = []
-    for inst in args.instances:
-        for r in range(args.runs):
-            jobs.append((Path(inst), args.variant, args.seed + r))
+    seeds = range(args.seed, args.seed + args.runs)
+    outcomes = []          # (instance, row | error | Future of either), in run order
+    pool = ThreadPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
+    with pool or contextlib.nullcontext():
+        for inst in map(Path, args.instances):
+            try:
+                problem, lb, lb_sec = _prepare(inst, args)
+            except (TribipError, OSError) as exc:
+                outcomes += [(inst, exc)] * len(seeds)
+                continue
+            for seed in seeds:
+                job = (inst, problem, lb, lb_sec, seed, args, ref)
+                outcomes.append((inst, pool.submit(_attempt, job) if pool else _attempt(job)))
 
     rows = []
     failures = []
-
-    def work(job):
-        inst, variant, seed = job
-        return inst, _solve_one(inst, variant, seed, args, ref)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = []
-            for job in jobs:
-                results.append(pool.submit(work, job))
-            for job, fut in zip(jobs, results):
-                try:
-                    _, (report, front_file, problem, raw_hv) = fut.result()
-                    rows.append(_report_row(report, front_file, problem, raw_hv))
-                except (TribipError, OSError) as exc:
-                    failures.append((job[0], exc))
-    else:
-        for job in jobs:
-            try:
-                _, (report, front_file, problem, raw_hv) = work(job)
-                rows.append(_report_row(report, front_file, problem, raw_hv))
-            except (TribipError, OSError) as exc:
-                failures.append((job[0], exc))
+    for inst, outcome in outcomes:
+        if isinstance(outcome, Future):
+            outcome = outcome.result()
+        if isinstance(outcome, Exception):
+            failures.append((inst, outcome))
+        else:
+            rows.append(outcome)
 
     if args.report_csv:
         csv_path = Path(args.report_csv)

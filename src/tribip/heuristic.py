@@ -98,6 +98,8 @@ class IrSet:
         self.dropped_infeasible = 0
         self._keys: dict[bytes, int] = {}
         self._x = np.empty((0, 0), dtype=np.int8)   # row k is solutions[k].x
+        # (initiating row, rule) -> (guide row, its similarity, rows scanned)
+        self._guides: dict[tuple[int, str], tuple[int, int, int]] = {}
 
     def __len__(self):
         return len(self.solutions)
@@ -205,7 +207,9 @@ def select_pair(ir: IrSet, rule: str, rng: Xoshiro256StarStar) -> tuple[Solution
 
     random: two distinct uniform picks.  sim/dif: uniform initiating pick,
     then the most similar / most different guiding solution; ties go to the
-    lowest index.
+    lowest index.  IR only grows by appending, so the best guide of each
+    (initiating row, rule) is kept on the IR set and compared only against
+    the rows added since; a later row takes over only when strictly better.
     """
     k = len(ir)
     if k < 2:
@@ -218,14 +222,17 @@ def select_pair(ir: IrSet, rule: str, rng: Xoshiro256StarStar) -> tuple[Solution
         return ir.solutions[i], ir.solutions[g]
     if rule not in ("sim", "dif"):
         raise ValidationError(f"unknown selection rule {rule!r}")
-    xs = ir.x_matrix()
-    sims = np.count_nonzero(xs == xs[i][None, :], axis=1)
-    if rule == "sim":
-        sims[i] = -1
-        g = int(np.argmax(sims))
-    else:
-        sims[i] = xs.shape[1] + 1
-        g = int(np.argmin(sims))
+    g, best, scanned = ir._guides.get((i, rule), (-1, 0, 0))
+    if scanned < k:
+        xs = ir.x_matrix()
+        sims = np.count_nonzero(xs[scanned:] == xs[i], axis=1)
+        if i >= scanned:                    # row i is never its own guide
+            sims[i - scanned] = -1 if rule == "sim" else xs.shape[1] + 1
+        at = int(np.argmax(sims) if rule == "sim" else np.argmin(sims))
+        value = int(sims[at])
+        if g < 0 or (value > best if rule == "sim" else value < best):
+            g, best = scanned + at, value
+        ir._guides[(i, rule)] = (g, best, k)
     return ir.solutions[i], ir.solutions[g]
 
 
@@ -355,18 +362,15 @@ def _lb_solutions(lb: LbSet, problem: Problem, int_tol: float = INT_TOL) -> list
     return out
 
 
-def run(problem: Problem, config: PrConfig | None = None):
-    """Full pipeline: LB set, rounding, optional path relinking, final filter.
+def solve_from_lb(problem: Problem, lb: LbSet, config: PrConfig | None = None):
+    """Rounding, optional path relinking and the final filter on a computed
+    LB set, which is only read, so one set can serve many runs.
 
-    Returns (front, report): the mutually nondominated feasible solutions
-    and a RunReport with |Y|, wall time, LP count, iteration counters.
-    Assignment instances use the integral LB solutions directly and skip
-    rounding and path relinking unless config.force_pr is set.
+    Returns (front, report) like `run`; report.time_sec covers this call
+    only, and report.lp_count is the LPs that enumerated `lb`.
     """
     config = config or PrConfig()
     t0 = time.perf_counter()
-    lb = compute_lb_set(problem)
-
     pr_iterations = 0
     ir_size = 0
     if problem.kind == KIND_ASSIGNMENT and not config.force_pr:
@@ -396,4 +400,20 @@ def run(problem: Problem, config: PrConfig | None = None):
         ir_size=ir_size,
         pr_iterations=pr_iterations,
     )
+    return front, report
+
+
+def run(problem: Problem, config: PrConfig | None = None):
+    """Full pipeline: LB set, rounding, optional path relinking, final filter.
+
+    Returns (front, report): the mutually nondominated feasible solutions
+    and a RunReport with |Y|, wall time, LP count, iteration counters.
+    Assignment instances use the integral LB solutions directly and skip
+    rounding and path relinking unless config.force_pr is set.  The wall
+    time covers the LB enumeration and `solve_from_lb`.
+    """
+    t0 = time.perf_counter()
+    lb = compute_lb_set(problem)
+    front, report = solve_from_lb(problem, lb, config)
+    report.time_sec = time.perf_counter() - t0
     return front, report

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,6 +111,8 @@ class ReferenceFront:
     points: np.ndarray
     y_min: tuple
     y_max: tuple
+    # reference point -> hypervolume of the normalised front, filled by hv_percent
+    _hv: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_points(cls, points) -> "ReferenceFront":
@@ -328,6 +330,9 @@ def hv_percent(points, ref: ReferenceFront, ref_point=HV_PERCENT_REF_POINT) -> f
     pts = np.asarray(points, dtype=np.float64).reshape(-1, P_OBJECTIVES)
     if pts.shape[0] == 0:
         return 0.0
-    hv_ref = hypervolume(normalize(ref.points, ref), ref_point)
+    key = tuple(float(v) for v in ref_point)
+    hv_ref = ref._hv.get(key)
+    if hv_ref is None:
+        hv_ref = ref._hv[key] = hypervolume(normalize(ref.points, ref), ref_point)
     hv_pts = hypervolume(normalize(pts, ref), ref_point)
     return 100.0 * hv_pts / hv_ref

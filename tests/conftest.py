@@ -101,6 +101,29 @@ def naive_improved_nd(obj_s_i, nd):
     return degree.index(best)
 
 
+def naive_select_pair(ir, rule, rng):
+    """Reference pair selection: scans the whole IR matrix on every draw,
+    with the same draws and tie rule (lowest index) as `tribip.select_pair`."""
+    k = len(ir)
+    if k < 2:
+        raise tribip.InsufficientSolutionsError("path relinking needs at least two initial solutions")
+    i = rng.randint(k)
+    if rule == "random":
+        g = rng.randint(k - 1)
+        if g >= i:
+            g += 1
+        return ir.solutions[i], ir.solutions[g]
+    xs = ir.x_matrix()
+    sims = np.count_nonzero(xs == xs[i][None, :], axis=1)
+    if rule == "sim":
+        sims[i] = -1
+        g = int(np.argmax(sims))
+    else:
+        sims[i] = xs.shape[1] + 1
+        g = int(np.argmin(sims))
+    return ir.solutions[i], ir.solutions[g]
+
+
 def _nondominated_rows(y):
     """Mask of rows not strictly dominated by another row (duplicates all kept)."""
     le = (y[None, :, :] <= y[:, None, :]).all(axis=2)

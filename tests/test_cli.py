@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import tribip
+from tribip import cli
 from tribip.cli import main
 
 
@@ -208,6 +209,87 @@ def test_solve_parallel_jobs_match_serial(tmp_path):
                       for r in _rows(csv_path))
         csvs.append(rows)
     assert csvs[0] == csvs[1]
+
+
+def _counting_lb_set(monkeypatch):
+    """Count the calls through tribip.cli.compute_lb_set."""
+    calls = []
+    real = cli.compute_lb_set
+
+    def counted(problem):
+        calls.append(problem)
+        return real(problem)
+    monkeypatch.setattr(cli, "compute_lb_set", counted)
+    return calls
+
+
+def test_solve_enumerates_lb_once_per_instance(tmp_path, monkeypatch):
+    main(["generate", "--kind", "knapsack", "--n", "8", "--count", "2",
+          "--seed", "14", "--out-dir", str(tmp_path / "inst")])
+    insts = sorted((tmp_path / "inst").glob("*.txt"))
+    ref_path = tmp_path / "ref.txt"
+    main(["oracle", str(insts[0]), "--out", str(ref_path)])
+    fronts, csv_path = tmp_path / "fronts", tmp_path / "runs.csv"
+    calls = _counting_lb_set(monkeypatch)
+    rc = main(["solve", *map(str, insts), "--variant", "PIsim", "--seed", "4", "--runs", "3",
+               "--ref-front", str(ref_path), "--out-dir", str(fronts),
+               "--report-csv", str(csv_path)])
+    assert rc == 0
+    assert len(calls) == 2
+
+    # each run matches a separate run() with its seed, in the same row order
+    ref = tribip.ReferenceFront.from_points(tribip.read_front(ref_path).min_points())
+    expected = []
+    for inst in insts:
+        problem = tribip.read_instance(inst)
+        for seed in (4, 5, 6):
+            front, report = tribip.run(problem, tribip.PrConfig(variant="PIsim", seed=seed))
+            alone = tmp_path / "alone.front.txt"
+            tribip.write_front(alone, problem, front)
+            front_file = fronts / f"{inst.stem}__PIsim_s{seed}.front.txt"
+            assert front_file.read_bytes() == alone.read_bytes()
+            pts = [s.y for s in front]
+            expected.append({
+                "instance": inst.stem, "kind": "knapsack", "n": "8", "variant": "PIsim",
+                "seed": str(seed), "y_count": str(len(front)), "lp_count": str(report.lp_count),
+                "hv": f"{tribip.hypervolume(tribip.normalize(pts, ref)):.6f}",
+                "hv_pct": f"{tribip.hv_percent(pts, ref):.4f}", "raw_hv": "",
+                "front_file": str(front_file)})
+    rows = _rows(csv_path)
+    assert [{k: v for k, v in row.items() if k != "time_sec"} for row in rows] == expected
+    assert all(float(row["time_sec"]) > 0 for row in rows)
+
+    calls.clear()
+    lb_path = tmp_path / "lb.front.txt"
+    assert main(["solve", str(insts[0]), "--variant", "RD", "--lb-front", str(lb_path)]) == 0
+    assert len(calls) == 1
+    lb = tribip.compute_lb_set(tribip.read_instance(insts[0]))
+    assert len(tribip.read_front(lb_path).records) == len(lb.points)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("bad_kind", ["malformed", "infeasible"])
+def test_solve_failure_fails_only_its_instance(tmp_path, capsys, jobs, bad_kind):
+    main(["generate", "--kind", "knapsack", "--n", "6", "--count", "1",
+          "--seed", "15", "--out-dir", str(tmp_path / "inst")])
+    good = next((tmp_path / "inst").glob("*.txt"))
+    bad = tmp_path / "bad.txt"
+    if bad_kind == "malformed":
+        bad.write_text("not an instance\n")
+    else:       # the LP relaxation has no point with x1 + x2 >= 3
+        tribip.write_instance(tribip.general_problem(
+            objectives=[[1, 1], [1, 0], [0, 1]], senses=["max"] * 3,
+            a=[[1, 1]], row_sense=[">="], b=[3]), bad)
+    csv_path = tmp_path / "runs.csv"
+    capsys.readouterr()
+    rc = main(["solve", str(bad), str(good), "--variant", "PI", "--runs", "2",
+               "--jobs", str(jobs), "--report-csv", str(csv_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count(f"FAILED {bad}:") == 2          # one line per run of the bad instance
+    assert str(good) not in err
+    assert [(r["instance"], r["seed"]) for r in _rows(csv_path)] == [(good.stem, "0"),
+                                                                    (good.stem, "1")]
 
 
 def test_report_ref_dir_fills_missing_hv(tmp_path):

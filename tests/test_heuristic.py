@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tribip
@@ -13,7 +13,7 @@ from tribip import (InsufficientSolutionsError, IrSet, NoRoundedSolutionError,
 from tribip import heuristic
 from tribip.lbset import LbPoint, LbSet
 
-from conftest import naive_improved_nd, naive_path_relink_walk
+from conftest import naive_improved_nd, naive_path_relink_walk, naive_select_pair
 
 
 def _lbset_from(problem, xs):
@@ -121,6 +121,52 @@ def test_select_pair_needs_two(p_matrix_problem):
     ir = _ir_from(p_matrix_problem, [[0, 0, 1, 0]])
     with pytest.raises(InsufficientSolutionsError):
         select_pair(ir, "random", Xoshiro256StarStar(0))
+
+
+class _ScriptedRng:
+    """Draws the scripted initiating index (modulo k) and logs each draw."""
+
+    def __init__(self, at):
+        self.at, self.draws = at, []
+
+    def randint(self, k):
+        self.draws.append(k)
+        return self.at % k
+
+
+_TIES = [                # n = 4; every row is at similarity 3 from row 0 unless noted
+    ("add", (0, 0, 0, 0)), ("add", (1, 0, 0, 0)), ("add", (0, 1, 0, 0)),
+    ("sim", 0), ("dif", 0),
+    ("add", (0, 0, 1, 0)),                  # ties both cached guides from row 0
+    ("sim", 0), ("dif", 0),
+    ("add", (1, 1, 0, 0)),                  # similarity 2: strictly better for dif
+    ("sim", 0), ("dif", 0),
+    ("add", (1, 1, 1, 1)), ("sim", 5), ("dif", 5),     # initiating row is the newest
+    ("add", (0, 1, 1, 1)), ("sim", 5), ("dif", 5), ("sim", 1), ("dif", 6),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=st.lists(st.one_of(
+    st.tuples(st.just("add"), st.tuples(*[st.integers(0, 1)] * 4)),
+    st.tuples(st.sampled_from(("sim", "dif")), st.integers(0, 40)),
+    st.tuples(st.sampled_from(("sim", "dif")), st.just(-1))), max_size=60))
+@example(ops=_TIES)
+def test_select_pair_matches_full_scan(ops):
+    """Interleaved adds and sim/dif selections: the incremental guide search
+    returns the full scan's pair and makes the same draws."""
+    ir = IrSet()
+    for op, arg in ops:
+        if op == "add":
+            ir.add(tribip.Solution(np.array(arg, dtype=np.int8), (0, 0, 0), True))
+            continue
+        if len(ir) < 2:
+            continue
+        rng, rng_ref = _ScriptedRng(arg), _ScriptedRng(arg)
+        s_i, s_g = select_pair(ir, op, rng)
+        r_i, r_g = naive_select_pair(ir, op, rng_ref)
+        assert (s_i.key(), s_g.key()) == (r_i.key(), r_g.key())
+        assert rng.draws == rng_ref.draws == [len(ir)]
 
 
 def test_similarity_counts_equal_positions():

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,26 @@ def test_hv_percent_bounds():
     subset = ref.points[: max(1, len(ref.points) // 2)]
     assert hv_percent(subset, ref) <= 100.0 + 1e-9
     assert hv_percent([], ref) == 0.0
+
+
+def test_hv_percent_reference_hv_cached():
+    p = tribip.generate_knapsack(10, seed=4)
+    ref = exact_front(p)
+    pts = ref.points[::2]
+    calls = []
+    real = tribip.metrics.hypervolume
+
+    def counted(points, ref_point=(1.0, 1.0, 1.0)):
+        calls.append(ref_point)
+        return real(points, ref_point)
+    for ref_point in ((2.0, 2.0, 2.0), (1.0, 1.0, 1.0)):
+        uncached = (100.0 * hypervolume(normalize(pts, ref), ref_point)
+                    / hypervolume(normalize(ref.points, ref), ref_point))
+        with mock.patch.object(tribip.metrics, "hypervolume", counted):
+            values = [hv_percent(pts, ref, ref_point) for _ in range(3)]
+        assert values == [uncached] * 3          # bit-identical, not approximate
+        assert len(calls) == 4                   # the reference front's HV once, then the points'
+        calls.clear()
 
 
 def test_reference_front_bounds():
