@@ -199,11 +199,10 @@ def cmd_report(args) -> int:
                 continue
             instance = row["instance"]
             if instance not in refs:
-                candidates = sorted(ref_dir.glob(f"{instance}*.ref.txt")) or \
-                    sorted(ref_dir.glob(f"{instance}*.txt"))
-                if not candidates:
+                ref_path = ref_dir / f"{instance}.ref.txt"
+                if not ref_path.is_file():
                     continue
-                refs[instance] = _load_reference(candidates[0])
+                refs[instance] = _load_reference(ref_path)
             ref = refs[instance]
             pts = model.read_front(row["front_file"]).min_points()
             if len(pts):

@@ -37,6 +37,11 @@ Walk kernel
   fallback included), so the kernel ranks displacements against that sign
   vector.  This is exact while objective values stay below 2**52 in
   magnitude, where float64 division keeps distinct integers apart.
+
+At best_move_prob 0 (every PR* walk) no step can be a best-move step, so the
+walk runs in `_random_step_walk`: the same draws, exits and archive updates,
+with y as three Python ints and set-up from the problem's cached per-column
+moves (`Problem.flip_moves`) instead of numpy.
 """
 
 from __future__ import annotations
@@ -97,7 +102,9 @@ class IrSet:
         self.provenance: list[list[int]] = []
         self.dropped_infeasible = 0
         self._keys: dict[bytes, int] = {}
-        self._x = np.empty((0, 0), dtype=np.int8)   # row k is solutions[k].x
+        self._key_rows: list[bytes] = []             # solutions[k].key(), in IR order
+        self._x = np.empty((0, 0), dtype=np.int8)   # row k < _filled is solutions[k].x
+        self._filled = 0
         # (initiating row, rule) -> (guide row, its similarity, rows scanned)
         self._guides: dict[tuple[int, str], tuple[int, int, int]] = {}
 
@@ -115,22 +122,26 @@ class IrSet:
             if lb_index is not None:
                 self.provenance[at].append(lb_index)
             return False
-        k = len(self.solutions)
-        if k == len(self._x):
-            grown = np.empty((max(16, 2 * k), solution.x.size), dtype=np.int8)
-            if k:
-                grown[:k] = self._x
-            self._x = grown
-        self._x[k] = solution.x
-        self._keys[key] = k
+        self._keys[key] = len(self.solutions)
+        self._key_rows.append(key)
         self.solutions.append(solution)
         self.provenance.append([lb_index] if lb_index is not None else [])
         return True
 
     def x_matrix(self) -> np.ndarray:
         """Read-only (|IR|, n) view of the x vectors in IR order; later adds
-        do not show in it."""
-        view = self._x[:len(self.solutions)]
+        do not show in it.  Rows added since the last call are filled here."""
+        k, filled = len(self.solutions), self._filled
+        if filled < k:
+            new = self._key_rows[filled:k]
+            if k > len(self._x):
+                grown = np.empty((max(16, 2 * k), len(new[0])), dtype=np.int8)
+                if filled:
+                    grown[:filled] = self._x[:filled]
+                self._x = grown
+            self._x[filled:k] = np.frombuffer(b"".join(new), dtype=np.int8).reshape(k - filled, -1)
+            self._filled = k
+        view = self._x[:k]
         view.setflags(write=False)
         return view
 
@@ -167,11 +178,12 @@ def round_down(lb: LbSet, problem: Problem, int_tol: float = INT_TOL) -> IrSet:
     results are dropped with a warning count, duplicates are merged.
     """
     ir = IrSet()
-    for idx, point in enumerate(lb.points):
-        x = (np.asarray(point.x) >= 1.0 - int_tol).astype(np.int8)
-        y = tuple(int(v) for v in problem.C @ x.astype(np.int64))
-        feasible = _feasible_int(problem, x)
-        if not feasible:
+    lb_x = np.array([point.x for point in lb.points], dtype=np.float64).reshape(-1, problem.n)
+    xs = (lb_x >= 1.0 - int_tol).astype(np.int8)
+    xi = xs.astype(np.int64)
+    rows = zip(xs, (xi @ problem.C.T).tolist(), (xi @ problem.A.T).tolist())
+    for idx, (x, y, lhs) in enumerate(rows):
+        if not _within(lhs, problem.row_bounds):
             ir.dropped_infeasible += 1
             continue
         ir.add(Solution(x, y, True), lb_index=idx)
@@ -182,19 +194,12 @@ def round_down(lb: LbSet, problem: Problem, int_tol: float = INT_TOL) -> IrSet:
     return ir
 
 
-def _row_bounds(problem: Problem) -> list[tuple[float, float]]:
-    """Per-row (lo, hi) with lo <= A.x <= hi meaning feasible; an open side is infinite."""
-    inf = float("inf")
-    return [(-inf if sense == "<=" else rhs, inf if sense == ">=" else rhs)
-            for sense, rhs in zip(problem.row_sense, problem.b.tolist())]
-
-
 def _within(lhs, bounds) -> bool:
     return all(lo <= v <= hi for v, (lo, hi) in zip(lhs, bounds))
 
 
 def _feasible_int(problem: Problem, x: np.ndarray) -> bool:
-    return _within((problem.A @ x.astype(np.int64)).tolist(), _row_bounds(problem))
+    return _within((problem.A @ x.astype(np.int64)).tolist(), problem.row_bounds)
 
 
 def similarity(a, b) -> int:
@@ -287,6 +292,8 @@ def path_relink_walk(problem: Problem, s_i: Solution, s_g: Solution, ir: IrSet,
     pairs = archives.ig_pairs
     if key == key_g or (key, key_g) in pairs:
         return []
+    if best_move_prob <= 0:
+        return _random_step_walk(problem, key, key_g, ir, archives, rng, collect_visits)
     x = bytearray(key)
     pos = np.flatnonzero(s_i.x != s_g.x)
     signs = 1 - 2 * s_i.x[pos].astype(np.int64)
@@ -295,7 +302,7 @@ def path_relink_walk(problem: Problem, s_i: Solution, s_g: Solution, ir: IrSet,
     pos = pos.tolist()
     y = (problem.C @ s_i.x).tolist()
     lhs = (problem.A @ s_i.x).tolist()
-    bounds = _row_bounds(problem)
+    bounds = problem.row_bounds
     rest = list(range(len(pos)))       # indices into pos still differing, ascending
     beaten = dominators = None         # displacement dominance, built on first use
     random, randint = rng.random, rng.randint
@@ -328,6 +335,43 @@ def path_relink_walk(problem: Problem, s_i: Solution, s_g: Solution, ir: IrSet,
         if not rest or (key, key_g) in pairs:
             break
     return [np.frombuffer(v, dtype=np.int8) for v in visits] if collect_visits else []
+
+
+def _random_step_walk(problem: Problem, key: bytes, key_g: bytes, ir: IrSet,
+                      archives: PrArchives, rng: Xoshiro256StarStar, collect_visits: bool):
+    """`path_relink_walk` at best_move_prob 0, from the walk's first step on."""
+    c_rows, a_rows, moves = problem.flip_moves
+    bounds = problem.row_bounds
+    pairs = archives.ig_pairs
+    x = bytearray(key)
+    rest = [j for j, (a, b) in enumerate(zip(key, key_g)) if a != b]   # ascending
+    y0, y1, y2 = (sum(compress(row, key)) for row in c_rows)
+    lhs = [sum(compress(row, key)) for row in a_rows]
+    random, randint = rng.random, rng.randint
+    visits: list[bytes] = []
+    while True:
+        random()                        # the coin; at probability 0 it never picks best move
+        j = rest.pop(randint(len(rest)))
+        dy, dlhs = moves[x[j]][j]
+        x[j] ^= 1
+        y0 += dy[0]
+        y1 += dy[1]
+        y2 += dy[2]
+        lhs = [a + b for a, b in zip(lhs, dlhs)]
+        key = bytes(x)
+        if collect_visits:
+            visits.append(key)
+        for v, (lo, hi) in zip(lhs, bounds):
+            if not lo <= v <= hi:
+                break
+        else:
+            if key not in ir:
+                sol = Solution(np.frombuffer(key, dtype=np.int8), (y0, y1, y2), True)
+                archives.cand_x.append(sol)
+                ir.add(sol)
+        if not rest or (key, key_g) in pairs:
+            break
+    return [np.frombuffer(v, dtype=np.int8) for v in visits]
 
 
 def path_relink_once(ir: IrSet, archives: PrArchives, config: PrConfig,

@@ -25,7 +25,7 @@ MAX_ENUM_KNAPSACK_N = 25
 MAX_ENUM_ASSIGNMENT_TASKS = 8
 
 _ENUM_CHUNK = 1 << 18
-_FILTER_BLOCK = 512
+_SCREEN_HEAD = 64
 
 
 def dominates(a, b) -> bool:
@@ -40,37 +40,31 @@ def dominates(a, b) -> bool:
 def _nondominated_mask_unique(pts: np.ndarray) -> np.ndarray:
     """Mask of nondominated rows; rows must be pairwise distinct.
 
-    Candidates are visited in ascending coordinate-sum order so any dominator
-    of a row precedes it; blocks are screened against the kept set and then
-    resolved pairwise within the block.
+    Forward screen: rows are taken in ascending coordinate-sum order, so a
+    row can only be dominated by an earlier one.  The first _SCREEN_HEAD rows
+    still alive are resolved pairwise; every later row that a kept head row
+    dominates is dropped, and the next head is taken from what is left.
     """
     k = pts.shape[0]
-    if k == 0:
-        return np.zeros(0, dtype=bool)
     sums = pts.sum(axis=1)
     order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], sums))
-    cand = pts[order]
-    mask_sorted = np.zeros(k, dtype=bool)
-    kept_rows: list[np.ndarray] = []
-    kept = None
-    for start in range(0, k, _FILTER_BLOCK):
-        block = cand[start:start + _FILTER_BLOCK]
-        idx = np.arange(start, start + block.shape[0])
-        if kept is not None and kept.shape[0]:
-            dominated = (kept[None, :, :] <= block[:, None, :]).all(axis=2).any(axis=1)
-            block = block[~dominated]
-            idx = idx[~dominated]
-        if block.shape[0]:
-            le = (block[None, :, :] <= block[:, None, :]).all(axis=2)
-            dominated = le.sum(axis=1) > 1      # someone besides itself
-            block = block[~dominated]
-            idx = idx[~dominated]
-        if block.shape[0]:
-            mask_sorted[idx] = True
-            kept_rows.append(block)
-            kept = np.concatenate(kept_rows, axis=0)
+    alive = order                         # row indices still undecided, in screen order
     mask = np.zeros(k, dtype=bool)
-    mask[order] = mask_sorted
+    while alive.size:
+        head_idx, alive = alive[:_SCREEN_HEAD], alive[_SCREEN_HEAD:]
+        head = pts[head_idx]
+        # le[i, j]: head row j <= head row i; rows are distinct, so j != i dominates
+        le = (head[None, :, :] <= head[:, None, :]).all(axis=2)
+        keep = le.sum(axis=1) == 1
+        kept = head[keep]
+        mask[head_idx[keep]] = True
+        if alive.size:
+            rest = pts[alive]
+            # dominated[r, i]: kept row i <= rest row r, one coordinate at a time
+            dominated = kept[:, 0] <= rest[:, 0, None]
+            dominated &= kept[:, 1] <= rest[:, 1, None]
+            dominated &= kept[:, 2] <= rest[:, 2, None]
+            alive = alive[~dominated.any(axis=1)]
     return mask
 
 

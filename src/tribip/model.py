@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -160,6 +161,24 @@ class Problem:
         if self.kind != KIND_ASSIGNMENT:
             raise ValidationError("tasks only defined for assignment problems")
         return math.isqrt(self.n)
+
+    @cached_property
+    def row_bounds(self) -> tuple[tuple[float, float], ...]:
+        """Per-row (lo, hi) with lo <= A.x <= hi meaning feasible; an open
+        side is infinite.  Built once per problem."""
+        inf = float("inf")
+        return tuple((-inf if sense == "<=" else rhs, inf if sense == ">=" else rhs)
+                     for sense, rhs in zip(self.row_sense, self.b.tolist()))
+
+    @cached_property
+    def flip_moves(self) -> tuple:
+        """(C rows, A rows, moves) as Python ints, built once per problem;
+        moves[v][j] is the (objective, row) displacement of flipping x_j
+        away from the value v."""
+        cols = list(zip(self.C.T.tolist(), self.A.T.tolist()))
+        up = [(tuple(c), tuple(a)) for c, a in cols]
+        down = [(tuple(-v for v in c), tuple(-v for v in a)) for c, a in cols]
+        return self.C.tolist(), self.A.tolist(), (up, down)
 
     def sense_signs(self) -> np.ndarray:
         """+1 for min rows, -1 for max rows (native = sign * internal)."""

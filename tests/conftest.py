@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import tribip
+from tribip.lp import INT_TOL
 
 
 @pytest.fixture
@@ -99,6 +100,26 @@ def naive_improved_nd(obj_s_i, nd):
     degree = [sum(rank[i]) for i in range(k)]
     best = max(degree)
     return degree.index(best)
+
+
+def naive_round_down(lb, problem, int_tol=INT_TOL):
+    """Reference round-down: one LB point at a time, checked by
+    `tribip.is_feasible`, with the IR order, provenance, drop count and
+    warning of `tribip.round_down`."""
+    ir = tribip.IrSet()
+    for idx, point in enumerate(lb.points):
+        x = (np.asarray(point.x) >= 1.0 - int_tol).astype(np.int8)
+        y = tuple(int(v) for v in problem.C @ x.astype(np.int64))
+        if not tribip.is_feasible(problem, x):
+            ir.dropped_infeasible += 1
+            continue
+        ir.add(tribip.Solution(x, y, True), lb_index=idx)
+    if ir.dropped_infeasible:
+        tribip.heuristic.log.warning("round_down dropped %d infeasible rounded solutions",
+                                     ir.dropped_infeasible)
+    if len(ir) == 0:
+        raise tribip.NoRoundedSolutionError("no feasible rounded solution; report the LB set instead")
+    return ir
 
 
 def naive_select_pair(ir, rule, rng):

@@ -312,6 +312,29 @@ def test_report_ref_dir_fills_missing_hv(tmp_path):
     assert 0.0 < float(agg["mean_hv_pct"]) <= 100.0
 
 
+@pytest.mark.parametrize("stray", ["k10.ref.txt", "k1.txt"])
+def test_report_ref_dir_matches_instance_name_exactly(tmp_path, stray):
+    """Only <instance>.ref.txt is a reference: not another instance's front
+    whose name starts with the same characters, nor the instance file."""
+    main(["generate", "--kind", "knapsack", "--n", "8", "--count", "2",
+          "--seed", "12", "--out-dir", str(tmp_path)])
+    first, second = sorted(tmp_path.glob("*.txt"))
+    k1, k10 = first.rename(tmp_path / "k1.txt"), second.rename(tmp_path / "k10.txt")
+    refs = tmp_path / "refs"
+    refs.mkdir()
+    if stray == "k10.ref.txt":
+        main(["oracle", str(k10), "--out", str(refs / stray)])
+    else:
+        (refs / stray).write_bytes(k1.read_bytes())
+    csv_path = tmp_path / "runs.csv"
+    main(["solve", str(k1), "--variant", "RD", "--report-csv", str(csv_path),
+          "--out-dir", str(tmp_path / "fronts")])
+    out = tmp_path / "agg.csv"
+    rc = main(["report", str(csv_path), "--ref-dir", str(refs), "--out", str(out)])
+    assert rc == 0
+    assert _rows(out)[0]["mean_hv_pct"] == ""
+
+
 def test_solve_lb_front_export(tmp_path):
     main(["generate", "--kind", "knapsack", "--n", "8", "--count", "1",
           "--seed", "10", "--out-dir", str(tmp_path)])

@@ -13,7 +13,8 @@ from tribip import (InsufficientSolutionsError, IrSet, NoRoundedSolutionError,
 from tribip import heuristic
 from tribip.lbset import LbPoint, LbSet
 
-from conftest import naive_improved_nd, naive_path_relink_walk, naive_select_pair
+from conftest import (naive_improved_nd, naive_path_relink_walk, naive_round_down,
+                      naive_select_pair)
 
 
 def _lbset_from(problem, xs):
@@ -28,6 +29,10 @@ def _ir_from(problem, xs):
     for x in xs:
         ir.add(tribip.make_solution(problem, x))
     return ir
+
+
+def _ints(lo, hi, size):
+    return st.lists(st.integers(lo, hi), min_size=size, max_size=size)
 
 
 # -- round_down ---------------------------------------------------------------
@@ -82,6 +87,41 @@ def test_round_down_empty_raises():
     lb = _lbset_from(p, [[0.5, 0.5]])
     with pytest.raises(NoRoundedSolutionError):
         round_down(lb, p)
+
+
+@st.composite
+def _rounding_cases(draw):
+    """General problems with mixed row senses and LB points whose rounded
+    vectors are partly infeasible, repeated, or all infeasible."""
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 3))
+    problem = tribip.general_problem(
+        objectives=draw(st.lists(_ints(-9, 9, n), min_size=3, max_size=3)),
+        senses=draw(st.lists(st.sampled_from(("min", "max")), min_size=3, max_size=3)),
+        a=draw(st.lists(_ints(-3, 3, n), min_size=m, max_size=m)),
+        row_sense=draw(st.lists(st.sampled_from(("<=", ">=", "=")), min_size=m, max_size=m)),
+        b=draw(_ints(-2, 4, m)),
+    )
+    values = st.sampled_from((0.0, 0.3, 0.5, 1.0 - 1e-3, 1.0 - 1e-9, 1.0))
+    xs = draw(st.lists(st.lists(values, min_size=n, max_size=n), max_size=12))
+    return problem, _lbset_from(problem, xs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_rounding_cases())
+def test_round_down_matches_pointwise_rounding(case):
+    problem, lb = case
+    outcomes = []
+    for rounding in (round_down, naive_round_down):
+        with mock.patch.object(heuristic.log, "warning") as warning:
+            try:
+                ir = rounding(lb, problem)
+            except NoRoundedSolutionError:
+                ir = None
+        outcomes.append((None if ir is None else (
+            [(s.key(), s.y, s.feasible) for s in ir.solutions], ir.provenance,
+            ir.dropped_infeasible, ir.x_matrix().tolist()), warning.call_args_list))
+    assert outcomes[0] == outcomes[1]
 
 
 # -- select_pair --------------------------------------------------------------
@@ -285,10 +325,6 @@ def test_candx_members_feasible_and_new(p_matrix_problem):
         assert sol.key() not in ir0_keys
 
 
-def _ints(lo, hi, size):
-    return st.lists(st.integers(lo, hi), min_size=size, max_size=size)
-
-
 @st.composite
 def _relink_problems(draw):
     """Small knapsacks, and general problems with mixed row senses and
@@ -361,6 +397,43 @@ def test_run_front_matches_reference_walk(problem, variant, prob, seed):
     assert (report.ir_size, report.pr_iterations) == (report_ref.ir_size, report_ref.pr_iterations)
 
 
+def test_move_tables_cached_per_problem():
+    """Two problems with the same n and different coefficients, walked
+    alternately at best_move_prob 0: each matches the reference walk, so
+    neither walk reads the other problem's cached moves or bounds."""
+    problems = [tribip.generate_knapsack(12, seed=0), tribip.generate_knapsack(12, seed=1),
+                tribip.general_problem(objectives=[[3, -1, 2] * 4, [-2, 0, 1] * 4, [1, 1, -3] * 4],
+                                       senses=("min", "max", "min"),
+                                       a=[[1, 2, -1] * 4, [-2, 1, 1] * 4],
+                                       row_sense=("<=", ">="), b=[6, -3])]
+    config = PrConfig(variant="PRrand", seed=7)
+    rng = np.random.default_rng(5)
+    sides = []
+    for problem in problems:
+        starts = [x for x in rng.integers(0, 2, size=(6, 12))
+                  if tribip.is_feasible(problem, x)] or [np.zeros(12, dtype=np.int8)]
+        starts.append(np.ones(12, dtype=np.int8) - starts[0])
+        sides.append([(problem, walk, _ir_from(problem, starts), PrArchives(),
+                       Xoshiro256StarStar(7), [])
+                      for walk in (path_relink_walk, naive_path_relink_walk)])
+    for _ in range(60):
+        for pair in sides:
+            for problem, walk, ir, archives, walk_rng, visits in pair:
+                with mock.patch.object(heuristic, "path_relink_walk", _recording(walk, visits)):
+                    path_relink_once(ir, archives, config, walk_rng, problem)
+            side, ref = [(visits, [(s.key(), s.y) for s in ir.solutions],
+                          [(s.key(), s.y) for s in archives.cand_x], archives.ig_pairs,
+                          (rng_._s0, rng_._s1, rng_._s2, rng_._s3))
+                         for _, _, ir, archives, rng_, visits in pair]
+            assert side == ref
+    for problem in problems:
+        assert problem.flip_moves is problem.flip_moves
+        assert problem.row_bounds is problem.row_bounds
+        for x in rng.integers(0, 2, size=(30, 12)):
+            assert heuristic._feasible_int(problem, x.astype(np.int8)) == \
+                tribip.is_feasible(problem, x)
+
+
 def test_ir_x_matrix_grows_with_adds():
     rng = np.random.default_rng(3)
     ir = IrSet()
@@ -369,6 +442,19 @@ def test_ir_x_matrix_grows_with_adds():
         xs = ir.x_matrix()
         assert np.array_equal(xs, np.array([s.x for s in ir.solutions], dtype=np.int8))
     assert not xs.flags.writeable
+
+
+def test_ir_x_matrix_fills_rows_added_since_last_call():
+    rng = np.random.default_rng(4)
+    ir = IrSet()
+    views = []
+    for step, bits in enumerate(rng.integers(0, 2, size=(120, 11))):
+        ir.add(tribip.Solution(bits, (0, 0, 0), True))
+        if step % 7 == 3 or step == 0:
+            views.append((ir.x_matrix(), [s.key() for s in ir.solutions]))
+    for view, keys in views:              # earlier views keep their rows, later adds do not show
+        assert [row.tobytes() for row in view] == keys
+        assert not view.flags.writeable
 
 
 # -- run ----------------------------------------------------------------------

@@ -2,12 +2,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tribip
 from tribip import (DimensionError, EnumerationLimitError, ReferenceFront,
                     ValidationError, dominates, exact_front, exact_front_solutions,
-                    filter_nondominated, hv_percent, hypervolume, hypervolume_mc,
-                    normalize)
+                    filter_nondominated, filter_nondominated_solutions, hv_percent,
+                    hypervolume, hypervolume_mc, normalize)
 
 from conftest import brute_force_front, naive_filter
 
@@ -41,6 +43,43 @@ def test_filter_matches_oracle_random():
         pts = rng.integers(0, 30, size=(100, 3))
         out = [tuple(r) for r in filter_nondominated(pts).tolist()]
         assert out == naive_filter(pts)
+
+
+_HEAD = 64              # rows the forward screen resolves pairwise at a time
+_coord = st.integers(-4, 4)
+# a plane x + y + z = 30: distinct points on it are mutually nondominated
+_plane = st.tuples(st.integers(0, 30), st.integers(0, 30)).map(lambda p: (p[0], p[1], 30 - p[0] - p[1]))
+_points = st.one_of(
+    st.lists(st.tuples(_coord, _coord, _coord), max_size=3 * _HEAD),      # duplicates, equal sums
+    st.lists(_plane, max_size=3 * _HEAD),                                 # all nondominated
+    st.tuples(st.lists(_plane, min_size=_HEAD + 1, max_size=2 * _HEAD),   # more than one head
+              st.lists(st.tuples(_coord, _coord, _coord), max_size=_HEAD))
+    .map(lambda parts: parts[0] + parts[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=_points)
+@example(points=[])
+@example(points=[(1, 2, 3)])
+@example(points=[(1, 1, 1), (0, 1, 1)])                 # resolved only inside the head
+@example(points=[(i, 2 * _HEAD - i, 0) for i in range(2 * _HEAD)] + [(_HEAD, _HEAD, 1)])
+def test_filter_matches_pairwise_oracle(points):
+    pts = np.array(points, dtype=np.int64).reshape(-1, 3)
+    assert [tuple(r) for r in filter_nondominated(pts).tolist()] == naive_filter(points)
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=_points, data=st.data())
+def test_filter_solutions_keeps_first_discovered(points, data):
+    order = data.draw(st.permutations(range(len(points))))
+    sols = [tribip.Solution(np.array([i % 2, i // 2 % 2], dtype=np.int8), points[i], True)
+            for i in order]
+    first = {}
+    for sol in sols:
+        first.setdefault(sol.y, sol)
+    front = filter_nondominated_solutions(sols)
+    assert [s.y for s in front] == naive_filter(points)
+    assert all(s is first[s.y] for s in front)
 
 
 def test_filter_idempotent_and_order_insensitive():
