@@ -24,24 +24,23 @@ zero so that all variants consume the stream identically per step.
 
 Walk kernel
 -----------
-`path_relink_walk` builds its state once per walk, on three facts:
+`path_relink_walk` is one loop for every relinking variant.  Its state comes
+from the problem's cached per-column moves (`Problem.flip_moves`) as Python
+ints, with x a `bytearray` flipped in place, on three facts:
 
 * D, the ascending positions where x differs from the guide, loses only the
   flipped entry per step, so it stays ``np.flatnonzero(x != x_g)`` in order
   and every index drawn or tie broken over it picks the same position.
 * A flip at j moves y by the displacement s_j c_j, with s_j = 1 - 2 x_j fixed
   until j is flipped, so neighbour dominance is displacement dominance: built
-  at the first best-move step, then updated as positions leave D.
+  in plain Python at the walk's first best-move step, then updated as
+  positions leave D.  Walks that never take a best-move step (every PR*
+  walk, at best_move_prob 0) never build it.
 * `improved_nd` ranks depend on y only through sign(y_k): (y_k + d)/y_k
   orders candidates as d for y_k > 0 and as -d otherwise (the y_k = 0
   fallback included), so the kernel ranks displacements against that sign
   vector.  This is exact while objective values stay below 2**52 in
   magnitude, where float64 division keeps distinct integers apart.
-
-At best_move_prob 0 (every PR* walk) no step can be a best-move step, so the
-walk runs in `_random_step_walk`: the same draws, exits and archive updates,
-with y as three Python ints and set-up from the problem's cached per-column
-moves (`Problem.flip_moves`) instead of numpy.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ import logging
 import time
 from dataclasses import dataclass, field
 from itertools import compress
+from operator import add, ne
 
 import numpy as np
 
@@ -195,7 +195,11 @@ def round_down(lb: LbSet, problem: Problem, int_tol: float = INT_TOL) -> IrSet:
 
 
 def _within(lhs, bounds) -> bool:
-    return all(lo <= v <= hi for v, (lo, hi) in zip(lhs, bounds))
+    """Whether every row's left-hand side lies in its (lo, hi) bounds."""
+    for v, (lo, hi) in zip(lhs, bounds):
+        if not lo <= v <= hi:
+            return False
+    return True
 
 
 def _feasible_int(problem: Problem, x: np.ndarray) -> bool:
@@ -266,14 +270,20 @@ def improved_nd(obj_s_i, nd) -> int:
     return degrees.index(max(degrees))
 
 
-def _displacement_dominance(disp: list, rest: list[int]):
-    """Dominance among the displacements disp[r], r in rest: per r, the
-    entries it strictly dominates and the number of entries dominating it."""
-    d = np.array([disp[r] for r in rest], dtype=np.int64)
-    a, b = d[:, None, :], d[None, :, :]
-    beats = (a <= b).all(axis=2) & (a < b).any(axis=2)     # beats[i, k]: row i dominates row k
-    beaten = {r: list(compress(rest, row)) for r, row in zip(rest, beats.tolist())}
-    dominators = dict(zip(rest, beats.sum(axis=0).tolist()))
+def _displacement_dominance(disp: dict) -> tuple[dict, dict]:
+    """Dominance among the displacements disp[j]: per j, the positions whose
+    displacement it strictly dominates and the number of positions whose
+    displacement strictly dominates it."""
+    beaten = {j: [] for j in disp}
+    dominators = dict.fromkeys(disp, 0)
+    # integer vectors: a dominates b exactly when a <= b with a smaller sum,
+    # so in ascending-sum order only later entries can be dominated
+    items = sorted((a0 + a1 + a2, j, a0, a1, a2) for j, (a0, a1, a2) in disp.items())
+    for at, (total, j, a0, a1, a2) in enumerate(items):
+        for t, k, b0, b1, b2 in items[at + 1:]:
+            if a0 <= b0 and a1 <= b1 and a2 <= b2 and total < t:
+                beaten[j].append(k)
+                dominators[k] += 1
     return beaten, dominators
 
 
@@ -292,83 +302,45 @@ def path_relink_walk(problem: Problem, s_i: Solution, s_g: Solution, ir: IrSet,
     pairs = archives.ig_pairs
     if key == key_g or (key, key_g) in pairs:
         return []
-    if best_move_prob <= 0:
-        return _random_step_walk(problem, key, key_g, ir, archives, rng, collect_visits)
-    x = bytearray(key)
-    pos = np.flatnonzero(s_i.x != s_g.x)
-    signs = 1 - 2 * s_i.x[pos].astype(np.int64)
-    disp = (problem.C[:, pos] * signs).T.tolist()     # objective move of each flip
-    row_disp = (problem.A[:, pos] * signs).T.tolist()
-    pos = pos.tolist()
-    y = (problem.C @ s_i.x).tolist()
-    lhs = (problem.A @ s_i.x).tolist()
+    c_rows, a_rows, moves = problem.flip_moves
     bounds = problem.row_bounds
-    rest = list(range(len(pos)))       # indices into pos still differing, ascending
+    x = bytearray(key)
+    rest = list(compress(range(len(key)), map(ne, key, key_g)))   # ascending
+    y0, y1, y2 = (sum(compress(row, key)) for row in c_rows)
+    lhs = [sum(compress(row, key)) for row in a_rows]
     beaten = dominators = None         # displacement dominance, built on first use
     random, randint = rng.random, rng.randint
     visits: list[bytes] = []
     while True:
         if random() < best_move_prob:
             if beaten is None:
-                beaten, dominators = _displacement_dominance(disp, rest)
-            nd = [at for at, r in enumerate(rest) if not dominators[r]]
+                disp = {j: moves[x[j]][j][0] for j in rest}
+                beaten, dominators = _displacement_dominance(disp)
+            nd = [at for at, j in enumerate(rest) if not dominators[j]]
             if len(nd) == 1:
                 at = nd[0]
             else:
-                sign_y = [1 if v > 0 else -1 for v in y]
+                sign_y = (1 if y0 > 0 else -1, 1 if y1 > 0 else -1, 1 if y2 > 0 else -1)
                 at = nd[improved_nd(sign_y, [disp[rest[k]] for k in nd])]
         else:
             at = randint(len(rest))
-        r = rest.pop(at)
+        j = rest.pop(at)
         if beaten is not None:
-            for b in beaten[r]:
-                dominators[b] -= 1
-        x[pos[r]] ^= 1
-        y = [a + b for a, b in zip(y, disp[r])]
-        lhs = [a + b for a, b in zip(lhs, row_disp[r])]
-        key = bytes(x)
-        visits.append(key)
-        if _within(lhs, bounds) and key not in ir:
-            sol = Solution(np.frombuffer(key, dtype=np.int8), y, True)
-            archives.cand_x.append(sol)
-            ir.add(sol)
-        if not rest or (key, key_g) in pairs:
-            break
-    return [np.frombuffer(v, dtype=np.int8) for v in visits] if collect_visits else []
-
-
-def _random_step_walk(problem: Problem, key: bytes, key_g: bytes, ir: IrSet,
-                      archives: PrArchives, rng: Xoshiro256StarStar, collect_visits: bool):
-    """`path_relink_walk` at best_move_prob 0, from the walk's first step on."""
-    c_rows, a_rows, moves = problem.flip_moves
-    bounds = problem.row_bounds
-    pairs = archives.ig_pairs
-    x = bytearray(key)
-    rest = [j for j, (a, b) in enumerate(zip(key, key_g)) if a != b]   # ascending
-    y0, y1, y2 = (sum(compress(row, key)) for row in c_rows)
-    lhs = [sum(compress(row, key)) for row in a_rows]
-    random, randint = rng.random, rng.randint
-    visits: list[bytes] = []
-    while True:
-        random()                        # the coin; at probability 0 it never picks best move
-        j = rest.pop(randint(len(rest)))
+            for k in beaten[j]:
+                dominators[k] -= 1
         dy, dlhs = moves[x[j]][j]
         x[j] ^= 1
         y0 += dy[0]
         y1 += dy[1]
         y2 += dy[2]
-        lhs = [a + b for a, b in zip(lhs, dlhs)]
+        lhs = list(map(add, lhs, dlhs))
         key = bytes(x)
         if collect_visits:
             visits.append(key)
-        for v, (lo, hi) in zip(lhs, bounds):
-            if not lo <= v <= hi:
-                break
-        else:
-            if key not in ir:
-                sol = Solution(np.frombuffer(key, dtype=np.int8), (y0, y1, y2), True)
-                archives.cand_x.append(sol)
-                ir.add(sol)
+        if _within(lhs, bounds) and key not in ir:
+            sol = Solution(np.frombuffer(key, dtype=np.int8), (y0, y1, y2), True)
+            archives.cand_x.append(sol)
+            ir.add(sol)
         if not rest or (key, key_g) in pairs:
             break
     return [np.frombuffer(v, dtype=np.int8) for v in visits]

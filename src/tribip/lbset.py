@@ -11,6 +11,15 @@ LP, and any point strictly below the current hull is added.  The rounds
 repeat until no probe improves the hull.  Facets with mixed-sign normals
 are skipped: only nonnegative weights are valid scalarisations.
 
+Every facet weight of a round is known before any of them is solved, so
+the round's uncached weights go to the LP oracle in one call (for knapsacks
+one greedy pass over all their cost rows) and enter the cache in round
+order; `lp_count` and `probes` are those of solving them one by one.  The
+points are then kept if no other point dominates them by more than
+POINT_TOL and no earlier point lies within POINT_TOL, a pairwise test run
+one block of points at a time so that its memory stays linear in the number
+of points.
+
 Termination is guaranteed: the relaxed polytope has finitely many vertices,
 every round adds at least one of them or stops, and probed weights are
 cached so no LP is solved twice.
@@ -31,6 +40,7 @@ SEED_EPSILON = 1e-4
 POINT_TOL = 1e-6          # two points closer than this in every coordinate are one
 _FACET_REL_TOL = 1e-7     # relative improvement needed to call a point "below" the hull
 _ANCHOR_SCALE = 1e6       # anchor reach beyond the objective range, in range units
+_FILTER_BLOCK = 1 << 16   # pairs per block of the final filter
 
 
 @dataclass(frozen=True)
@@ -84,6 +94,24 @@ def _lower_facet_weights(nodes: np.ndarray) -> np.ndarray:
     return np.unique(np.round(w, 12), axis=0)
 
 
+def _tolerant_dropped(y: np.ndarray, point_tol: float) -> np.ndarray:
+    """Mask of the rows of y that another row dominates by more than
+    point_tol, or that lie within point_tol of an earlier row (in every
+    coordinate).  One block of rows is compared with all rows at a time, so
+    memory stays linear in the row count."""
+    k = y.shape[0]
+    dropped = np.zeros(k, dtype=bool)
+    index = np.arange(k)
+    step = max(1, _FILTER_BLOCK // k)
+    for lo in range(0, k, step):
+        block = slice(lo, lo + step)
+        diff = y[:, None, :] - y[None, block, :]           # diff[j, i] = y_j - y_i
+        dominates = (diff <= point_tol).all(axis=2) & (diff < -point_tol).any(axis=2)
+        duplicate = (np.abs(diff) <= point_tol).all(axis=2) & (index[:, None] < index[None, block])
+        dropped[block] = (dominates | duplicate).any(axis=0)
+    return dropped
+
+
 def compute_lb_set(problem: Problem, seed_epsilon: float = SEED_EPSILON,
                    point_tol: float = POINT_TOL) -> LbSet:
     """Enumerate the extreme supported nondominated points of the relaxation.
@@ -96,14 +124,19 @@ def compute_lb_set(problem: Problem, seed_epsilon: float = SEED_EPSILON,
     # every LP solved, in order: rounded weight -> (weight, value, x, y)
     weight_cache: dict[bytes, tuple] = {}
 
-    def solve(w: np.ndarray):
-        wkey = np.round(w, 12).tobytes()
-        if wkey not in weight_cache:
-            res = solver.solve_weighted(w)
+    def solve(ws: np.ndarray) -> list[tuple]:
+        """(value, x, y) of every row of ws; the uncached ones are solved in
+        one call and cached in row order."""
+        keys = [row.tobytes() for row in np.round(ws, 12)]
+        todo: dict[bytes, np.ndarray] = {}
+        for key, w in zip(keys, ws):
+            if key not in weight_cache:
+                todo.setdefault(key, w)
+        for (key, w), res in zip(todo.items(), solver.solve_weighted_many(list(todo.values()))):
             if res.status == "infeasible":
                 raise InfeasibleProblemError("LP relaxation is infeasible")
-            weight_cache[wkey] = (w, res.value, res.x, c_float @ res.x)
-        return weight_cache[wkey][1:]
+            weight_cache[key] = (w, res.value, res.x, c_float @ res.x)
+        return [weight_cache[key][1:] for key in keys]
 
     ys: list[np.ndarray] = []
     xs: list[np.ndarray] = []
@@ -111,18 +144,17 @@ def compute_lb_set(problem: Problem, seed_epsilon: float = SEED_EPSILON,
 
     def near(points: np.ndarray, y) -> bool:
         """Whether y lies within point_tol of a row of points (in every coordinate)."""
-        return points.size > 0 and bool(np.min(np.max(np.abs(points - y), axis=1)) <= point_tol)
+        return points.size > 0 and bool(np.abs(points - y).max(axis=1).min() <= point_tol)
 
     def add_point(x, y, w):
         ys.append(np.asarray(y, dtype=np.float64))
         xs.append(x)
         ws.append(np.asarray(w, dtype=np.float64))
 
-    for k in range(problem.p):
-        w = np.full(problem.p, seed_epsilon)
-        w[k] = 1.0
-        w = w / w.sum()
-        value, x, y = solve(w)
+    seeds = np.full((problem.p, problem.p), seed_epsilon)
+    np.fill_diagonal(seeds, 1.0)
+    seeds = seeds / seeds.sum(axis=1, keepdims=True)
+    for w, (value, x, y) in zip(seeds, solve(seeds)):
         if not near(np.array(ys), y):
             add_point(x, y, w)
 
@@ -151,10 +183,7 @@ def compute_lb_set(problem: Problem, seed_epsilon: float = SEED_EPSILON,
         known_ys = nodes[:-problem.p]          # ys, unchanged until the round ends
         new_points = []
         new_ys = np.empty((0, problem.p))
-        for i in range(weights.shape[0]):
-            w = weights[i]
-            value, x, y = solve(w)
-            hv = float(hull_values[i])
+        for w, hv, (value, x, y) in zip(weights, hull_values.tolist(), solve(weights)):
             if hv - value > _FACET_REL_TOL * max(1.0, abs(hv)):
                 if not near(new_ys, y) and not near(known_ys, y):
                     new_points.append((x, w, y))
@@ -166,16 +195,10 @@ def compute_lb_set(problem: Problem, seed_epsilon: float = SEED_EPSILON,
             add_point(x, y, w)
 
     # keep strictly nondominated, distinct points, sorted for determinism
-    y_arr = np.array(ys)
-    diff = y_arr[:, None, :] - y_arr[None, :, :]          # diff[j, i] = y_j - y_i
-    dominates = (diff <= point_tol).all(axis=2) & (diff < -point_tol).any(axis=2)
-    duplicate = (np.abs(diff) <= point_tol).all(axis=2)
-    earlier = np.triu(np.ones(len(ys), dtype=bool), k=1)  # earlier[j, i]: j < i
-    dropped = dominates.any(axis=0) | (duplicate & earlier).any(axis=0)
+    dropped = _tolerant_dropped(np.array(ys), point_tol)
     kept = sorted(np.flatnonzero(~dropped), key=lambda i: tuple(ys[i]))
     points = [LbPoint(xs[i], tuple(ys[i]), tuple(ws[i])) for i in kept]
-    probes = [(tuple(float(v) for v in w), float(value))
-              for w, value, _, _ in weight_cache.values()]
+    probes = [(tuple(w.tolist()), float(value)) for w, value, _, _ in weight_cache.values()]
     return LbSet(points=points, lp_count=len(weight_cache), probes=probes)
 
 

@@ -5,7 +5,9 @@ returns an optimal vertex of the relaxed polytope, the same one for the same w:
 
 * ``knapsack``: Dantzig's greedy ("Discrete-variable extremum problems",
   1957): items of negative cost by cost per unit weight, ties by index, at
-  most one fractional; zero-weight ones always enter.
+  most one fractional; zero-weight ones always enter.  `solve_weighted_many`
+  runs it on many weight vectors at once (row-wise sort and prefix sums);
+  a single LP is a batch of one.
 * ``assignment``: ``scipy.optimize.linear_sum_assignment``, an integral vertex.
 * ``general``: ``scipy.optimize.linprog`` with the HiGHS dual simplex.
 """
@@ -43,11 +45,10 @@ class RelaxationSolver:
         w = np.asarray(w, dtype=np.float64)
         if w.shape != (self.problem.p,):
             raise DimensionError(f"weight vector must have length {self.problem.p}")
-        if (w < 0).any() or not (w > 0).any():
-            raise ValidationError("weights must be nonnegative and not all zero")
-        c = w @ self._c_float
+        cs = self._costs(w[None, :])
+        c = cs[0]
         if self.problem.kind == KIND_KNAPSACK:
-            x = self._knapsack(c)
+            x = self._knapsack(cs)[0]
         elif self.problem.kind == KIND_ASSIGNMENT:
             x = self._assignment(c)
         else:
@@ -56,19 +57,45 @@ class RelaxationSolver:
                 return LpSolveResult("infeasible", None, None)
         return LpSolveResult("optimal", x, float(c @ x))
 
-    def _knapsack(self, c: np.ndarray) -> np.ndarray:
-        a = self.problem.weights
-        x = np.zeros(c.shape[0])
-        take = c < 0
-        x[take & (a == 0)] = 1.0
-        items = np.flatnonzero(take & (a > 0))
-        order = items[np.argsort(c[items] / a[items], kind="stable")]
-        filled = np.cumsum(a[order])
-        whole = int(np.searchsorted(filled, self.problem.capacity, side="right"))
-        x[order[:whole]] = 1.0
-        if whole < order.shape[0]:
-            room = self.problem.capacity - (filled[whole - 1] if whole else 0)
-            x[order[whole]] = room / a[order[whole]]
+    def solve_weighted_many(self, ws) -> list[LpSolveResult]:
+        """`solve_weighted` of every weight vector in ws, in order; knapsack
+        LPs are solved together by one greedy pass over all their cost rows."""
+        if self.problem.kind != KIND_KNAPSACK:
+            return [self.solve_weighted(w) for w in ws]
+        ws = np.asarray(ws, dtype=np.float64)
+        if ws.size == 0:
+            return []
+        if ws.ndim != 2 or ws.shape[1] != self.problem.p:
+            raise DimensionError(f"weight vectors must have length {self.problem.p}")
+        cs = self._costs(ws)
+        return [LpSolveResult("optimal", x, float(c @ x)) for c, x in zip(cs, self._knapsack(cs))]
+
+    def _costs(self, ws: np.ndarray) -> np.ndarray:
+        """Cost row w @ C of each weight row w of ws; every row is checked."""
+        if (ws < 0).any() or not (ws > 0).any(axis=1).all():
+            raise ValidationError("weights must be nonnegative and not all zero")
+        return np.array([w @ self._c_float for w in ws])
+
+    def _knapsack(self, cs: np.ndarray) -> np.ndarray:
+        """Greedy optimum of each cost row of cs, one LP per row."""
+        a, capacity = self.problem.weights, self.problem.capacity
+        take = cs < 0
+        item = take & (a > 0)
+        # items first, by cost per unit weight with ties by index; the rest at +inf
+        ratio = np.divide(cs, a, out=np.full(cs.shape, np.inf), where=item)
+        order = np.argsort(ratio, axis=1, kind="stable")
+        filled = np.cumsum(a[order], axis=1)
+        items = item.sum(axis=1)
+        whole = np.minimum((filled <= capacity).sum(axis=1), items)
+        # x in sorted order: zero-weight items taken, whole items, one fractional
+        xs = np.take_along_axis(take & (a == 0), order, axis=1).astype(np.float64)
+        xs[np.arange(cs.shape[1]) < whole[:, None]] = 1.0
+        rows = np.flatnonzero(whole < items)
+        at = whole[rows]
+        room = capacity - np.where(at > 0, filled[rows, at - 1], 0)
+        xs[rows, at] = room / a[order[rows, at]]
+        x = np.empty_like(xs)
+        np.put_along_axis(x, order, xs, axis=1)
         return x
 
     def _assignment(self, c: np.ndarray) -> np.ndarray:

@@ -77,9 +77,11 @@ def filter_nondominated(points) -> np.ndarray:
     pts = pts.reshape(-1, pts.shape[-1])
     if pts.shape[1] != P_OBJECTIVES:
         raise DimensionError(f"points must have {P_OBJECTIVES} coordinates")
-    uniq = np.unique(pts, axis=0)
-    mask = _nondominated_mask_unique(uniq)
-    return uniq[mask]                           # np.unique output is lex-sorted
+    pts = pts[np.lexsort(pts.T[::-1])]          # lexicographic row order
+    first = np.ones(pts.shape[0], dtype=bool)   # first of each run of equal rows
+    first[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    uniq = pts[first]
+    return uniq[_nondominated_mask_unique(uniq)]
 
 
 def filter_nondominated_solutions(solutions) -> list[Solution]:

@@ -78,6 +78,37 @@ def highs_lp_value(problem, w):
     return float(res.fun) if res.status == 0 else None
 
 
+def naive_knapsack(problem, c):
+    """Dantzig's greedy for one cost vector, one LP at a time: items of
+    negative cost and positive weight by cost per unit weight (stable, so
+    ties go to the lower index) while they fit, then one fractional item;
+    negative-cost zero-weight items always enter."""
+    a = problem.weights
+    x = np.zeros(c.shape[0])
+    take = c < 0
+    x[take & (a == 0)] = 1.0
+    items = np.flatnonzero(take & (a > 0))
+    order = items[np.argsort(c[items] / a[items], kind="stable")]
+    filled = np.cumsum(a[order])
+    whole = int(np.searchsorted(filled, problem.capacity, side="right"))
+    x[order[:whole]] = 1.0
+    if whole < order.shape[0]:
+        room = problem.capacity - (filled[whole - 1] if whole else 0)
+        x[order[whole]] = room / a[order[whole]]
+    return x
+
+
+def naive_tolerant_dropped(y, point_tol):
+    """Rows of y dropped by the LB set's final filter, from the full
+    |y| x |y| x 3 difference tensor: dominated by another row by more than
+    point_tol, or within point_tol of an earlier row in every coordinate."""
+    diff = y[:, None, :] - y[None, :, :]                  # diff[j, i] = y_j - y_i
+    dominates = (diff <= point_tol).all(axis=2) & (diff < -point_tol).any(axis=2)
+    duplicate = (np.abs(diff) <= point_tol).all(axis=2)
+    earlier = np.triu(np.ones(len(y), dtype=bool), k=1)  # earlier[j, i]: j < i
+    return dominates.any(axis=0) | (duplicate & earlier).any(axis=0)
+
+
 NEAR_AXIS_WEIGHTS = [(1, 1e-4, 1e-4), (1e-4, 1, 1e-4), (1e-4, 1e-4, 1)]
 
 

@@ -397,6 +397,28 @@ def test_run_front_matches_reference_walk(problem, variant, prob, seed):
     assert (report.ir_size, report.pr_iterations) == (report_ref.ir_size, report_ref.pr_iterations)
 
 
+@pytest.mark.parametrize("variant", ["PI", "PIsim", "PIdif"])
+@pytest.mark.parametrize("prob", [0.7, 1.0])
+def test_walk_kernel_equal_displacements_match_reference_walk(variant, prob):
+    """Repeated objective columns give equal displacements, which do not
+    dominate each other; the later of two equal rows wins the rank sum."""
+    cols = [[5, 3, 2], [1, 6, 2], [7, 1, 8], [2, 4, 3]]
+    profits = np.array(cols * 3).T
+    problem = tribip.knapsack_problem(profits, [1] * 12, 9)
+    rng = np.random.default_rng(4)
+    starts = {tuple(x) for x in rng.integers(0, 2, size=(10, 12)) if x.sum() <= 9}
+    config = PrConfig(variant=variant, seed=11, best_move_prob=prob)
+    sides = [(walk, _ir_from(problem, sorted(starts)), PrArchives(), Xoshiro256StarStar(11), [])
+             for walk in (path_relink_walk, naive_path_relink_walk)]
+    for _ in range(80):
+        for walk, ir, archives, walk_rng, visits in sides:
+            with mock.patch.object(heuristic, "path_relink_walk", _recording(walk, visits)):
+                path_relink_once(ir, archives, config, walk_rng, problem)
+    got, want = [(visits, [(s.key(), s.y) for s in ir.solutions], archives.ig_pairs,
+                  (r._s0, r._s1, r._s2, r._s3)) for _, ir, archives, r, visits in sides]
+    assert got == want
+
+
 def test_move_tables_cached_per_problem():
     """Two problems with the same n and different coefficients, walked
     alternately at best_move_prob 0: each matches the reference walk, so

@@ -1,13 +1,16 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tribip
-from tribip import InfeasibleProblemError, compute_lb_set
+from tribip import InfeasibleProblemError, compute_lb_set, lbset
 from tribip.lp import is_integral
 
-from conftest import NEAR_AXIS_WEIGHTS, highs_lp_value
+from conftest import NEAR_AXIS_WEIGHTS, highs_lp_value, naive_tolerant_dropped
 
 # knapsack and assignment instances of the LB-set completeness certificate
 CERTIFICATE_PROBLEMS = [tribip.generate_knapsack(9, seed=s) for s in range(4)] + [
@@ -125,3 +128,21 @@ def test_lp_count_positive():
     p = tribip.generate_knapsack(6, seed=0)
     lb = compute_lb_set(p)
     assert lb.lp_count >= 3                     # at least the seed LPs
+
+
+_TOL = lbset.POINT_TOL
+# coordinates a few units apart, moved by multiples of half the tolerance, so
+# that pairs fall within, exactly at and just beyond point_tol of each other
+_coordinate = st.builds(lambda base, k, scale: base * scale + k * _TOL / 2,
+                        st.integers(0, 3), st.integers(-4, 4), st.sampled_from([1.0, 1e3, 1e5]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=st.lists(st.tuples(_coordinate, _coordinate, _coordinate), min_size=1, max_size=40),
+       block=st.sampled_from([1, 2, 7, 40, lbset._FILTER_BLOCK]),
+       tol=st.sampled_from([_TOL, 0.0]))
+def test_tolerant_filter_matches_pairwise_tensor(points, block, tol):
+    y = np.array(points, dtype=np.float64)
+    with mock.patch.object(lbset, "_FILTER_BLOCK", block):
+        got = lbset._tolerant_dropped(y, tol)
+    assert got.tolist() == naive_tolerant_dropped(y, tol).tolist()

@@ -4,12 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tribip
 from tribip import RelaxationSolver, solve_weighted_lp
 from tribip.lp import is_integral
 
-from conftest import NEAR_AXIS_WEIGHTS, brute_force_feasible_points, highs_lp_value
+from conftest import (NEAR_AXIS_WEIGHTS, brute_force_feasible_points, highs_lp_value,
+                      naive_knapsack)
 
 
 def test_hand_lp():
@@ -169,6 +172,45 @@ def test_knapsack_edge_cases_match_highs(case):
         res = _assert_matches_highs(p, w)
         assert _fractional(res.x) <= 1
         assert float(p.weights @ res.x) <= p.capacity
+
+
+@st.composite
+def _knapsack_lps(draw):
+    """A small knapsack with zero-weight items and many equal cost ratios
+    (small coefficients), a capacity from 0 to above the total weight, and
+    weight vectors that include the seed weights and exact ties."""
+    n = draw(st.integers(1, 8))
+    ints = st.lists(st.integers(0, 4), min_size=n, max_size=n)
+    weights = draw(ints)
+    profits = draw(st.lists(ints, min_size=3, max_size=3))
+    capacity = draw(st.sampled_from([0, sum(weights), sum(weights) + 3])
+                    | st.integers(0, sum(weights)))
+    fixed = NEAR_AXIS_WEIGHTS + [(1, 1, 1), (1, 0, 0), (0, 1, 1), (0.5, 0.25, 0.25)]
+    weight = st.sampled_from(fixed) | st.tuples(*[st.floats(0, 1)] * 3).filter(any)
+    ws = draw(st.lists(weight, min_size=1, max_size=6))
+    return tribip.knapsack_problem(profits, weights, capacity), ws
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_knapsack_lps())
+@example(case=(tribip.knapsack_problem([[3], [1], [2]], [2], 1), [(1, 1, 1), (0, 0, 1)]))
+@example(case=(tribip.knapsack_problem([[2, 4, 1], [2, 4, 1], [2, 4, 1]], [1, 2, 0], 2),
+               [(1, 1, 1)]))
+def test_knapsack_batch_matches_per_lp_greedy(case):
+    p, ws = case
+    solver = RelaxationSolver(p)
+    c_float = p.C.astype(np.float64)
+    batch = solver.solve_weighted_many(ws)
+    assert len(batch) == len(ws)
+    for w, res in zip(ws, batch):
+        c = np.asarray(w, dtype=np.float64) @ c_float
+        x = naive_knapsack(p, c)
+        single = solver.solve_weighted(w)
+        for got in (res, single):
+            assert got.status == "optimal"
+            assert got.x.tobytes() == x.tobytes()
+            assert got.value == float(c @ x)
+            assert (c_float @ got.x).tobytes() == (c_float @ x).tobytes()
 
 
 @pytest.mark.parametrize("tasks", [2, 5, 8, 25])

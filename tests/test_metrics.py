@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tribip
@@ -10,6 +10,7 @@ from tribip import (DimensionError, EnumerationLimitError, ReferenceFront,
                     ValidationError, dominates, exact_front, exact_front_solutions,
                     filter_nondominated, filter_nondominated_solutions, hv_percent,
                     hypervolume, hypervolume_mc, normalize)
+from tribip.metrics import _nondominated_mask_unique
 
 from conftest import brute_force_front, naive_filter
 
@@ -66,6 +67,17 @@ _points = st.one_of(
 def test_filter_matches_pairwise_oracle(points):
     pts = np.array(points, dtype=np.int64).reshape(-1, 3)
     assert [tuple(r) for r in filter_nondominated(pts).tolist()] == naive_filter(points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=_points, dtype=st.sampled_from([np.int64, np.float64]))
+def test_filter_dedupe_matches_np_unique(points, dtype):
+    assume(points)
+    pts = np.array(points, dtype=dtype)
+    uniq = np.unique(pts, axis=0)
+    want = uniq[_nondominated_mask_unique(uniq)]
+    got = filter_nondominated(pts)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
