@@ -18,9 +18,9 @@ from .lbset import LbPoint, LbSet, compute_lb_set, lb_front_records
 from .metrics import (ReferenceFront, dominates, exact_front, exact_front_solutions,
                       filter_nondominated, filter_nondominated_solutions, hv_percent,
                       hypervolume, hypervolume_mc, normalize)
-from .heuristic import (VARIANTS, IrSet, PrArchives, PrConfig, RunReport, improved_nd,
+from .heuristic import (VARIANTS, IrRow, IrSet, PrArchives, PrConfig, RunReport, improved_nd,
                         path_relink_once, path_relink_walk, round_down, run, select_pair,
-                        similarity, solve_from_lb)
+                        solve_from_lb)
 from .rng import Xoshiro256StarStar
 
 __version__ = "0.1.0"
@@ -36,9 +36,9 @@ __all__ = [
     "ReferenceFront", "dominates", "filter_nondominated", "filter_nondominated_solutions",
     "normalize", "hypervolume", "hypervolume_mc", "exact_front", "exact_front_solutions",
     "hv_percent",
-    "VARIANTS", "PrConfig", "IrSet", "PrArchives", "RunReport",
+    "VARIANTS", "PrConfig", "IrRow", "IrSet", "PrArchives", "RunReport",
     "round_down", "select_pair", "improved_nd",
-    "path_relink_once", "path_relink_walk", "run", "similarity", "solve_from_lb",
+    "path_relink_once", "path_relink_walk", "run", "solve_from_lb",
     "Xoshiro256StarStar",
     "TribipError", "DimensionError", "ValidationError", "ParseError",
     "InfeasibleProblemError",

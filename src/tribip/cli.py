@@ -87,7 +87,7 @@ def _solve_one(instance_path: Path, problem, lb, lb_sec: float, seed: int, args,
 
     front_file = None
     if args.out or args.out_dir:
-        if args.out and len(args.instances) == 1 and args.runs == 1:
+        if args.out:                    # main() allows it for a single run only
             front_file = Path(args.out)
         else:
             base = Path(args.out_dir or ".")
@@ -241,6 +241,13 @@ def _parse_ref_point(text: str):
     return tuple(parts)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tribip",
                                      description="Tri-objective binary programming matheuristic")
@@ -262,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("instances", nargs="+")
     s.add_argument("--variant", choices=VARIANTS, default="PI")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--runs", type=int, default=1,
+    s.add_argument("--runs", type=_positive_int, default=1,
                    help="consecutive seeds starting at --seed")
     s.add_argument("--iter-mult", type=int, default=50)
     s.add_argument("--best-prob", type=float, default=0.7)
@@ -271,13 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ref-front", help="reference front file for HV and HV%%")
     s.add_argument("--ref-point", type=_parse_ref_point,
                    help="raw-HV reference point y1,y2,y3 (minimisation form)")
-    s.add_argument("--out", help="front file (single run)")
+    s.add_argument("--out", help="front file; one instance and --runs 1 only")
     s.add_argument("--out-dir", help="front file directory (batches)")
     s.add_argument("--lb-front", help="also export the LB set (fractional "
                                       "solutions flagged) to this front file; "
                                       "one instance, --runs 1 and --jobs 1 only")
     s.add_argument("--report-csv", help="append run rows to this CSV")
-    s.add_argument("--jobs", type=int, default=1)
+    s.add_argument("--jobs", type=_positive_int, default=1)
     s.set_defaults(func=cmd_solve)
 
     o = sub.add_parser("oracle", help="exact front by enumeration (desk scale)")
@@ -297,10 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "solve" and args.lb_front and (
-            len(args.instances) > 1 or args.runs > 1 or args.jobs > 1):
-        # every job would write its LB set to the same file
-        parser.error("--lb-front needs a single instance, --runs 1 and --jobs 1")
+    if args.command == "solve":
+        several_runs = len(args.instances) > 1 or args.runs > 1
+        # every run would write to the same file
+        if args.out and several_runs:
+            parser.error("--out needs a single instance and --runs 1; use --out-dir")
+        if args.lb_front and (several_runs or args.jobs > 1):
+            parser.error("--lb-front needs a single instance, --runs 1 and --jobs 1")
     try:
         return args.func(args)
     except TribipError as exc:

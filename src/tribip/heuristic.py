@@ -49,7 +49,7 @@ import logging
 import time
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import add, ne
+from operator import add, itemgetter, ne
 
 import numpy as np
 
@@ -91,55 +91,71 @@ class PrConfig:
             raise ValidationError("iteration_multiplier must be >= 0")
 
 
-class IrSet:
-    """Feasible integer solutions rounded from the LB set, with provenance.
+class IrRow(tuple):
+    """One IR entry: the x vector's bytes and its objective point.
 
-    Grows during path relinking; the x vectors are pairwise distinct.
+    A plain (key, y) tuple, so rows cost one small object each; the final
+    front turns only the rows it keeps into `Solution`s.
+    """
+
+    __slots__ = ()
+
+    def key(self) -> bytes:
+        """x as int8 bytes, the same as `Solution.key()`."""
+        return self[0]
+
+    y = property(itemgetter(1))
+
+
+class IrSet:
+    """Feasible integer solutions rounded from the LB set, then grown by path
+    relinking; the x vectors are pairwise distinct.
+
+    `rows` holds one `IrRow` per solution in discovery order.  `provenance`
+    maps the index of each rounded row to the LB indices that rounded to it.
     """
 
     def __init__(self):
-        self.solutions: list[Solution] = []
-        self.provenance: list[list[int]] = []
+        self.rows: list[IrRow] = []
+        self.provenance: dict[int, list[int]] = {}
         self.dropped_infeasible = 0
-        self._keys: dict[bytes, int] = {}
-        self._key_rows: list[bytes] = []             # solutions[k].key(), in IR order
-        self._x = np.empty((0, 0), dtype=np.int8)   # row k < _filled is solutions[k].x
+        self._index: dict[bytes, int] = {}
+        self._x = np.empty((0, 0), dtype=np.int8)   # row k < _filled is rows[k]'s x
         self._filled = 0
         # (initiating row, rule) -> (guide row, its similarity, rows scanned)
         self._guides: dict[tuple[int, str], tuple[int, int, int]] = {}
 
     def __len__(self):
-        return len(self.solutions)
+        return len(self.rows)
 
     def __contains__(self, key: bytes):
-        return key in self._keys
+        return key in self._index
 
-    def add(self, solution: Solution, lb_index: int | None = None) -> bool:
-        """Add a solution unless its x vector is already present."""
+    def add(self, solution, lb_index: int | None = None) -> bool:
+        """Add a `Solution` or `IrRow` unless its x vector is already present;
+        lb_index records which LB point rounded to it."""
         key = solution.key()
-        at = self._keys.get(key)
-        if at is not None:
-            if lb_index is not None:
-                self.provenance[at].append(lb_index)
-            return False
-        self._keys[key] = len(self.solutions)
-        self._key_rows.append(key)
-        self.solutions.append(solution)
-        self.provenance.append([lb_index] if lb_index is not None else [])
-        return True
+        at = self._index.get(key)
+        new = at is None
+        if new:
+            at = self._index[key] = len(self.rows)
+            self.rows.append(IrRow((key, solution.y)))
+        if lb_index is not None:
+            self.provenance.setdefault(at, []).append(lb_index)
+        return new
 
     def x_matrix(self) -> np.ndarray:
         """Read-only (|IR|, n) view of the x vectors in IR order; later adds
         do not show in it.  Rows added since the last call are filled here."""
-        k, filled = len(self.solutions), self._filled
+        k, filled = len(self.rows), self._filled
         if filled < k:
-            new = self._key_rows[filled:k]
+            new = b"".join(map(IrRow.key, self.rows[filled:k]))
             if k > len(self._x):
-                grown = np.empty((max(16, 2 * k), len(new[0])), dtype=np.int8)
+                grown = np.empty((max(16, 2 * k), len(self.rows[0].key())), dtype=np.int8)
                 if filled:
                     grown[:filled] = self._x[:filled]
                 self._x = grown
-            self._x[filled:k] = np.frombuffer(b"".join(new), dtype=np.int8).reshape(k - filled, -1)
+            self._x[filled:k] = np.frombuffer(new, dtype=np.int8).reshape(k - filled, -1)
             self._filled = k
         view = self._x[:k]
         view.setflags(write=False)
@@ -148,9 +164,9 @@ class IrSet:
 
 @dataclass
 class PrArchives:
-    """candX: newly found feasible solutions; ig_pairs: used (S_i, S_g) pairs."""
+    """ig_pairs: used (S_i, S_g) pairs, as key pairs.  New feasible solutions
+    go straight to the IR set."""
 
-    cand_x: list[Solution] = field(default_factory=list)
     ig_pairs: set[tuple[bytes, bytes]] = field(default_factory=set)
 
 
@@ -186,7 +202,7 @@ def round_down(lb: LbSet, problem: Problem, int_tol: float = INT_TOL) -> IrSet:
         if not _within(lhs, problem.row_bounds):
             ir.dropped_infeasible += 1
             continue
-        ir.add(Solution(x, y, True), lb_index=idx)
+        ir.add(IrRow((x.tobytes(), tuple(y))), lb_index=idx)
     if ir.dropped_infeasible:
         log.warning("round_down dropped %d infeasible rounded solutions", ir.dropped_infeasible)
     if len(ir) == 0:
@@ -206,12 +222,7 @@ def _feasible_int(problem: Problem, x: np.ndarray) -> bool:
     return _within((problem.A @ x.astype(np.int64)).tolist(), problem.row_bounds)
 
 
-def similarity(a, b) -> int:
-    """Number of positions with equal variable values."""
-    return int(np.count_nonzero(np.asarray(a) == np.asarray(b)))
-
-
-def select_pair(ir: IrSet, rule: str, rng: Xoshiro256StarStar) -> tuple[Solution, Solution]:
+def select_pair(ir: IrSet, rule: str, rng: Xoshiro256StarStar) -> tuple[IrRow, IrRow]:
     """Pick (initiating, guiding) from the IR set.
 
     random: two distinct uniform picks.  sim/dif: uniform initiating pick,
@@ -228,7 +239,7 @@ def select_pair(ir: IrSet, rule: str, rng: Xoshiro256StarStar) -> tuple[Solution
         g = rng.randint(k - 1)
         if g >= i:
             g += 1
-        return ir.solutions[i], ir.solutions[g]
+        return ir.rows[i], ir.rows[g]
     if rule not in ("sim", "dif"):
         raise ValidationError(f"unknown selection rule {rule!r}")
     g, best, scanned = ir._guides.get((i, rule), (-1, 0, 0))
@@ -242,7 +253,7 @@ def select_pair(ir: IrSet, rule: str, rng: Xoshiro256StarStar) -> tuple[Solution
         if g < 0 or (value > best if rule == "sim" else value < best):
             g, best = scanned + at, value
         ir._guides[(i, rule)] = (g, best, k)
-    return ir.solutions[i], ir.solutions[g]
+    return ir.rows[i], ir.rows[g]
 
 
 def improved_nd(obj_s_i, nd) -> int:
@@ -287,13 +298,14 @@ def _displacement_dominance(disp: dict) -> tuple[dict, dict]:
     return beaten, dominators
 
 
-def path_relink_walk(problem: Problem, s_i: Solution, s_g: Solution, ir: IrSet,
+def path_relink_walk(problem: Problem, s_i, s_g, ir: IrSet,
                      archives: PrArchives, rng: Xoshiro256StarStar,
                      best_move_prob: float, collect_visits: bool = False):
     """Walk from the initiating to the guiding solution, one flip per step.
 
-    Feasible, previously unseen intermediate solutions are appended to candX
-    and to the IR set; infeasible intermediates keep walking but are never
+    s_i and s_g are `IrRow`s or `Solution`s; only their keys are read.
+    Feasible, previously unseen intermediate solutions are appended to the
+    IR set as rows; infeasible intermediates keep walking but are never
     archived.  The walk stops when the current solution reaches the guiding
     one or the current (S_i, S_g) pair was already used.  Returns the list
     of visited vectors (read-only int8 arrays) when collect_visits is set.
@@ -310,6 +322,7 @@ def path_relink_walk(problem: Problem, s_i: Solution, s_g: Solution, ir: IrSet,
     lhs = [sum(compress(row, key)) for row in a_rows]
     beaten = dominators = None         # displacement dominance, built on first use
     random, randint = rng.random, rng.randint
+    known, rows = ir._index, ir.rows        # new feasible points are appended here
     visits: list[bytes] = []
     while True:
         if random() < best_move_prob:
@@ -337,10 +350,9 @@ def path_relink_walk(problem: Problem, s_i: Solution, s_g: Solution, ir: IrSet,
         key = bytes(x)
         if collect_visits:
             visits.append(key)
-        if _within(lhs, bounds) and key not in ir:
-            sol = Solution(np.frombuffer(key, dtype=np.int8), (y0, y1, y2), True)
-            archives.cand_x.append(sol)
-            ir.add(sol)
+        if _within(lhs, bounds) and key not in known:
+            known[key] = len(rows)
+            rows.append(IrRow((key, (y0, y1, y2))))
         if not rest or (key, key_g) in pairs:
             break
     return [np.frombuffer(v, dtype=np.int8) for v in visits]
@@ -405,7 +417,9 @@ def solve_from_lb(problem: Problem, lb: LbSet, config: PrConfig | None = None):
                 for _ in range(iterations):
                     path_relink_once(ir, archives, config, rng, problem)
                     pr_iterations += 1
-        front = filter_nondominated_solutions(ir.solutions)
+        # only the rows that reach the front become Solutions
+        front = [Solution(np.frombuffer(row.key(), dtype=np.int8), row.y, True)
+                 for row in filter_nondominated_solutions(ir.rows)]
 
     report = RunReport(
         variant=config.variant,

@@ -84,19 +84,19 @@ def filter_nondominated(points) -> np.ndarray:
     return uniq[_nondominated_mask_unique(uniq)]
 
 
-def filter_nondominated_solutions(solutions) -> list[Solution]:
-    """Nondominated subset of solutions; among solutions sharing an objective
-    point the first-discovered one is kept.  Output sorted by objective."""
+def filter_nondominated_solutions(solutions) -> list:
+    """Nondominated subset of solutions (anything with a `y` tuple, such as
+    `Solution`s or IR rows); among solutions sharing an objective point the
+    first-discovered one is kept.  Output sorted by objective."""
     solutions = list(solutions)
     if not solutions:
         return []
-    ys = np.array([s.y for s in solutions], dtype=np.int64)
-    front = filter_nondominated(ys)
-    front_set = {tuple(row) for row in front}
+    ys = [s.y for s in solutions]
+    front_set = set(map(tuple, filter_nondominated(np.array(ys, dtype=np.int64)).tolist()))
     chosen: dict[tuple, Solution] = {}
-    for sol in solutions:
-        if sol.y in front_set and sol.y not in chosen:
-            chosen[sol.y] = sol
+    for y, sol in zip(ys, solutions):
+        if y in front_set and y not in chosen:
+            chosen[y] = sol
     return [chosen[key] for key in sorted(chosen)]
 
 

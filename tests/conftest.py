@@ -109,6 +109,11 @@ def naive_tolerant_dropped(y, point_tol):
     return dominates.any(axis=0) | (duplicate & earlier).any(axis=0)
 
 
+def similarity(a, b) -> int:
+    """Number of positions with equal variable values."""
+    return int(np.count_nonzero(np.asarray(a) == np.asarray(b)))
+
+
 NEAR_AXIS_WEIGHTS = [(1, 1e-4, 1e-4), (1e-4, 1, 1e-4), (1e-4, 1e-4, 1)]
 
 
@@ -164,16 +169,16 @@ def naive_select_pair(ir, rule, rng):
         g = rng.randint(k - 1)
         if g >= i:
             g += 1
-        return ir.solutions[i], ir.solutions[g]
+        return ir.rows[i], ir.rows[g]
     xs = ir.x_matrix()
-    sims = np.count_nonzero(xs == xs[i][None, :], axis=1)
+    sims = np.array([similarity(xs[i], row) for row in xs])
     if rule == "sim":
         sims[i] = -1
         g = int(np.argmax(sims))
     else:
         sims[i] = xs.shape[1] + 1
         g = int(np.argmin(sims))
-    return ir.solutions[i], ir.solutions[g]
+    return ir.rows[i], ir.rows[g]
 
 
 def _nondominated_rows(y):
@@ -216,11 +221,12 @@ def naive_path_relink_walk(problem, s_i, s_g, ir, archives, rng, best_move_prob,
                            collect_visits=False):
     """Reference walk: rebuilds the whole neighbourhood, its dominance and its
     ranks from the current point at every step, with the same draw order and
-    the same archive updates as `tribip.path_relink_walk`."""
+    the same IR updates as `tribip.path_relink_walk`; s_i and s_g are IR rows
+    or Solutions."""
     visits = []
     key_g = s_g.key()
-    x_g = np.asarray(s_g.x, dtype=np.int8)
-    state = _WalkState(problem, s_i.x)
+    x_g = np.frombuffer(key_g, dtype=np.int8)
+    state = _WalkState(problem, np.frombuffer(s_i.key(), dtype=np.int8))
     ct = state.ct
     while True:
         key_cur = state.x.tobytes()
@@ -246,7 +252,5 @@ def naive_path_relink_walk(problem, s_i, s_g, ir, archives, rng, best_move_prob,
         if state.feasible():
             key_new = state.x.tobytes()
             if key_new not in ir:
-                sol = tribip.Solution(state.x.copy(), tuple(int(v) for v in state.y), True)
-                archives.cand_x.append(sol)
-                ir.add(sol)
+                ir.add(tribip.Solution(state.x.copy(), tuple(int(v) for v in state.y), True))
     return visits

@@ -404,3 +404,34 @@ def test_report_closes_its_files(tmp_path, monkeypatch):
         gc.collect()
     assert rc == 0
     assert [u.exc_type for u in unraisable] == []
+
+
+@pytest.mark.parametrize("extra", [["--runs", "0"], ["--runs", "-1"], ["--jobs", "0"],
+                                   ["--jobs", "-3"]])
+def test_solve_rejects_counts_below_one(tmp_path, capsys, extra):
+    main(["generate", "--kind", "knapsack", "--n", "6", "--count", "1",
+          "--seed", "14", "--out-dir", str(tmp_path)])
+    inst = next(tmp_path.glob("*.txt"))
+    csv_path = tmp_path / "runs.csv"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(inst), "--variant", "RD", "--report-csv", str(csv_path), *extra])
+    assert exc.value.code == 2
+    assert extra[0] in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
+def test_solve_out_rejects_several_runs(tmp_path, capsys, monkeypatch):
+    main(["generate", "--kind", "knapsack", "--n", "6", "--count", "2",
+          "--seed", "15", "--out-dir", str(tmp_path)])
+    first, second = sorted(tmp_path.glob("*.txt"))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    out = work / "f.txt"
+    for instances, extra in (([first], ["--runs", "2"]), ([first, second], [])):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", *map(str, instances), "--variant", "RD", "--out", str(out), *extra])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+    assert list(work.iterdir()) == []

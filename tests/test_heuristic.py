@@ -6,15 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tribip
-from tribip import (InsufficientSolutionsError, IrSet, NoRoundedSolutionError,
+from tribip import (InsufficientSolutionsError, IrRow, IrSet, NoRoundedSolutionError,
                     PrArchives, PrConfig, ValidationError, Xoshiro256StarStar,
                     improved_nd, path_relink_once, path_relink_walk, round_down, run,
-                    select_pair, similarity)
+                    select_pair)
 from tribip import heuristic
 from tribip.lbset import LbPoint, LbSet
 
 from conftest import (naive_improved_nd, naive_path_relink_walk, naive_round_down,
-                      naive_select_pair)
+                      naive_select_pair, similarity)
 
 
 def _lbset_from(problem, xs):
@@ -40,21 +40,21 @@ def _ints(lo, hi, size):
 def test_round_down_floors(p_matrix_problem):
     lb = _lbset_from(p_matrix_problem, [[1, 0.6, 1, 0]])
     ir = round_down(lb, p_matrix_problem)
-    assert ir.solutions[0].x.tolist() == [1, 0, 1, 0]
+    assert list(ir.rows[0].key()) == [1, 0, 1, 0]
 
 
 def test_round_down_keeps_near_integral(p_matrix_problem):
     lb = _lbset_from(p_matrix_problem, [[1 - 1e-9, 0, 0, 1]])
     ir = round_down(lb, p_matrix_problem)
-    assert ir.solutions[0].x.tolist() == [1, 0, 0, 1]
+    assert list(ir.rows[0].key()) == [1, 0, 0, 1]
 
 
 def test_round_down_assignment_passthrough():
     p = tribip.generate_assignment(3, seed=1)
     lb = tribip.compute_lb_set(p)
     ir = round_down(lb, p)
-    for sol, pt in zip(ir.solutions, lb.points):
-        assert np.array_equal(sol.x, np.round(pt.x).astype(np.int8))
+    for row, pt in zip(ir.rows, lb.points):
+        assert row.key() == np.round(pt.x).astype(np.int8).tobytes()
 
 
 def test_round_down_feasibility_preserved():
@@ -64,8 +64,8 @@ def test_round_down_feasibility_preserved():
         lb = tribip.compute_lb_set(p)
         ir = round_down(lb, p)
         assert ir.dropped_infeasible == 0
-        for sol in ir.solutions:
-            assert tribip.is_feasible(p, sol.x)
+        for row in ir.rows:
+            assert tribip.is_feasible(p, list(row.key()))
 
 
 def test_round_down_merges_duplicates(p_matrix_problem):
@@ -119,7 +119,7 @@ def test_round_down_matches_pointwise_rounding(case):
             except NoRoundedSolutionError:
                 ir = None
         outcomes.append((None if ir is None else (
-            [(s.key(), s.y, s.feasible) for s in ir.solutions], ir.provenance,
+            ir.rows, ir.provenance,
             ir.dropped_infeasible, ir.x_matrix().tolist()), warning.call_args_list))
     assert outcomes[0] == outcomes[1]
 
@@ -134,8 +134,8 @@ def test_select_pair_sim(p_matrix_problem):
             return 0          # initiating = first solution
 
     s_i, s_g = select_pair(ir, "sim", FixedRng())
-    assert s_i.x.tolist() == [0, 0, 1, 0]
-    assert s_g.x.tolist() == [1, 0, 1, 0]       # similarity 3 beats 1
+    assert list(s_i.key()) == [0, 0, 1, 0]
+    assert list(s_g.key()) == [1, 0, 1, 0]      # similarity 3 beats 1
 
 
 def test_select_pair_dif(p_matrix_problem):
@@ -146,7 +146,7 @@ def test_select_pair_dif(p_matrix_problem):
             return 0
 
     s_i, s_g = select_pair(ir, "dif", FixedRng())
-    assert s_g.x.tolist() == [1, 1, 0, 0]       # similarity 1 is minimal
+    assert list(s_g.key()) == [1, 1, 0, 0]      # similarity 1 is minimal
 
 
 def test_select_pair_random_distinct(p_matrix_problem):
@@ -154,7 +154,7 @@ def test_select_pair_random_distinct(p_matrix_problem):
     rng = Xoshiro256StarStar(3)
     for _ in range(50):
         s_i, s_g = select_pair(ir, "random", rng)
-        assert s_i.x.tolist() != s_g.x.tolist()
+        assert s_i.key() != s_g.key()
 
 
 def test_select_pair_needs_two(p_matrix_problem):
@@ -265,7 +265,7 @@ def test_walk_reproduces_worked_path(p_matrix_problem):
                               collect_visits=True)
     assert [tuple(v) for v in visits] == [(1, 0, 1, 0), (1, 1, 1, 0), (1, 1, 0, 0)]
     # the two intermediates are new and feasible, the endpoint was known
-    assert [s.x.tolist() for s in archives.cand_x] == [[1, 0, 1, 0], [1, 1, 1, 0]]
+    assert [list(row.key()) for row in ir.rows[2:]] == [[1, 0, 1, 0], [1, 1, 1, 0]]
 
 
 def test_walk_identical_pair_no_steps(p_matrix_problem):
@@ -275,7 +275,7 @@ def test_walk_identical_pair_no_steps(p_matrix_problem):
     visits = path_relink_walk(p_matrix_problem, s, s, ir, archives,
                               Xoshiro256StarStar(0), 1.0, collect_visits=True)
     assert visits == []
-    assert archives.cand_x == []
+    assert len(ir) == 2
 
 
 def test_walk_zero_capacity_archives_nothing():
@@ -288,16 +288,14 @@ def test_walk_zero_capacity_archives_nothing():
     ir.add(s_i)
     archives = PrArchives()
     path_relink_walk(p, s_i, s_g, ir, archives, Xoshiro256StarStar(1), 0.7)
-    assert archives.cand_x == []
+    assert len(ir) == 1
 
 
 def test_pair_already_recorded_exits_immediately(p_matrix_problem):
     ir = _ir_from(p_matrix_problem, [[0, 0, 1, 0], [1, 1, 0, 0]])
     archives = PrArchives()
-    key_i = ir.solutions[0].key()
-    key_g = ir.solutions[1].key()
-    archives.ig_pairs.add((key_i, key_g))
-    s_i, s_g = ir.solutions[0], ir.solutions[1]
+    s_i, s_g = ir.rows
+    archives.ig_pairs.add((s_i.key(), s_g.key()))
     visits = path_relink_walk(p_matrix_problem, s_i, s_g, ir, archives,
                               Xoshiro256StarStar(0), 1.0, collect_visits=True)
     assert visits == []
@@ -312,17 +310,20 @@ def test_path_relink_once_records_pair(p_matrix_problem):
     assert len(archives.ig_pairs) == 1
 
 
-def test_candx_members_feasible_and_new(p_matrix_problem):
+def test_appended_rows_feasible_new_and_evaluated(p_matrix_problem):
     rng = Xoshiro256StarStar(5)
     ir = _ir_from(p_matrix_problem, [[0, 0, 1, 0], [1, 1, 0, 0], [0, 1, 0, 1]])
-    ir0_keys = {s.key() for s in ir.solutions}
+    ir0_keys = {row.key() for row in ir.rows}
     archives = PrArchives()
     config = PrConfig(variant="PRrand", seed=5)
     for _ in range(30):
         path_relink_once(ir, archives, config, rng, p_matrix_problem)
-    for sol in archives.cand_x:
-        assert tribip.is_feasible(p_matrix_problem, sol.x)
-        assert sol.key() not in ir0_keys
+    assert len(ir) > 3
+    for row in ir.rows[3:]:
+        x = list(row.key())
+        assert tribip.is_feasible(p_matrix_problem, x)
+        assert row.y == tribip.evaluate(p_matrix_problem, x)
+        assert row.key() not in ir0_keys
 
 
 @st.composite
@@ -369,9 +370,8 @@ def test_walk_kernel_matches_reference_walk(problem, data, variant, prob, seed, 
 
     def snapshot(side):
         _, ir, archives, rng, visits = side
-        return (visits, [(s.key(), s.y) for s in ir.solutions],
-                [(s.key(), s.y, s.feasible) for s in archives.cand_x],
-                set(archives.ig_pairs), (rng._s0, rng._s1, rng._s2, rng._s3))
+        # the IR rows past the starts are the walks' new feasible points
+        return (visits, ir.rows, set(archives.ig_pairs), (rng._s0, rng._s1, rng._s2, rng._s3))
 
     for _ in range(iterations):
         for walk, ir, archives, rng, visits in sides:
@@ -414,7 +414,7 @@ def test_walk_kernel_equal_displacements_match_reference_walk(variant, prob):
         for walk, ir, archives, walk_rng, visits in sides:
             with mock.patch.object(heuristic, "path_relink_walk", _recording(walk, visits)):
                 path_relink_once(ir, archives, config, walk_rng, problem)
-    got, want = [(visits, [(s.key(), s.y) for s in ir.solutions], archives.ig_pairs,
+    got, want = [(visits, ir.rows, archives.ig_pairs,
                   (r._s0, r._s1, r._s2, r._s3)) for _, ir, archives, r, visits in sides]
     assert got == want
 
@@ -443,8 +443,7 @@ def test_move_tables_cached_per_problem():
             for problem, walk, ir, archives, walk_rng, visits in pair:
                 with mock.patch.object(heuristic, "path_relink_walk", _recording(walk, visits)):
                     path_relink_once(ir, archives, config, walk_rng, problem)
-            side, ref = [(visits, [(s.key(), s.y) for s in ir.solutions],
-                          [(s.key(), s.y) for s in archives.cand_x], archives.ig_pairs,
+            side, ref = [(visits, ir.rows, archives.ig_pairs,
                           (rng_._s0, rng_._s1, rng_._s2, rng_._s3))
                          for _, _, ir, archives, rng_, visits in pair]
             assert side == ref
@@ -456,13 +455,101 @@ def test_move_tables_cached_per_problem():
                 tribip.is_feasible(problem, x)
 
 
+@settings(max_examples=100, deadline=None)
+@given(problem=_relink_problems(), data=st.data(), prob=st.sampled_from((0.0, 0.7, 1.0)),
+       seed=st.integers(0, 2**32))
+def test_walk_from_rows_matches_walk_from_solutions(problem, data, prob, seed):
+    """The walk reads only the two keys, so a Solution pair and the equal IR
+    row pair give the same visits, IR rows and RNG state."""
+    n = problem.n
+    starts = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                                min_size=2, max_size=5, unique_by=tuple))
+    i, g = data.draw(st.permutations(range(len(starts))))[:2]
+    outcomes = []
+    for as_rows in (False, True):
+        ir, rng = _ir_from(problem, starts), Xoshiro256StarStar(seed)
+        pair = (ir.rows[i], ir.rows[g]) if as_rows else \
+            (tribip.make_solution(problem, starts[i]), tribip.make_solution(problem, starts[g]))
+        visits = path_relink_walk(problem, *pair, ir, PrArchives(), rng, prob,
+                                  collect_visits=True)
+        outcomes.append(([v.tobytes() for v in visits], list(ir.rows),
+                         (rng._s0, rng._s1, rng._s2, rng._s3)))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_ir_rows_and_provenance(p_matrix_problem):
+    sol = tribip.make_solution(p_matrix_problem, [1, 0, 1, 0])
+    ir = IrSet()
+    assert ir.add(sol) and not ir.add(IrRow((sol.key(), sol.y)))
+    row, = ir.rows
+    assert type(row) is IrRow and row == (sol.key(), sol.y)
+    assert (row.key(), row.y) == (sol.key(), sol.y)
+    assert sol.key() in ir and len(ir) == 1
+    # provenance is keyed by row index, so rows without an LB origin, added
+    # in any order, do not shift it
+    other = tribip.make_solution(p_matrix_problem, [0, 1, 1, 0])
+    assert ir.add(other, lb_index=7) and not ir.add(sol, lb_index=8)
+    assert ir.provenance == {1: [7], 0: [8]}
+
+
+def _y_points(size):
+    return st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=size, max_size=size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 7))
+@example(data=None, n=2)
+def test_filter_over_rows_matches_filter_over_solutions(data, n):
+    """The final filter keeps the same points and the same first-discovered
+    x whether it reads IR rows or the equivalent Solutions."""
+    if data is None:        # repeated and dominated points from distinct x, and no input
+        xs, ys = [(0, 0), (1, 0), (0, 1), (1, 1)], [(1, 2, 0), (1, 2, 0), (0, 2, 1), (1, 2, 1)]
+        assert tribip.filter_nondominated_solutions(IrSet().rows) == []
+    else:
+        xs = data.draw(st.lists(st.tuples(*[st.integers(0, 1)] * n), unique=True,
+                                max_size=min(2 ** n, 40)))
+        ys = data.draw(_y_points(len(xs)))
+    rows = [IrRow((np.array(x, dtype=np.int8).tobytes(), y)) for x, y in zip(xs, ys)]
+    solutions = [tribip.Solution(np.array(x, dtype=np.int8), y, True) for x, y in zip(xs, ys)]
+    from_rows = tribip.filter_nondominated_solutions(rows)
+    from_solutions = tribip.filter_nondominated_solutions(solutions)
+    assert [(r.key(), r.y) for r in from_rows] == [(s.key(), s.y) for s in from_solutions]
+    first = {}
+    for row in rows:
+        first.setdefault(row.y, row.key())
+    assert [r.key() for r in from_rows] == [first[r.y] for r in from_rows]
+
+
+@pytest.mark.parametrize("variant", ["PI", "PRrand"])
+def test_solve_from_lb_calls_each_layer_by_module_name(variant):
+    """Pair selection and the walk run once per iteration and the final
+    filter once, each looked up in the heuristic module's namespace, where
+    wrappers that time the layers replace them."""
+    problem = tribip.generate_knapsack(10, seed=2)
+    lb = tribip.compute_lb_set(problem)
+    config = PrConfig(variant=variant, seed=3, iteration_multiplier=4)
+    names = ("select_pair", "path_relink_walk", "filter_nondominated_solutions")
+    spies = {name: mock.Mock(wraps=getattr(heuristic, name)) for name in names}
+    with mock.patch.multiple(heuristic, **spies):
+        front, report = tribip.solve_from_lb(problem, lb, config)
+    assert report.pr_iterations == report.ir_size * 4 > 0
+    assert spies["select_pair"].call_count == report.pr_iterations
+    assert spies["path_relink_walk"].call_count == report.pr_iterations
+    assert spies["filter_nondominated_solutions"].call_count == 1
+    rows, = spies["filter_nondominated_solutions"].call_args.args
+    assert len(rows) > report.ir_size and all(type(row) is IrRow for row in rows)
+    front_ref, _ = tribip.solve_from_lb(problem, lb, config)
+    assert [(s.key(), s.y) for s in front] == [(s.key(), s.y) for s in front_ref]
+    assert all(type(s) is tribip.Solution for s in front)
+
+
 def test_ir_x_matrix_grows_with_adds():
     rng = np.random.default_rng(3)
     ir = IrSet()
     for bits in rng.integers(0, 2, size=(40, 9)):
         ir.add(tribip.Solution(bits, (0, 0, 0), True))
         xs = ir.x_matrix()
-        assert np.array_equal(xs, np.array([s.x for s in ir.solutions], dtype=np.int8))
+        assert np.array_equal(xs, np.array([list(row.key()) for row in ir.rows], dtype=np.int8))
     assert not xs.flags.writeable
 
 
@@ -473,7 +560,7 @@ def test_ir_x_matrix_fills_rows_added_since_last_call():
     for step, bits in enumerate(rng.integers(0, 2, size=(120, 11))):
         ir.add(tribip.Solution(bits, (0, 0, 0), True))
         if step % 7 == 3 or step == 0:
-            views.append((ir.x_matrix(), [s.key() for s in ir.solutions]))
+            views.append((ir.x_matrix(), [row.key() for row in ir.rows]))
     for view, keys in views:              # earlier views keep their rows, later adds do not show
         assert [row.tobytes() for row in view] == keys
         assert not view.flags.writeable
