@@ -310,7 +310,9 @@ def test_path_relink_once_records_pair(p_matrix_problem):
     assert len(archives.ig_pairs) == 1
 
 
-def test_appended_rows_feasible_new_and_evaluated(p_matrix_problem):
+def test_candx_members_feasible_and_new(p_matrix_problem):
+    """candX, the new feasible points that relinking finds, is the IR tail
+    past the start rows: each is feasible, new and carries its own y."""
     rng = Xoshiro256StarStar(5)
     ir = _ir_from(p_matrix_problem, [[0, 0, 1, 0], [1, 1, 0, 0], [0, 1, 0, 1]])
     ir0_keys = {row.key() for row in ir.rows}
