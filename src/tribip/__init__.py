@@ -15,9 +15,9 @@ from .model import (P_OBJECTIVES, FrontData, Problem, Solution, assignment_probl
                     read_instance, write_front, write_instance)
 from .lp import LpSolveResult, RelaxationSolver, is_integral, solve_weighted_lp
 from .lbset import LbPoint, LbSet, compute_lb_set, lb_front_records
-from .metrics import (ReferenceFront, dominates, exact_front, exact_front_solutions,
-                      filter_nondominated, filter_nondominated_solutions, hv_percent,
-                      hypervolume, hypervolume_mc, normalize)
+from .metrics import (ReferenceFront, exact_front, exact_front_solutions, filter_nondominated,
+                      filter_nondominated_solutions, hv_percent, hypervolume, hypervolume_mc,
+                      normalize)
 from .heuristic import (VARIANTS, IrRow, IrSet, PrArchives, PrConfig, RunReport, improved_nd,
                         path_relink_once, path_relink_walk, round_down, run, select_pair,
                         solve_from_lb)
@@ -33,7 +33,7 @@ __all__ = [
     "read_instance", "write_instance", "read_front", "write_front",
     "LpSolveResult", "RelaxationSolver", "solve_weighted_lp", "is_integral",
     "LbPoint", "LbSet", "compute_lb_set", "lb_front_records",
-    "ReferenceFront", "dominates", "filter_nondominated", "filter_nondominated_solutions",
+    "ReferenceFront", "filter_nondominated", "filter_nondominated_solutions",
     "normalize", "hypervolume", "hypervolume_mc", "exact_front", "exact_front_solutions",
     "hv_percent",
     "VARIANTS", "PrConfig", "IrRow", "IrSet", "PrArchives", "RunReport",

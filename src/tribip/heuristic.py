@@ -49,7 +49,7 @@ import logging
 import time
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import add, itemgetter, ne
+from operator import add, index, itemgetter, ne
 
 import numpy as np
 
@@ -89,6 +89,10 @@ class PrConfig:
             raise ValidationError("best_move_prob must be in [0, 1]")
         if self.iteration_multiplier < 0:
             raise ValidationError("iteration_multiplier must be >= 0")
+        try:
+            self.seed = index(self.seed)
+        except TypeError:
+            raise ValidationError(f"seed must be an integer, got {self.seed!r}") from None
 
 
 class IrRow(tuple):

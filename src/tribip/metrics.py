@@ -28,15 +28,6 @@ _ENUM_CHUNK = 1 << 18
 _SCREEN_HEAD = 64
 
 
-def dominates(a, b) -> bool:
-    """True iff a <= b componentwise with a < b somewhere (minimisation)."""
-    a = tuple(a)
-    b = tuple(b)
-    if len(a) != len(b):
-        raise DimensionError(f"points of different dimension: {len(a)} vs {len(b)}")
-    return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
-
-
 def _nondominated_mask_unique(pts: np.ndarray) -> np.ndarray:
     """Mask of nondominated rows; rows must be pairwise distinct.
 

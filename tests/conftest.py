@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 
 import tribip
+from tribip.errors import DimensionError
 from tribip.lp import INT_TOL
+
+_MASK64 = (1 << 64) - 1
 
 
 @pytest.fixture
@@ -20,6 +23,69 @@ def p_matrix_problem():
     weights, capacity 4 (nothing binds)."""
     return tribip.knapsack_problem(
         [[4, 2, 3, 6], [5, 3, 1, 8], [6, 4, 2, 7]], [1, 1, 1, 1], 4)
+
+
+class NaiveXoshiro256StarStar:
+    """xoshiro256** stream seeded from a single integer via splitmix64, one
+    output at a time on Python integers: the oracle of the block-generated
+    `tribip.Xoshiro256StarStar`."""
+
+    __slots__ = ("_s0", "_s1", "_s2", "_s3")
+
+    def __init__(self, seed: int):
+        s = seed & _MASK64
+        state = []
+        for _ in range(4):
+            s = (s + 0x9E3779B97F4A7C15) & _MASK64
+            z = s
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            state.append(z ^ (z >> 31))
+        self._s0, self._s1, self._s2, self._s3 = state
+
+    def next_u64(self) -> int:
+        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
+        r = (s1 * 5) & _MASK64
+        result = ((((r << 7) | (r >> 57)) & _MASK64) * 9) & _MASK64
+        t = (s1 << 17) & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
+        return result
+
+    def random(self) -> float:
+        """Uniform float in [0, 1) with 53-bit resolution."""
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def randint(self, n: int) -> int:
+        """Uniform integer in [0, n) by 128-bit multiply-shift.
+
+        The (negligible, < 2**-57 for n below a few hundred) modulo bias is
+        accepted in exchange for a fixed one-draw-per-call contract.
+        """
+        if n <= 0:
+            raise ValueError("randint needs n >= 1")
+        return (self.next_u64() * n) >> 64
+
+
+def next_outputs(rng):
+    """The stream's next 4 outputs; this advances it.  Two streams at
+    different positions give the same 4 outputs with probability about
+    2**-256, so equal outputs stand for equal stream positions."""
+    return tuple(rng.next_u64() for _ in range(4))
+
+
+def dominates(a, b) -> bool:
+    """True iff a <= b componentwise with a < b somewhere (minimisation)."""
+    a = tuple(a)
+    b = tuple(b)
+    if len(a) != len(b):
+        raise DimensionError(f"points of different dimension: {len(a)} vs {len(b)}")
+    return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
 
 
 def naive_filter(points):

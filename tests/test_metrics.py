@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 import tribip
 from tribip import (DimensionError, EnumerationLimitError, ReferenceFront,
-                    ValidationError, dominates, exact_front, exact_front_solutions,
+                    ValidationError, exact_front, exact_front_solutions,
                     filter_nondominated, filter_nondominated_solutions, hv_percent,
                     hypervolume, hypervolume_mc, normalize)
 from tribip.metrics import _nondominated_mask_unique
 
-from conftest import brute_force_front, naive_filter
+from conftest import brute_force_front, dominates, naive_filter
 
 
 def test_dominates_basic():
