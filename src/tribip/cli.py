@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import logging
 import statistics
 import sys
 import time
@@ -27,8 +28,10 @@ from . import model
 from .errors import TribipError
 # `run` stays in this namespace for perfbench/tracing.py, which wraps cli.run
 from .heuristic import VARIANTS, PrConfig, run, solve_from_lb
-from .lbset import compute_lb_set, lb_front_records
+from .lbset import compute_lb_set
 from .metrics import ReferenceFront, exact_front_solutions, hv_percent, hypervolume, normalize
+
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
 CSV_FIELDS = ["instance", "kind", "n", "variant", "seed", "y_count",
               "time_sec", "lp_count", "hv", "hv_pct", "raw_hv", "front_file"]
@@ -62,7 +65,7 @@ def _prepare(instance_path: Path, args):
     lb = compute_lb_set(problem)
     lb_sec = time.perf_counter() - t0
     if args.lb_front:
-        model.write_front(args.lb_front, problem, lb_front_records(lb))
+        model.write_front(args.lb_front, problem, [(p.x, p.y) for p in lb.points])
     return problem, lb, lb_sec
 
 
@@ -251,6 +254,9 @@ def _positive_int(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tribip",
                                      description="Tri-objective binary programming matheuristic")
+    parser.add_argument("--log-level", choices=LOG_LEVELS,
+                        help="level of the 'tribip' logger (no handler is added); "
+                             "without it, logging is left as it is")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write random instances")
@@ -304,6 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.log_level:
+        logging.getLogger("tribip").setLevel(args.log_level)
     if args.command == "solve":
         several_runs = len(args.instances) > 1 or args.runs > 1
         # every run would write to the same file

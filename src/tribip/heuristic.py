@@ -32,15 +32,20 @@ ints, with x a `bytearray` flipped in place, on three facts:
   flipped entry per step, so it stays ``np.flatnonzero(x != x_g)`` in order
   and every index drawn or tie broken over it picks the same position.
 * A flip at j moves y by the displacement s_j c_j, with s_j = 1 - 2 x_j fixed
-  until j is flipped, so neighbour dominance is displacement dominance: built
-  in plain Python at the walk's first best-move step, then updated as
-  positions leave D.  Walks that never take a best-move step (every PR*
-  walk, at best_move_prob 0) never build it.
+  until j is flipped, so neighbour dominance is displacement dominance.
+  `Problem.flip_dominators` caches, per (value, column), the int bitmask of
+  the 2n signed displacements that strictly dominate it.  At its first
+  best-move step a walk reads those masks for D and sets a `live` bitmask of
+  D's signed columns; a position is nondominated when its mask and `live`
+  share no bit, and a flip clears its bit.  Walks that never take a
+  best-move step (every PR* walk, at best_move_prob 0) read no mask.
 * `improved_nd` ranks depend on y only through sign(y_k): (y_k + d)/y_k
   orders candidates as d for y_k > 0 and as -d otherwise (the y_k = 0
-  fallback included), so the kernel ranks displacements against that sign
-  vector.  This is exact while objective values stay below 2**52 in
-  magnitude, where float64 division keeps distinct integers apart.
+  fallback included), so the kernel ranks the integer keys s_k d_k, with
+  s_k = sign(y_k), by the pairwise tournament of `_rank_winner`, as
+  `improved_nd` ranks its float ratios.  This is exact while objective
+  values stay below 2**52 in magnitude, where float64 division keeps
+  distinct integers apart.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from .errors import (InsufficientSolutionsError, NoRoundedSolutionError,
                      ValidationError)
 from .lbset import LbSet, compute_lb_set
 from .lp import INT_TOL
-from .model import KIND_ASSIGNMENT, Problem, Solution
+from .model import KIND_ASSIGNMENT, P_OBJECTIVES, Problem, Solution
 from .metrics import filter_nondominated_solutions
 from .rng import Xoshiro256StarStar
 
@@ -260,6 +265,27 @@ def select_pair(ir: IrSet, rule: str, rng: Xoshiro256StarStar) -> tuple[IrRow, I
     return ir.rows[i], ir.rows[g]
 
 
+def _rank_winner(keys) -> int:
+    """Index of the key triple with the largest rank sum.
+
+    Per objective the keys are ranked 1..k, larger key meaning larger rank
+    and ties ranked by index, as a stable ascending sort would; the row with
+    the largest sum of its three ranks wins, ties to the lower index.  Ranks
+    come from a pairwise tournament: in each pair, per objective, the larger
+    key takes the point and a tie goes to the later row, which gives every
+    row its rank minus one.
+    """
+    score = [0] * len(keys)
+    for later in range(1, len(keys)):
+        b0, b1, b2 = keys[later]
+        for i in range(later):
+            a0, a1, a2 = keys[i]
+            won = (b0 >= a0) + (b1 >= a1) + (b2 >= a2)
+            score[later] += won
+            score[i] += 3 - won
+    return score.index(max(score))
+
+
 def improved_nd(obj_s_i, nd) -> int:
     """Index of the most-improved point among mutually nondominated neighbours.
 
@@ -269,37 +295,15 @@ def improved_nd(obj_s_i, nd) -> int:
     again to the lower index.  A zero current value falls back to ranking
     that objective by raw value, smaller meaning more improved.
     """
-    rows = [[float(v) for v in row] for row in nd]
-    if not rows:
+    obj = [float(v) for v in obj_s_i]
+    if len(obj) != P_OBJECTIVES:
+        raise ValidationError(f"improved_nd needs {P_OBJECTIVES} objective values")
+    # larger ratio = larger improvement; at a zero value, smaller raw value
+    keys = [tuple(float(v) / o if o != 0.0 else -float(v) for v, o in zip(row, obj))
+            for row in nd]
+    if not keys:
         raise ValidationError("improved_nd needs at least one candidate")
-    degrees = [0] * len(rows)
-    for j, obj in enumerate(obj_s_i):
-        obj = float(obj)
-        if obj != 0.0:
-            key = [row[j] / obj for row in rows]   # larger ratio = larger improvement
-        else:
-            key = [-row[j] for row in rows]        # smaller raw value = larger improvement
-        # a stable sort ranks ties by the lower index
-        for rank, i in enumerate(sorted(range(len(rows)), key=key.__getitem__), 1):
-            degrees[i] += rank
-    return degrees.index(max(degrees))
-
-
-def _displacement_dominance(disp: dict) -> tuple[dict, dict]:
-    """Dominance among the displacements disp[j]: per j, the positions whose
-    displacement it strictly dominates and the number of positions whose
-    displacement strictly dominates it."""
-    beaten = {j: [] for j in disp}
-    dominators = dict.fromkeys(disp, 0)
-    # integer vectors: a dominates b exactly when a <= b with a smaller sum,
-    # so in ascending-sum order only later entries can be dominated
-    items = sorted((a0 + a1 + a2, j, a0, a1, a2) for j, (a0, a1, a2) in disp.items())
-    for at, (total, j, a0, a1, a2) in enumerate(items):
-        for t, k, b0, b1, b2 in items[at + 1:]:
-            if a0 <= b0 and a1 <= b1 and a2 <= b2 and total < t:
-                beaten[j].append(k)
-                dominators[k] += 1
-    return beaten, dominators
+    return _rank_winner(keys)
 
 
 def path_relink_walk(problem: Problem, s_i, s_g, ir: IrSet,
@@ -324,27 +328,31 @@ def path_relink_walk(problem: Problem, s_i, s_g, ir: IrSet,
     rest = list(compress(range(len(key)), map(ne, key, key_g)))   # ascending
     y0, y1, y2 = (sum(compress(row, key)) for row in c_rows)
     lhs = [sum(compress(row, key)) for row in a_rows]
-    beaten = dominators = None         # displacement dominance, built on first use
+    n = len(key)
+    masks = None        # dominator masks and displacements along rest, built on first use
     random, randint = rng.random, rng.randint
     known, rows = ir._index, ir.rows        # new feasible points are appended here
     visits: list[bytes] = []
     while True:
         if random() < best_move_prob:
-            if beaten is None:
-                disp = {j: moves[x[j]][j][0] for j in rest}
-                beaten, dominators = _displacement_dominance(disp)
-            nd = [at for at, j in enumerate(rest) if not dominators[j]]
+            if masks is None:
+                dominators = problem.flip_dominators
+                masks = [dominators[x[j]][j] for j in rest]
+                disps = [moves[x[j]][j][0] for j in rest]
+                live = sum(1 << (j + n * x[j]) for j in rest)
+            nd = [at for at, mask in enumerate(masks) if not mask & live]
             if len(nd) == 1:
                 at = nd[0]
             else:
-                sign_y = (1 if y0 > 0 else -1, 1 if y1 > 0 else -1, 1 if y2 > 0 else -1)
-                at = nd[improved_nd(sign_y, [disp[rest[k]] for k in nd])]
+                s0, s1, s2 = (1 if y0 > 0 else -1, 1 if y1 > 0 else -1, 1 if y2 > 0 else -1)
+                at = nd[_rank_winner([(s0 * d0, s1 * d1, s2 * d2)
+                                      for d0, d1, d2 in map(disps.__getitem__, nd)])]
         else:
             at = randint(len(rest))
         j = rest.pop(at)
-        if beaten is not None:
-            for k in beaten[j]:
-                dominators[k] -= 1
+        if masks is not None:
+            del masks[at], disps[at]
+            live ^= 1 << (j + n * x[j])
         dy, dlhs = moves[x[j]][j]
         x[j] ^= 1
         y0 += dy[0]

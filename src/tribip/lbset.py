@@ -14,11 +14,14 @@ are skipped: only nonnegative weights are valid scalarisations.
 Every facet weight of a round is known before any of them is solved, so
 the round's uncached weights go to the LP oracle in one call (for knapsacks
 one greedy pass over all their cost rows) and enter the cache in round
-order; `lp_count` and `probes` are those of solving them one by one.  The
-points are then kept if no other point dominates them by more than
-POINT_TOL and no earlier point lies within POINT_TOL, a pairwise test run
-one block of points at a time so that its memory stays linear in the number
-of points.
+order; `lp_count` and `probes` are those of solving them one by one.  An
+improving probe's point is accepted unless a known point lies within
+POINT_TOL of it; that test reads the known points kept in order of their
+first coordinate, in a window around the candidate's.  At the end, points
+are kept if no other point dominates them by more than POINT_TOL and no
+earlier point lies within POINT_TOL, a pairwise test on the largest and
+smallest coordinate difference of each pair, run one block of points at a
+time so that its memory stays linear in the number of points.
 
 Termination is guaranteed: the relaxed polytope has finitely many vertices,
 every round adds at least one of them or stops, and probed weights are
@@ -27,13 +30,16 @@ cached so no LP is solved twice.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import InfeasibleProblemError
 from .lp import RelaxationSolver
+from .metrics import unique_rows
 from .model import Problem
 
 SEED_EPSILON = 1e-4
@@ -56,8 +62,8 @@ class LbPoint:
         x = np.asarray(self.x, dtype=np.float64)
         x.setflags(write=False)
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", tuple(float(v) for v in self.y))
-        object.__setattr__(self, "w", tuple(float(v) for v in self.w))
+        object.__setattr__(self, "y", tuple(map(float, self.y)))
+        object.__setattr__(self, "w", tuple(map(float, self.w)))
 
 
 @dataclass
@@ -91,25 +97,63 @@ def _lower_facet_weights(nodes: np.ndarray) -> np.ndarray:
     w = w[totals > 0] / totals[totals > 0, None]
     if w.shape[0] == 0:
         return np.empty((0, nodes.shape[1]))
-    return np.unique(np.round(w, 12), axis=0)
+    return unique_rows(np.round(w, 12))
 
 
 def _tolerant_dropped(y: np.ndarray, point_tol: float) -> np.ndarray:
     """Mask of the rows of y that another row dominates by more than
     point_tol, or that lie within point_tol of an earlier row (in every
-    coordinate).  One block of rows is compared with all rows at a time, so
-    memory stays linear in the row count."""
+    coordinate).
+
+    Both tests read only the largest and the smallest coordinate difference
+    of a pair: row j drops row i when max_c (y_jc - y_ic) <= point_tol and
+    either min_c (y_jc - y_ic) < -point_tol or j < i.  They are taken over
+    three 2-D difference planes, one block of rows against all rows at a
+    time, so memory stays linear in the row count."""
     k = y.shape[0]
     dropped = np.zeros(k, dtype=bool)
     index = np.arange(k)
     step = max(1, _FILTER_BLOCK // k)
     for lo in range(0, k, step):
         block = slice(lo, lo + step)
-        diff = y[:, None, :] - y[None, block, :]           # diff[j, i] = y_j - y_i
-        dominates = (diff <= point_tol).all(axis=2) & (diff < -point_tol).any(axis=2)
-        duplicate = (np.abs(diff) <= point_tol).all(axis=2) & (index[:, None] < index[None, block])
-        dropped[block] = (dominates | duplicate).any(axis=0)
+        d0, d1, d2 = (y[:, None, c] - y[None, block, c] for c in range(3))   # y_jc - y_ic
+        top = np.maximum(d0, d1)
+        np.maximum(top, d2, out=top)
+        low = np.minimum(d0, d1, out=d0)
+        np.minimum(low, d2, out=low)
+        drops = (low < -point_tol) | (index[:, None] < index[None, block])
+        drops &= top <= point_tol
+        dropped[block] = drops.any(axis=0)
     return dropped
+
+
+class _NearIndex:
+    """Points kept in order of their first coordinate for the test "within
+    point_tol of a kept point in every coordinate".
+
+    A query reads only the window of rows whose first coordinate lies within
+    2 * point_tol of its own, then applies the exact test to them.  Near 0 a
+    difference can round down to point_tol from first coordinates slightly
+    more than point_tol apart; every row that passes the test still lies
+    inside the doubled window, so the answer is that of a scan over all
+    rows."""
+
+    def __init__(self, point_tol: float):
+        self.tol = point_tol
+        self.firsts: list[float] = []
+        self.rows: list[tuple[float, float, float]] = []
+
+    def near(self, y) -> bool:
+        tol, (y0, y1, y2) = self.tol, y
+        lo = bisect_left(self.firsts, y0 - 2 * tol)
+        hi = bisect_right(self.firsts, y0 + 2 * tol, lo)
+        return any(abs(a0 - y0) <= tol and abs(a1 - y1) <= tol and abs(a2 - y2) <= tol
+                   for a0, a1, a2 in self.rows[lo:hi])
+
+    def add(self, y) -> None:
+        at = bisect_right(self.firsts, y[0])
+        self.firsts.insert(at, y[0])
+        self.rows.insert(at, y)
 
 
 def compute_lb_set(problem: Problem, seed_epsilon: float = SEED_EPSILON,
@@ -121,8 +165,9 @@ def compute_lb_set(problem: Problem, seed_epsilon: float = SEED_EPSILON,
     """
     solver = RelaxationSolver(problem)
     c_float = problem.C.astype(np.float64)
-    # every LP solved, in order: rounded weight -> (weight, value, x, y)
-    weight_cache: dict[bytes, tuple] = {}
+    # every LP solved, in order: rounded weight -> (value, x, y), and the weights
+    solved: dict[bytes, tuple] = {}
+    probe_ws: list[np.ndarray] = []
 
     def solve(ws: np.ndarray) -> list[tuple]:
         """(value, x, y) of every row of ws; the uncached ones are solved in
@@ -130,33 +175,36 @@ def compute_lb_set(problem: Problem, seed_epsilon: float = SEED_EPSILON,
         keys = [row.tobytes() for row in np.round(ws, 12)]
         todo: dict[bytes, np.ndarray] = {}
         for key, w in zip(keys, ws):
-            if key not in weight_cache:
+            if key not in solved:
                 todo.setdefault(key, w)
-        for (key, w), res in zip(todo.items(), solver.solve_weighted_many(list(todo.values()))):
-            if res.status == "infeasible":
+        if todo:
+            results = solver.solve_weighted_many(list(todo.values()))
+            if any(res.status == "infeasible" for res in results):
                 raise InfeasibleProblemError("LP relaxation is infeasible")
-            weight_cache[key] = (w, res.value, res.x, c_float @ res.x)
-        return [weight_cache[key][1:] for key in keys]
+            # C @ x per LP; the stacked matmul computes each as `c_float @ x` does
+            x_batch = np.array([res.x for res in results])
+            y_batch = np.matmul(c_float, x_batch[:, :, None])[:, :, 0]
+            for key, res, y in zip(todo, results, y_batch):
+                solved[key] = (res.value, res.x, y)
+            probe_ws.extend(todo.values())
+        return [solved[key] for key in keys]
 
-    ys: list[np.ndarray] = []
+    # points in the order they were found: y as float tuples, x, w
+    ys: list[tuple] = []
     xs: list[np.ndarray] = []
-    ws: list[np.ndarray] = []
-
-    def near(points: np.ndarray, y) -> bool:
-        """Whether y lies within point_tol of a row of points (in every coordinate)."""
-        return points.size > 0 and bool(np.abs(points - y).max(axis=1).min() <= point_tol)
-
-    def add_point(x, y, w):
-        ys.append(np.asarray(y, dtype=np.float64))
-        xs.append(x)
-        ws.append(np.asarray(w, dtype=np.float64))
+    ws: list[tuple] = []
+    index = _NearIndex(point_tol)
 
     seeds = np.full((problem.p, problem.p), seed_epsilon)
     np.fill_diagonal(seeds, 1.0)
     seeds = seeds / seeds.sum(axis=1, keepdims=True)
-    for w, (value, x, y) in zip(seeds, solve(seeds)):
-        if not near(np.array(ys), y):
-            add_point(x, y, w)
+    for w, (value, x, y) in zip(seeds.tolist(), solve(seeds)):
+        y = tuple(y.tolist())
+        if not index.near(y):
+            index.add(y)
+            ys.append(y)
+            xs.append(x)
+            ws.append(tuple(w))
 
     # anchors: one per objective, high above the ideal corner along that
     # objective's axis.  They stand in for the recession directions of the
@@ -167,41 +215,35 @@ def compute_lb_set(problem: Problem, seed_epsilon: float = SEED_EPSILON,
     upper = np.maximum(c_float, 0.0).sum(axis=1)
     lower = -np.maximum(-c_float, 0.0).sum(axis=1)
     reach = _ANCHOR_SCALE * (upper - lower + 1.0)
-    base = np.min(np.array(ys), axis=0) - 1.0
-    anchors = []
-    for k in range(problem.p):
-        anchor = base.copy()
-        anchor[k] = upper[k] + reach[k]
-        anchors.append(anchor)
+    y_arr = np.array(ys)                   # rows of ys
+    anchors = np.repeat(y_arr.min(axis=0, keepdims=True) - 1.0, problem.p, axis=0)
+    np.fill_diagonal(anchors, upper + reach)
 
     while True:
-        nodes = np.array(ys + anchors)
+        nodes = np.concatenate([y_arr, anchors])
         weights = _lower_facet_weights(nodes)
         if weights.shape[0] == 0:
             break
         hull_values = (nodes @ weights.T).min(axis=0)
-        known_ys = nodes[:-problem.p]          # ys, unchanged until the round ends
         new_points = []
-        new_ys = np.empty((0, problem.p))
-        for w, hv, (value, x, y) in zip(weights, hull_values.tolist(), solve(weights)):
+        for w, hv, (value, x, y) in zip(weights.tolist(), hull_values.tolist(), solve(weights)):
             if hv - value > _FACET_REL_TOL * max(1.0, abs(hv)):
-                if not near(new_ys, y) and not near(known_ys, y):
-                    new_points.append((x, w, y))
-                    new_ys = np.vstack([new_ys, y])
+                y = tuple(y.tolist())
+                if not index.near(y):
+                    index.add(y)
+                    new_points.append((y, x, tuple(w)))
         if not new_points:
             break
-        new_points.sort(key=lambda item: tuple(item[2]))
-        for x, w, y in new_points:
-            add_point(x, y, w)
+        new_points.sort(key=itemgetter(0))
+        for y, x, w in new_points:
+            ys.append(y)
+            xs.append(x)
+            ws.append(w)
+        y_arr = np.array(ys)
 
     # keep strictly nondominated, distinct points, sorted for determinism
-    dropped = _tolerant_dropped(np.array(ys), point_tol)
-    kept = sorted(np.flatnonzero(~dropped), key=lambda i: tuple(ys[i]))
-    points = [LbPoint(xs[i], tuple(ys[i]), tuple(ws[i])) for i in kept]
-    probes = [(tuple(w.tolist()), float(value)) for w, value, _, _ in weight_cache.values()]
-    return LbSet(points=points, lp_count=len(weight_cache), probes=probes)
-
-
-def lb_front_records(lb: LbSet) -> list[tuple[np.ndarray, tuple]]:
-    """(x, y) pairs of an LB set, for front-file export."""
-    return [(p.x, p.y) for p in lb.points]
+    dropped = _tolerant_dropped(y_arr, point_tol)
+    kept = sorted(np.flatnonzero(~dropped).tolist(), key=ys.__getitem__)
+    points = [LbPoint(xs[i], ys[i], ws[i]) for i in kept]
+    probes = list(zip(map(tuple, np.array(probe_ws).tolist()), (v for v, _, _ in solved.values())))
+    return LbSet(points=points, lp_count=len(solved), probes=probes)

@@ -68,13 +68,20 @@ class RelaxationSolver:
         if ws.ndim != 2 or ws.shape[1] != self.problem.p:
             raise DimensionError(f"weight vectors must have length {self.problem.p}")
         cs = self._costs(ws)
-        return [LpSolveResult("optimal", x, float(c @ x)) for c, x in zip(cs, self._knapsack(cs))]
+        xs = self._knapsack(cs)
+        values = np.matmul(cs[:, None, :], xs[:, :, None])[:, 0, 0].tolist()   # c @ x per row
+        return [LpSolveResult("optimal", x, value) for x, value in zip(xs, values)]
 
     def _costs(self, ws: np.ndarray) -> np.ndarray:
-        """Cost row w @ C of each weight row w of ws; every row is checked."""
+        """Cost row w @ C of each weight row w of ws; every row is checked.
+
+        A stacked matmul computes each row by the same vector-matrix product
+        as ``w @ C``, so the rows are bitwise those of one LP at a time; the
+        2-D ``ws @ C`` is another BLAS call whose rows can differ in the last
+        bits."""
         if (ws < 0).any() or not (ws > 0).any(axis=1).all():
             raise ValidationError("weights must be nonnegative and not all zero")
-        return np.array([w @ self._c_float for w in ws])
+        return np.matmul(ws[:, None, :], self._c_float)[:, 0]
 
     def _knapsack(self, cs: np.ndarray) -> np.ndarray:
         """Greedy optimum of each cost row of cs, one LP per row."""
@@ -124,13 +131,3 @@ class RelaxationSolver:
             raise TribipError(f"LP solve failed: {res.message}")
         return np.clip(res.x, 0.0, 1.0) + 0.0      # + 0.0 turns -0.0 into 0.0
 
-
-def solve_weighted_lp(problem: Problem, w) -> LpSolveResult:
-    """One-shot weighted-sum LP over the relaxation of `problem`."""
-    return RelaxationSolver(problem).solve_weighted(w)
-
-
-def is_integral(x, tol: float = INT_TOL) -> bool:
-    """True when every component is within tol of 0 or 1."""
-    arr = np.asarray(x, dtype=np.float64)
-    return bool(np.all(np.abs(arr - np.round(arr)) <= tol))

@@ -59,6 +59,16 @@ def _nondominated_mask_unique(pts: np.ndarray) -> np.ndarray:
     return mask
 
 
+def unique_rows(a: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D array in lexicographic order, by a lexsort
+    and a neighbour-difference check: ``np.unique(a, axis=0)`` for arrays
+    without NaN or -0.0."""
+    a = a[np.lexsort(a.T[::-1])]
+    first = np.ones(a.shape[0], dtype=bool)     # first of each run of equal rows
+    first[1:] = (a[1:] != a[:-1]).any(axis=1)
+    return a[first]
+
+
 def filter_nondominated(points) -> np.ndarray:
     """Maximal mutually nondominated subset, duplicates collapsed,
     sorted lexicographically."""
@@ -68,10 +78,7 @@ def filter_nondominated(points) -> np.ndarray:
     pts = pts.reshape(-1, pts.shape[-1])
     if pts.shape[1] != P_OBJECTIVES:
         raise DimensionError(f"points must have {P_OBJECTIVES} coordinates")
-    pts = pts[np.lexsort(pts.T[::-1])]          # lexicographic row order
-    first = np.ones(pts.shape[0], dtype=bool)   # first of each run of equal rows
-    first[1:] = (pts[1:] != pts[:-1]).any(axis=1)
-    uniq = pts[first]
+    uniq = unique_rows(pts)
     return uniq[_nondominated_mask_unique(uniq)]
 
 

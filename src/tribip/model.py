@@ -180,6 +180,20 @@ class Problem:
         down = [(tuple(-v for v in c), tuple(-v for v in a)) for c, a in cols]
         return self.C.tolist(), self.A.tolist(), (up, down)
 
+    @cached_property
+    def flip_dominators(self) -> tuple:
+        """Strict dominance among the 2n objective displacements of
+        `flip_moves`, built once per problem.  The displacement of flipping
+        x_j away from v is bit j + v*n; dominators[v][j] is the int bitmask of
+        the displacements that strictly dominate it (<= everywhere, < once)."""
+        disp = np.concatenate([self.C.T, -self.C.T])          # row j + v*n
+        masks = []
+        for row in disp:          # one row at a time: memory stays linear in n
+            beats_row = (disp <= row).all(axis=1) & (disp < row).any(axis=1)
+            masks.append(int.from_bytes(np.packbits(beats_row, bitorder="little").tobytes(),
+                                        "little"))
+        return masks[:self.n], masks[self.n:]
+
     def sense_signs(self) -> np.ndarray:
         """+1 for min rows, -1 for max rows (native = sign * internal)."""
         return np.array([1 if s == "min" else -1 for s in self.original_sense], dtype=np.int64)

@@ -144,6 +144,18 @@ def highs_lp_value(problem, w):
     return float(res.fun) if res.status == 0 else None
 
 
+def solve_weighted_lp(problem, w):
+    """One weighted-sum LP over the relaxation of `problem`, through a fresh
+    `RelaxationSolver`."""
+    return tribip.RelaxationSolver(problem).solve_weighted(w)
+
+
+def is_integral(x, tol=INT_TOL) -> bool:
+    """True when every component is within tol of 0 or 1."""
+    arr = np.asarray(x, dtype=np.float64)
+    return bool(np.all(np.abs(arr - np.round(arr)) <= tol))
+
+
 def naive_knapsack(problem, c):
     """Dantzig's greedy for one cost vector, one LP at a time: items of
     negative cost and positive weight by cost per unit weight (stable, so
@@ -173,6 +185,14 @@ def naive_tolerant_dropped(y, point_tol):
     duplicate = (np.abs(diff) <= point_tol).all(axis=2)
     earlier = np.triu(np.ones(len(y), dtype=bool), k=1)  # earlier[j, i]: j < i
     return dominates.any(axis=0) | (duplicate & earlier).any(axis=0)
+
+
+def naive_near(points, y, point_tol) -> bool:
+    """Whether y lies within point_tol of a row of points in every
+    coordinate, by a scan over all rows (the LB enumeration's acceptance
+    test)."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    return points.size > 0 and bool(np.abs(points - np.asarray(y)).max(axis=1).min() <= point_tol)
 
 
 def similarity(a, b) -> int:

@@ -1,5 +1,6 @@
 import csv
 import gc
+import logging
 import sys
 import warnings
 from pathlib import Path
@@ -435,3 +436,32 @@ def test_solve_out_rejects_several_runs(tmp_path, capsys, monkeypatch):
         assert exc.value.code == 2
         assert "--out" in capsys.readouterr().err
     assert list(work.iterdir()) == []
+
+
+@pytest.fixture
+def tribip_logger():
+    """The 'tribip' logger, with its level restored after the test."""
+    logger = logging.getLogger("tribip")
+    level = logger.level
+    yield logger
+    logger.setLevel(level)
+
+
+@pytest.mark.parametrize("flag, warned", [([], True), (["--log-level", "WARNING"], True),
+                                          (["--log-level", "ERROR"], False)])
+def test_log_level_flag(tmp_path, caplog, tribip_logger, flag, warned):
+    """round_down warns about the two LB points of this instance that round
+    down to infeasible vectors; --log-level ERROR silences that warning by
+    setting the 'tribip' logger's level, and adds no handler."""
+    problem = tribip.general_problem([[5, 3, 3, 1], [1, 0, 0, 0], [1, 4, 3, 5]], ("min",) * 3,
+                                     [[2, 2, 3, 2]], (">=",), [3])
+    path = tmp_path / "drops.txt"
+    tribip.write_instance(problem, path)
+    level, handlers = tribip_logger.level, list(tribip_logger.handlers)
+    rc = main(flag + ["solve", str(path), "--variant", "RD",
+                      "--report-csv", str(tmp_path / "runs.csv")])
+    assert rc == 0
+    messages = [r.getMessage() for r in caplog.records if r.name == "tribip.heuristic"]
+    assert messages == (["round_down dropped 2 infeasible rounded solutions"] if warned else [])
+    assert tribip_logger.level == (logging.getLevelName(flag[1]) if flag else level)
+    assert tribip_logger.handlers == handlers

@@ -248,9 +248,60 @@ def test_improved_nd_matches_naive_oracle():
         assert improved_nd(obj, nd) == naive_improved_nd(obj, nd)
 
 
+_small = st.integers(-3, 3)      # narrow range: ties and zero current values are common
+
+
+@settings(max_examples=500, deadline=None)
+@given(obj=st.tuples(_small, _small, _small),
+       nd=st.lists(st.tuples(_small, _small, _small), min_size=1, max_size=40))
+@example(obj=(0, 0, 0), nd=[(1, 1, 1)] * 40)
+@example(obj=(-2, 0, 3), nd=[(-1, 2, 0), (-1, 2, 0), (2, -1, 0)])
+def test_improved_nd_matches_naive_oracle_with_ties(obj, nd):
+    assert improved_nd(obj, nd) == naive_improved_nd(obj, nd)
+    # the kernel ranks integer keys directly, larger meaning more improved
+    assert heuristic._rank_winner(nd) == naive_improved_nd((1, 1, 1), nd)
+
+
 def test_improved_nd_empty_raises():
     with pytest.raises(ValidationError):
         improved_nd((-1, -1, -1), [])
+
+
+def test_improved_nd_needs_three_objectives():
+    with pytest.raises(ValidationError):
+        improved_nd((-1, -1), [(1, 2)])
+
+
+# -- flip dominance table -----------------------------------------------------
+
+@st.composite
+def _flip_problems(draw):
+    """Objective columns drawn from a small pool plus the zero column, so
+    that repeated, zero and mixed-sign columns are common; n from 1."""
+    n = draw(st.integers(1, 8))
+    pool = draw(st.lists(st.tuples(_small, _small, _small), min_size=1, max_size=4))
+    cols = draw(st.lists(st.sampled_from(pool + [(0, 0, 0)]), min_size=n, max_size=n))
+    return tribip.general_problem(objectives=np.array(cols).T, senses=("min", "max", "min"),
+                                  a=[[1] * n], row_sense=("<=",), b=[n])
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=_flip_problems())
+@example(problem=tribip.general_problem([[0], [0], [0]], ("min",) * 3, [[1]], ("<=",), [1]))
+@example(problem=tribip.general_problem([[2], [-1], [0]], ("min",) * 3, [[1]], ("<=",), [1]))
+def test_flip_dominators_match_pairwise_dominance(problem):
+    """Bit j + v*n of the table stands for the displacement (1 - 2v) c_j of
+    flipping x_j away from v; each entry holds exactly the displacements
+    that strictly dominate its own."""
+    n = problem.n
+    disp = {(v, j): tuple((1 - 2 * v) * int(c) for c in problem.C[:, j])
+            for v in (0, 1) for j in range(n)}
+    table = problem.flip_dominators
+    assert problem.flip_dominators is table
+    assert [len(row) for row in table] == [n, n]
+    for (v, j), d in disp.items():
+        want = sum(1 << (k + n * u) for (u, k), e in disp.items() if dominates(e, d))
+        assert table[v][j] == want
 
 
 # -- path relinking -----------------------------------------------------------

@@ -3,14 +3,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tribip
 from tribip import InfeasibleProblemError, compute_lb_set, lbset
-from tribip.lp import is_integral
+from tribip.metrics import unique_rows
 
-from conftest import NEAR_AXIS_WEIGHTS, highs_lp_value, naive_tolerant_dropped
+from conftest import (NEAR_AXIS_WEIGHTS, highs_lp_value, is_integral, naive_near,
+                      naive_tolerant_dropped)
 
 # knapsack and assignment instances of the LB-set completeness certificate
 CERTIFICATE_PROBLEMS = [tribip.generate_knapsack(9, seed=s) for s in range(4)] + [
@@ -104,6 +105,15 @@ def test_assignment_points_integral():
             assert is_integral(pt.x, tol=1e-6)
 
 
+def test_point_y_is_c_times_x_bitwise():
+    # y comes from one product per LP batch; each must equal C @ x of its
+    # own x to the last bit, as one LP at a time computes it
+    for p in (tribip.generate_knapsack(60, seed=1), tribip.generate_assignment(7, seed=2)):
+        c_float = p.C.astype(np.float64)
+        for pt in compute_lb_set(p).points:
+            assert pt.y == tuple((c_float @ pt.x).tolist())
+
+
 def test_lb_values_bound_integer_front():
     # every LB point lies weakly below the exact front in its weight
     p = tribip.generate_knapsack(8, seed=2)
@@ -141,8 +151,59 @@ _coordinate = st.builds(lambda base, k, scale: base * scale + k * _TOL / 2,
 @given(points=st.lists(st.tuples(_coordinate, _coordinate, _coordinate), min_size=1, max_size=40),
        block=st.sampled_from([1, 2, 7, 40, lbset._FILTER_BLOCK]),
        tol=st.sampled_from([_TOL, 0.0]))
+@example(points=[(0.0, 0.0, 0.0), (_TOL, 0.0, -_TOL), (-_TOL, _TOL, 0.0), (0.0, -_TOL, _TOL),
+                 (2 * _TOL, 0.0, 0.0)], block=2, tol=_TOL)
 def test_tolerant_filter_matches_pairwise_tensor(points, block, tol):
     y = np.array(points, dtype=np.float64)
     with mock.patch.object(lbset, "_FILTER_BLOCK", block):
         got = lbset._tolerant_dropped(y, tol)
     assert got.tolist() == naive_tolerant_dropped(y, tol).tolist()
+
+
+# first coordinates 0, 1e3 and 1e5 apart by multiples of a quarter tolerance,
+# so that queries fall exactly at, just inside and just outside both point_tol
+# and the 2 * point_tol window edge; the other coordinates vary less
+_first = st.builds(lambda base, k: base + k * _TOL / 4,
+                   st.sampled_from([0.0, 1e3, -1e5]), st.integers(-10, 10))
+_other = st.builds(lambda k: k * _TOL / 2, st.integers(-3, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.lists(st.tuples(st.tuples(_first, _other, _other), st.booleans()),
+                      min_size=1, max_size=40),
+       tol=st.sampled_from([_TOL, 0.0]))
+@example(steps=[((0.0, 0.0, 0.0), True), ((_TOL, 0.0, 0.0), False),
+                ((2 * _TOL, -_TOL, _TOL), False), ((-2 * _TOL, 0.0, 0.0), True),
+                ((-3 * _TOL, _TOL, 0.0), False)], tol=_TOL)
+# near 0 the subtraction rounds: these pairs differ by exactly point_tol in
+# floats, yet the stored first coordinate lies outside [y0 - tol, y0 + tol]
+@example(steps=[((-1.782298760712742e-07, 0.0, 0.0), True),
+                ((8.217701239287258e-07, 0.0, 0.0), False)], tol=_TOL)
+@example(steps=[((-3.8127971741677813e-07, 0.0, 0.0), True),
+                ((-1.3812797174167781e-06, 0.0, 0.0), False)], tol=_TOL)
+def test_near_index_matches_linear_scan(steps, tol):
+    """The windowed acceptance test answers as a scan over every point added
+    so far; a step adds its point when the flag is set, or when it is not
+    near (as the enumeration adds candidates)."""
+    index, added = lbset._NearIndex(tol), []
+    for y, always in steps:
+        near = index.near(y)
+        assert near == naive_near(added, y, tol)
+        if always or not near:
+            index.add(y)
+            added.append(y)
+    assert sorted(index.rows) == sorted(added)
+    assert index.firsts == sorted(y[0] for y in added)
+
+
+_weight = st.sampled_from([0.0, 1e-12, 0.25, 1 / 3, 0.5, 1.0, 1e3])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(_weight, _weight, _weight), max_size=30))
+def test_unique_rows_matches_numpy_unique(rows):
+    a = np.array(rows, dtype=np.float64).reshape(-1, 3)
+    got, want = unique_rows(a), np.unique(a, axis=0)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    ints = (a * 4).astype(np.int64)
+    assert unique_rows(ints).tobytes() == np.unique(ints, axis=0).tobytes()

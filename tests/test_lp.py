@@ -8,11 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tribip
-from tribip import RelaxationSolver, solve_weighted_lp
-from tribip.lp import is_integral
+from tribip import RelaxationSolver
 
 from conftest import (NEAR_AXIS_WEIGHTS, brute_force_feasible_points, highs_lp_value,
-                      naive_knapsack)
+                      is_integral, naive_knapsack, solve_weighted_lp)
 
 
 def test_hand_lp():
@@ -196,6 +195,10 @@ def _knapsack_lps(draw):
 @example(case=(tribip.knapsack_problem([[3], [1], [2]], [2], 1), [(1, 1, 1), (0, 0, 1)]))
 @example(case=(tribip.knapsack_problem([[2, 4, 1], [2, 4, 1], [2, 4, 1]], [1, 2, 0], 2),
                [(1, 1, 1)]))
+# generator-sized coefficients and many weights: the batch's cost rows and
+# values must still be bitwise those of one LP at a time
+@example(case=(tribip.generate_knapsack(60, seed=0),
+               [tuple(w) for w in np.random.default_rng(1).dirichlet([1, 1, 1], size=40)]))
 def test_knapsack_batch_matches_per_lp_greedy(case):
     p, ws = case
     solver = RelaxationSolver(p)
