@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import logging
 import statistics
 import sys
@@ -307,8 +308,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call and then reused:
+    parsing reads it but never changes it, and each call gets a fresh
+    namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.log_level:
         logging.getLogger("tribip").setLevel(args.log_level)
@@ -321,7 +330,7 @@ def main(argv=None) -> int:
             parser.error("--lb-front needs a single instance, --runs 1 and --jobs 1")
     try:
         return args.func(args)
-    except TribipError as exc:
+    except (TribipError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -153,9 +153,10 @@ class IrSet:
             self.provenance.setdefault(at, []).append(lb_index)
         return new
 
-    def x_matrix(self) -> np.ndarray:
-        """Read-only (|IR|, n) view of the x vectors in IR order; later adds
-        do not show in it.  Rows added since the last call are filled here."""
+    def _x_buffer(self) -> np.ndarray:
+        """The x buffer with rows 0 .. |IR|-1 filled from `rows` in IR order;
+        rows past |IR| are unused.  Rows added since the last call are filled
+        here."""
         k, filled = len(self.rows), self._filled
         if filled < k:
             new = b"".join(map(IrRow.key, self.rows[filled:k]))
@@ -166,7 +167,12 @@ class IrSet:
                 self._x = grown
             self._x[filled:k] = np.frombuffer(new, dtype=np.int8).reshape(k - filled, -1)
             self._filled = k
-        view = self._x[:k]
+        return self._x
+
+    def x_matrix(self) -> np.ndarray:
+        """Read-only (|IR|, n) view of the x vectors in IR order; later adds
+        do not show in it."""
+        view = self._x_buffer()[:len(self.rows)]
         view.setflags(write=False)
         return view
 
@@ -253,11 +259,11 @@ def select_pair(ir: IrSet, rule: str, rng: Xoshiro256StarStar) -> tuple[IrRow, I
         raise ValidationError(f"unknown selection rule {rule!r}")
     g, best, scanned = ir._guides.get((i, rule), (-1, 0, 0))
     if scanned < k:
-        xs = ir.x_matrix()
-        sims = np.count_nonzero(xs[scanned:] == xs[i], axis=1)
+        xs = ir._x_buffer()
+        sims = (xs[scanned:k] == xs[i]).sum(axis=1)
         if i >= scanned:                    # row i is never its own guide
             sims[i - scanned] = -1 if rule == "sim" else xs.shape[1] + 1
-        at = int(np.argmax(sims) if rule == "sim" else np.argmin(sims))
+        at = int(sims.argmax() if rule == "sim" else sims.argmin())
         value = int(sims[at])
         if g < 0 or (value > best if rule == "sim" else value < best):
             g, best = scanned + at, value

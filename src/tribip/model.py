@@ -513,6 +513,19 @@ def _format_number(v) -> str:
     return repr(f)
 
 
+# byte 0 -> '0', byte 1 -> '1', any other byte -> 0xff, which marks x as not 0/1
+_BIT_DIGITS = bytes(b"01" + b"\xff" * 254)
+
+
+def _bit_string(x) -> str | None:
+    """The 0/1 digits of a one-byte integer array (a `Solution`'s int8 x)
+    holding only 0 and 1, in one pass over its bytes; None otherwise."""
+    if not (isinstance(x, np.ndarray) and x.dtype.itemsize == 1 and x.dtype.kind in "biu"):
+        return None
+    digits = x.tobytes().translate(_BIT_DIGITS)
+    return None if b"\xff" in digits else digits.decode("ascii")
+
+
 def write_front(path, problem: Problem, entries: Iterable) -> None:
     """Write a front file.
 
@@ -522,18 +535,21 @@ def write_front(path, problem: Problem, entries: Iterable) -> None:
     comma-separated values.  Objective points are written in the original
     senses.
     """
+    signs = problem.sense_signs().tolist()
     records = []
     for entry in entries:
         if isinstance(entry, Solution):
             x, y = entry.x, entry.y
         else:
             x, y = entry
-        xa = np.asarray(x, dtype=np.float64)
-        y_native = [s * float(v) for s, v in zip(problem.sense_signs(), y)]
-        if np.all(np.abs(xa - np.round(xa)) <= 1e-9):
-            xs = "".join(str(int(round(v))) for v in xa)
-        else:
-            xs = "~" + ",".join(_format_number(v) for v in xa)
+        y_native = [s * float(v) for s, v in zip(signs, y)]
+        xs = _bit_string(x)
+        if xs is None:
+            xa = np.asarray(x, dtype=np.float64)
+            if np.all(np.abs(xa - np.round(xa)) <= 1e-9):
+                xs = "".join(str(int(round(v))) for v in xa)
+            else:
+                xs = "~" + ",".join(_format_number(v) for v in xa)
         records.append(xs + " " + " ".join(_format_number(v) for v in y_native))
     lines = [
         FRONT_MAGIC,

@@ -6,6 +6,7 @@ stay independent of the code paths they check.
 """
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,3 +341,39 @@ def naive_path_relink_walk(problem, s_i, s_g, ir, archives, rng, best_move_prob,
             if key_new not in ir:
                 ir.add(tribip.Solution(state.x.copy(), tuple(int(v) for v in state.y), True))
     return visits
+
+
+def _naive_format_number(v) -> str:
+    f = float(v)
+    if f == int(f):
+        return str(int(f))
+    return repr(f)
+
+
+def naive_write_front(path, problem, entries) -> None:
+    """Reference front writer: every entry through float casts, rounding and
+    per-element formatting, with the sense signs rebuilt per entry; the file
+    bytes of `tribip.write_front` must equal its."""
+    records = []
+    for entry in entries:
+        if isinstance(entry, tribip.Solution):
+            x, y = entry.x, entry.y
+        else:
+            x, y = entry
+        xa = np.asarray(x, dtype=np.float64)
+        y_native = [s * float(v) for s, v in zip(problem.sense_signs(), y)]
+        if np.all(np.abs(xa - np.round(xa)) <= 1e-9):
+            xs = "".join(str(int(round(v))) for v in xa)
+        else:
+            xs = "~" + ",".join(_naive_format_number(v) for v in xa)
+        records.append(xs + " " + " ".join(_naive_format_number(v) for v in y_native))
+    lines = [
+        tribip.model.FRONT_MAGIC,
+        f"kind {problem.kind}",
+        f"n {problem.n}",
+        f"p {problem.p}",
+        "sense " + " ".join(problem.original_sense),
+        f"count {len(records)}",
+        "solutions",
+    ]
+    Path(path).write_text("\n".join(lines + records) + "\n")

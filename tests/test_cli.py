@@ -465,3 +465,67 @@ def test_log_level_flag(tmp_path, caplog, tribip_logger, flag, warned):
     assert messages == (["round_down dropped 2 infeasible rounded solutions"] if warned else [])
     assert tribip_logger.level == (logging.getLevelName(flag[1]) if flag else level)
     assert tribip_logger.handlers == handlers
+
+
+@pytest.mark.parametrize("case", ["oracle-missing-instance", "oracle-missing-out-dir",
+                                  "report-missing-csv"])
+def test_os_error_exits_2_with_one_line(tmp_path, capsys, case):
+    """A file the command cannot open or write ends it with exit code 2 and
+    one 'error: ...' line on stderr, as a TribipError does."""
+    inst = tmp_path / "k.txt"
+    tribip.write_instance(tribip.generate_knapsack(6, seed=1), inst)
+    missing = tmp_path / "missing"
+    argv = {"oracle-missing-instance": ["oracle", str(missing / "k.txt")],
+            "oracle-missing-out-dir": ["oracle", str(inst), "--out", str(missing / "x.txt")],
+            "report-missing-csv": ["report", str(missing / "runs.csv")]}[case]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(missing) in lines[0]
+    assert not missing.exists()
+
+
+@pytest.fixture
+def fresh_parser(monkeypatch):
+    """Counts `cli.build_parser` calls, with `main`'s cached parser dropped
+    before and after the test."""
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    yield built
+    cli._parser.cache_clear()
+
+
+def test_main_reuses_its_parser_without_carrying_state(tmp_path, capsys, tribip_logger,
+                                                       fresh_parser):
+    """Several `main` calls in one process share one parser, and no option of
+    one call shows in the next."""
+    inst = tmp_path / "k.txt"
+    tribip.write_instance(tribip.generate_knapsack(6, seed=2), inst)
+    csv_path = tmp_path / "runs.csv"
+    solve = ["solve", str(inst), "--report-csv", str(csv_path)]
+
+    assert main(["--log-level", "ERROR", *solve, "--variant", "PRsim"]) == 0
+    assert tribip_logger.level == logging.ERROR
+    tribip_logger.setLevel(logging.INFO)
+    assert main(solve) == 0
+    assert tribip_logger.level == logging.INFO          # no --log-level: left as it is
+    assert [row["variant"] for row in _rows(csv_path)] == ["PRsim", "PI"]
+
+    out = tmp_path / "f.txt"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*solve, "--out", str(out), "--runs", "2"])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert main([*solve, "--out", str(out)]) == 0
+    assert out.is_file() and len(_rows(csv_path)) == 3
+    assert len(fresh_parser) == 1

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tribip
 from tribip import (DimensionError, ParseError, TribipError, ValidationError,
                     evaluate, is_feasible)
 
-from conftest import brute_force_front
+from conftest import brute_force_front, naive_write_front
 
 
 def test_evaluate_p_matrix(p_matrix_problem):
@@ -197,6 +199,54 @@ def test_front_fractional_flag(tmp_path, p_matrix_problem):
     assert "~0.5,0,1,0" in text
     data = tribip.read_front(path)
     assert np.allclose(data.records[0][0], [0.5, 0, 1, 0])
+
+
+_objective = st.integers(-1000, 1000) | st.sampled_from([0, -(2 ** 60), 2 ** 60])
+
+
+@st.composite
+def _front_case(draw):
+    """A general problem with mixed senses, and front entries of every kind
+    `write_front` takes: `Solution`s with int8 x (0/1, sometimes other
+    values), (x, y) pairs with integral float x (some within 1e-9 of an
+    integer) or one-byte integer x, and fractional LB exports."""
+    n = draw(st.integers(1, 12))
+    senses = draw(st.lists(st.sampled_from(["min", "max"]), min_size=3, max_size=3))
+    obj = draw(st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+                        min_size=3, max_size=3))
+    problem = tribip.general_problem(obj, senses, [[1] * n], ("<=",), [n])
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    int_y = st.tuples(_objective, _objective, _objective)
+    float_y = st.tuples(*[st.floats(-1e4, 1e4) | _objective.map(float)] * 3)
+    near = st.floats(-1e-9, 1e-9)
+    solution = st.builds(
+        lambda x, y: tribip.Solution(np.array(x, dtype=np.int8), y, True),
+        bits | st.lists(st.integers(-2, 3), min_size=n, max_size=n), int_y)
+    integral = st.tuples(
+        st.builds(lambda x, d: np.array(x, dtype=np.float64) + np.array(d),
+                  st.lists(st.integers(-1, 2), min_size=n, max_size=n),
+                  st.lists(near, min_size=n, max_size=n)),
+        float_y | int_y)
+    one_byte = st.tuples(
+        st.builds(np.array, bits, st.sampled_from([np.int8, np.uint8, np.bool_])), int_y)
+    fractional = st.tuples(
+        st.builds(lambda x, frac: np.array(x[:-1] + [frac]),
+                  st.lists(st.floats(0, 1), min_size=n, max_size=n),
+                  st.floats(1e-6, 1 - 1e-6)),
+        float_y)
+    entries = draw(st.lists(solution | integral | one_byte | fractional, max_size=6))
+    return problem, entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_front_case())
+@example(case=(tribip.knapsack_problem([[1], [2], [3]], [1], 1), []))      # empty front
+def test_write_front_matches_naive_writer(tmp_path_factory, case):
+    problem, entries = case
+    tmp = tmp_path_factory.mktemp("front")
+    tribip.write_front(tmp / "fast.txt", problem, entries)
+    naive_write_front(tmp / "naive.txt", problem, entries)
+    assert (tmp / "fast.txt").read_bytes() == (tmp / "naive.txt").read_bytes()
 
 
 def test_problem_immutable(p_matrix_problem):
