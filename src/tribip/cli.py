@@ -26,7 +26,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 from . import model
-from .errors import TribipError
+from .errors import ParseError, TribipError
 # `run` stays in this namespace for perfbench/tracing.py, which wraps cli.run
 from .heuristic import VARIANTS, PrConfig, run, solve_from_lb
 from .lbset import compute_lb_set
@@ -188,9 +188,19 @@ def _mean_or_blank(values) -> str:
     return f"{statistics.fmean(float(v) for v in vals):.4f}"
 
 
+# the run CSV columns `report` reads
+_REPORT_READS = ("instance", "kind", "n", "variant", "y_count", "time_sec", "lp_count",
+                 "hv", "hv_pct", "front_file")
+
+
 def cmd_report(args) -> int:
     with open(args.run_csv, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        # an empty file has no header and ends below as "no rows"
+        missing = [f for f in _REPORT_READS if f not in (reader.fieldnames or _REPORT_READS)]
+        if missing:
+            raise ParseError(args.run_csv, 1, f"not a run CSV, missing columns {missing}")
+        rows = list(reader)
     if not rows:
         print("no rows to aggregate", file=sys.stderr)
         return 1

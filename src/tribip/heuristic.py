@@ -39,13 +39,17 @@ ints, with x a `bytearray` flipped in place, on three facts:
   D's signed columns; a position is nondominated when its mask and `live`
   share no bit, and a flip clears its bit.  Walks that never take a
   best-move step (every PR* walk, at best_move_prob 0) read no mask.
-* `improved_nd` ranks depend on y only through sign(y_k): (y_k + d)/y_k
-  orders candidates as d for y_k > 0 and as -d otherwise (the y_k = 0
-  fallback included), so the kernel ranks the integer keys s_k d_k, with
-  s_k = sign(y_k), by the pairwise tournament of `_rank_winner`, as
-  `improved_nd` ranks its float ratios.  This is exact while objective
-  values stay below 2**52 in magnitude, where float64 division keeps
-  distinct integers apart.
+* The improvement-ratio ranks depend on y only through sign(y_k):
+  (y_k + d)/y_k orders candidates as d for y_k > 0 and as -d otherwise (a
+  zero y_k ranks by the raw value, smaller first, which is -d too), so the
+  kernel ranks the integer keys s_k d_k, with s_k = 1 if y_k > 0 else -1,
+  by the pairwise tournament of `_rank_winner`.  This equals ranking the
+  float ratios while objective values stay below 2**52 in magnitude, where
+  float64 division keeps distinct integers apart.
+
+Assignment instances go through the same rounding: their LB vertices are
+already 0/1, so rounding leaves them unchanged, and only path relinking is
+skipped unless `force_pr` is set.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from .errors import (InsufficientSolutionsError, NoRoundedSolutionError,
                      ValidationError)
 from .lbset import LbSet, compute_lb_set
 from .lp import INT_TOL
-from .model import KIND_ASSIGNMENT, P_OBJECTIVES, Problem, Solution
+from .model import KIND_ASSIGNMENT, Problem, Solution
 from .metrics import filter_nondominated_solutions
 from .rng import Xoshiro256StarStar
 
@@ -120,13 +124,11 @@ class IrSet:
     """Feasible integer solutions rounded from the LB set, then grown by path
     relinking; the x vectors are pairwise distinct.
 
-    `rows` holds one `IrRow` per solution in discovery order.  `provenance`
-    maps the index of each rounded row to the LB indices that rounded to it.
+    `rows` holds one `IrRow` per solution in discovery order.
     """
 
     def __init__(self):
         self.rows: list[IrRow] = []
-        self.provenance: dict[int, list[int]] = {}
         self.dropped_infeasible = 0
         self._index: dict[bytes, int] = {}
         self._x = np.empty((0, 0), dtype=np.int8)   # row k < _filled is rows[k]'s x
@@ -140,18 +142,14 @@ class IrSet:
     def __contains__(self, key: bytes):
         return key in self._index
 
-    def add(self, solution, lb_index: int | None = None) -> bool:
-        """Add a `Solution` or `IrRow` unless its x vector is already present;
-        lb_index records which LB point rounded to it."""
+    def add(self, solution) -> bool:
+        """Add a `Solution` or `IrRow` unless its x vector is already present."""
         key = solution.key()
-        at = self._index.get(key)
-        new = at is None
-        if new:
-            at = self._index[key] = len(self.rows)
-            self.rows.append(IrRow((key, solution.y)))
-        if lb_index is not None:
-            self.provenance.setdefault(at, []).append(lb_index)
-        return new
+        if key in self._index:
+            return False
+        self._index[key] = len(self.rows)
+        self.rows.append(IrRow((key, solution.y)))
+        return True
 
     def _x_buffer(self) -> np.ndarray:
         """The x buffer with rows 0 .. |IR|-1 filled from `rows` in IR order;
@@ -168,13 +166,6 @@ class IrSet:
             self._x[filled:k] = np.frombuffer(new, dtype=np.int8).reshape(k - filled, -1)
             self._filled = k
         return self._x
-
-    def x_matrix(self) -> np.ndarray:
-        """Read-only (|IR|, n) view of the x vectors in IR order; later adds
-        do not show in it."""
-        view = self._x_buffer()[:len(self.rows)]
-        view.setflags(write=False)
-        return view
 
 
 @dataclass
@@ -201,23 +192,22 @@ class RunReport:
     hv_percent: float | None = None
 
 
-def round_down(lb: LbSet, problem: Problem, int_tol: float = INT_TOL) -> IrSet:
+def round_down(lb: LbSet, problem: Problem) -> IrSet:
     """Round every LB solution down to a binary vector and keep the feasible ones.
 
-    Components within int_tol of 1 stay 1, everything else drops to 0
+    Components within INT_TOL of 1 stay 1, everything else drops to 0
     (integral components are preserved, fractional ones floored).  Infeasible
     results are dropped with a warning count, duplicates are merged.
     """
     ir = IrSet()
     lb_x = np.array([point.x for point in lb.points], dtype=np.float64).reshape(-1, problem.n)
-    xs = (lb_x >= 1.0 - int_tol).astype(np.int8)
+    xs = (lb_x >= 1.0 - INT_TOL).astype(np.int8)
     xi = xs.astype(np.int64)
-    rows = zip(xs, (xi @ problem.C.T).tolist(), (xi @ problem.A.T).tolist())
-    for idx, (x, y, lhs) in enumerate(rows):
+    for x, y, lhs in zip(xs, (xi @ problem.C.T).tolist(), (xi @ problem.A.T).tolist()):
         if not _within(lhs, problem.row_bounds):
             ir.dropped_infeasible += 1
             continue
-        ir.add(IrRow((x.tobytes(), tuple(y))), lb_index=idx)
+        ir.add(IrRow((x.tobytes(), tuple(y))))
     if ir.dropped_infeasible:
         log.warning("round_down dropped %d infeasible rounded solutions", ir.dropped_infeasible)
     if len(ir) == 0:
@@ -231,10 +221,6 @@ def _within(lhs, bounds) -> bool:
         if not lo <= v <= hi:
             return False
     return True
-
-
-def _feasible_int(problem: Problem, x: np.ndarray) -> bool:
-    return _within((problem.A @ x.astype(np.int64)).tolist(), problem.row_bounds)
 
 
 def select_pair(ir: IrSet, rule: str, rng: Xoshiro256StarStar) -> tuple[IrRow, IrRow]:
@@ -290,26 +276,6 @@ def _rank_winner(keys) -> int:
             score[later] += won
             score[i] += 3 - won
     return score.index(max(score))
-
-
-def improved_nd(obj_s_i, nd) -> int:
-    """Index of the most-improved point among mutually nondominated neighbours.
-
-    Per objective, each point's ratio to the current objective value is
-    ranked 1..|ND| with larger improvement getting the larger rank (ties go
-    to the lower row index); the point with the highest rank sum wins, ties
-    again to the lower index.  A zero current value falls back to ranking
-    that objective by raw value, smaller meaning more improved.
-    """
-    obj = [float(v) for v in obj_s_i]
-    if len(obj) != P_OBJECTIVES:
-        raise ValidationError(f"improved_nd needs {P_OBJECTIVES} objective values")
-    # larger ratio = larger improvement; at a zero value, smaller raw value
-    keys = [tuple(float(v) / o if o != 0.0 else -float(v) for v, o in zip(row, obj))
-            for row in nd]
-    if not keys:
-        raise ValidationError("improved_nd needs at least one candidate")
-    return _rank_winner(keys)
 
 
 def path_relink_walk(problem: Problem, s_i, s_g, ir: IrSet,
@@ -390,24 +356,6 @@ def path_relink_once(ir: IrSet, archives: PrArchives, config: PrConfig,
     archives.ig_pairs.add((s_i.key(), s_g.key()))
 
 
-def _lb_solutions(lb: LbSet, problem: Problem, int_tol: float = INT_TOL) -> list[Solution]:
-    """Snap integral LB solutions to binary Solutions (assignment pass-through)."""
-    out = []
-    seen = set()
-    for point in lb.points:
-        x = np.asarray(point.x)
-        if np.max(np.abs(x - np.round(x))) > int_tol:
-            raise ValidationError("LB solution is fractional; expected integral (assignment)")
-        xi = np.round(x).astype(np.int8)
-        key = xi.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        y = tuple(int(v) for v in problem.C @ xi.astype(np.int64))
-        out.append(Solution(xi, y, _feasible_int(problem, xi)))
-    return out
-
-
 def solve_from_lb(problem: Problem, lb: LbSet, config: PrConfig | None = None):
     """Rounding, optional path relinking and the final filter on a computed
     LB set, which is only read, so one set can serve many runs.
@@ -418,26 +366,20 @@ def solve_from_lb(problem: Problem, lb: LbSet, config: PrConfig | None = None):
     config = config or PrConfig()
     t0 = time.perf_counter()
     pr_iterations = 0
-    ir_size = 0
-    if problem.kind == KIND_ASSIGNMENT and not config.force_pr:
-        solutions = [s for s in _lb_solutions(lb, problem) if s.feasible]
-        front = filter_nondominated_solutions(solutions)
-    else:
-        ir = round_down(lb, problem)
-        ir_size = len(ir)
-        if config.variant != "RD":
-            if ir_size < 2:
-                log.warning("IR set has %d solution(s); path relinking skipped", ir_size)
-            else:
-                rng = Xoshiro256StarStar(config.seed)
-                archives = PrArchives()
-                iterations = ir_size * config.iteration_multiplier
-                for _ in range(iterations):
-                    path_relink_once(ir, archives, config, rng, problem)
-                    pr_iterations += 1
-        # only the rows that reach the front become Solutions
-        front = [Solution(np.frombuffer(row.key(), dtype=np.int8), row.y, True)
-                 for row in filter_nondominated_solutions(ir.rows)]
+    ir = round_down(lb, problem)
+    ir_size = len(ir)
+    if config.variant != "RD" and (problem.kind != KIND_ASSIGNMENT or config.force_pr):
+        if ir_size < 2:
+            log.warning("IR set has %d solution(s); path relinking skipped", ir_size)
+        else:
+            rng = Xoshiro256StarStar(config.seed)
+            archives = PrArchives()
+            for _ in range(ir_size * config.iteration_multiplier):
+                path_relink_once(ir, archives, config, rng, problem)
+                pr_iterations += 1
+    # only the rows that reach the front become Solutions
+    front = [Solution(np.frombuffer(row.key(), dtype=np.int8), row.y, True)
+             for row in filter_nondominated_solutions(ir.rows)]
 
     report = RunReport(
         variant=config.variant,
@@ -456,8 +398,8 @@ def run(problem: Problem, config: PrConfig | None = None):
 
     Returns (front, report): the mutually nondominated feasible solutions
     and a RunReport with |Y|, wall time, LP count, iteration counters.
-    Assignment instances use the integral LB solutions directly and skip
-    rounding and path relinking unless config.force_pr is set.  The wall
+    Assignment instances skip path relinking unless config.force_pr is set;
+    rounding leaves their integral LB solutions unchanged.  The wall
     time covers the LB enumeration and `solve_from_lb`.
     """
     t0 = time.perf_counter()

@@ -156,8 +156,7 @@ class _NearIndex:
         self.rows.insert(at, y)
 
 
-def compute_lb_set(problem: Problem, seed_epsilon: float = SEED_EPSILON,
-                   point_tol: float = POINT_TOL) -> LbSet:
+def compute_lb_set(problem: Problem) -> LbSet:
     """Enumerate the extreme supported nondominated points of the relaxation.
 
     Raises InfeasibleProblemError when the relaxation has no feasible point.
@@ -193,9 +192,9 @@ def compute_lb_set(problem: Problem, seed_epsilon: float = SEED_EPSILON,
     ys: list[tuple] = []
     xs: list[np.ndarray] = []
     ws: list[tuple] = []
-    index = _NearIndex(point_tol)
+    index = _NearIndex(POINT_TOL)
 
-    seeds = np.full((problem.p, problem.p), seed_epsilon)
+    seeds = np.full((problem.p, problem.p), SEED_EPSILON)
     np.fill_diagonal(seeds, 1.0)
     seeds = seeds / seeds.sum(axis=1, keepdims=True)
     for w, (value, x, y) in zip(seeds.tolist(), solve(seeds)):
@@ -242,7 +241,7 @@ def compute_lb_set(problem: Problem, seed_epsilon: float = SEED_EPSILON,
         y_arr = np.array(ys)
 
     # keep strictly nondominated, distinct points, sorted for determinism
-    dropped = _tolerant_dropped(y_arr, point_tol)
+    dropped = _tolerant_dropped(y_arr, POINT_TOL)
     kept = sorted(np.flatnonzero(~dropped).tolist(), key=ys.__getitem__)
     points = [LbPoint(xs[i], ys[i], ws[i]) for i in kept]
     probes = list(zip(map(tuple, np.array(probe_ws).tolist()), (v for v, _, _ in solved.values())))

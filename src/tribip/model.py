@@ -202,15 +202,6 @@ class Problem:
         """Objective matrix in the ingested senses (profits positive again)."""
         return self.sense_signs()[:, None] * self.C
 
-    def to_native(self, y) -> tuple:
-        """Map an internal (minimisation) objective point back to the ingested senses."""
-        signs = self.sense_signs()
-        out = []
-        for k in range(self.p):
-            v = signs[k] * y[k]
-            out.append(int(v) if float(v).is_integer() else float(v))
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class Solution:
@@ -381,6 +372,13 @@ class _LineReader:
             raise ParseError(self.path, no, f"expected '{key}', got '{parts[0]}'")
         return parts[1:]
 
+    def choices(self, key: str, count: int, allowed) -> list[str]:
+        """The values of a `key` line: exactly count of them, each in allowed."""
+        vals = self.keyword(key)
+        if len(vals) != count or any(v not in allowed for v in vals):
+            raise ParseError(self.path, self.pos, f"{key} must list {count} of {allowed}")
+        return vals
+
     def ints(self, key: str, count: int) -> list[int]:
         vals = self.keyword(key)
         return self._to_ints(vals, count, key)
@@ -434,17 +432,12 @@ def read_instance(path) -> Problem:
     no, magic = rd.next("file magic")
     if magic != INSTANCE_MAGIC:
         raise ParseError(path, no, f"unrecognised magic line {magic!r}")
-    kind = rd.keyword("kind")
-    if len(kind) != 1 or kind[0] not in KINDS:
-        raise ParseError(path, rd.pos, f"kind must be one of {KINDS}")
-    kind = kind[0]
+    kind, = rd.choices("kind", 1, KINDS)
     n = rd.ints("n", 1)[0]
     p = rd.ints("p", 1)[0]
     if p != P_OBJECTIVES:
         raise ValidationError(f"{path}: this artifact fixes p = {P_OBJECTIVES}, file declares p = {p}")
-    senses = rd.keyword("sense")
-    if len(senses) != P_OBJECTIVES or any(s not in OBJ_SENSES for s in senses):
-        raise ParseError(path, rd.pos, f"sense must list {P_OBJECTIVES} of {OBJ_SENSES}")
+    senses = rd.choices("sense", P_OBJECTIVES, OBJ_SENSES)
     tasks = None
     if kind == KIND_ASSIGNMENT:
         tasks = rd.ints("tasks", 1)[0]
@@ -472,9 +465,7 @@ def read_instance(path) -> Problem:
         return assignment_problem(obj.reshape(P_OBJECTIVES, tasks, tasks))
 
     m = rd.ints("m", 1)[0]
-    row_sense = rd.keyword("rowsense")
-    if len(row_sense) != m or any(s not in ROW_SENSES for s in row_sense):
-        raise ParseError(path, rd.pos, f"rowsense must list {m} of {ROW_SENSES}")
+    row_sense = rd.choices("rowsense", m, ROW_SENSES)
     kw = rd.keyword("A")
     if kw:
         raise ParseError(path, rd.pos, "A keyword takes no values")
@@ -569,12 +560,12 @@ def read_front(path) -> FrontData:
     no, magic = rd.next("file magic")
     if magic != FRONT_MAGIC:
         raise ParseError(path, no, f"unrecognised magic line {magic!r}")
-    kind = rd.keyword("kind")[0]
+    kind, = rd.choices("kind", 1, KINDS)
     n = rd.ints("n", 1)[0]
     p = rd.ints("p", 1)[0]
     if p != P_OBJECTIVES:
         raise ValidationError(f"{path}: this artifact fixes p = {P_OBJECTIVES}, file declares p = {p}")
-    sense = tuple(rd.keyword("sense"))
+    sense = tuple(rd.choices("sense", P_OBJECTIVES, OBJ_SENSES))
     count = rd.ints("count", 1)[0]
     kw = rd.keyword("solutions")
     if kw:

@@ -225,18 +225,18 @@ def naive_improved_nd(obj_s_i, nd):
     return degree.index(best)
 
 
-def naive_round_down(lb, problem, int_tol=INT_TOL):
+def naive_round_down(lb, problem):
     """Reference round-down: one LB point at a time, checked by
-    `tribip.is_feasible`, with the IR order, provenance, drop count and
-    warning of `tribip.round_down`."""
+    `tribip.is_feasible`, with the IR order, drop count and warning of
+    `tribip.round_down`."""
     ir = tribip.IrSet()
-    for idx, point in enumerate(lb.points):
-        x = (np.asarray(point.x) >= 1.0 - int_tol).astype(np.int8)
+    for point in lb.points:
+        x = (np.asarray(point.x) >= 1.0 - INT_TOL).astype(np.int8)
         y = tuple(int(v) for v in problem.C @ x.astype(np.int64))
         if not tribip.is_feasible(problem, x):
             ir.dropped_infeasible += 1
             continue
-        ir.add(tribip.Solution(x, y, True), lb_index=idx)
+        ir.add(tribip.Solution(x, y, True))
     if ir.dropped_infeasible:
         tribip.heuristic.log.warning("round_down dropped %d infeasible rounded solutions",
                                      ir.dropped_infeasible)
@@ -257,7 +257,7 @@ def naive_select_pair(ir, rule, rng):
         if g >= i:
             g += 1
         return ir.rows[i], ir.rows[g]
-    xs = ir.x_matrix()
+    xs = np.array([list(row.key()) for row in ir.rows], dtype=np.int8)
     sims = np.array([similarity(xs[i], row) for row in xs])
     if rule == "sim":
         sims[i] = -1

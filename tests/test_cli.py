@@ -1,5 +1,6 @@
 import csv
 import gc
+import importlib
 import logging
 import sys
 import warnings
@@ -529,3 +530,72 @@ def test_main_reuses_its_parser_without_carrying_state(tmp_path, capsys, tribip_
     assert main([*solve, "--out", str(out)]) == 0
     assert out.is_file() and len(_rows(csv_path)) == 3
     assert len(fresh_parser) == 1
+
+
+def _solve_setup(tmp_path):
+    """A knapsack instance, its oracle front and one run CSV row whose front
+    file has no HV yet."""
+    inst = tmp_path / "k.txt"
+    tribip.write_instance(tribip.generate_knapsack(6, seed=3), inst)
+    ref = tmp_path / "refs" / "k.ref.txt"
+    ref.parent.mkdir()
+    assert main(["oracle", str(inst), "--out", str(ref)]) == 0
+    csv_path = tmp_path / "runs.csv"
+    assert main(["solve", str(inst), "--variant", "RD", "--report-csv", str(csv_path),
+                 "--out-dir", str(tmp_path / "fronts")]) == 0
+    return inst, ref, csv_path
+
+
+@pytest.mark.parametrize("case", ["report-not-run-csv", "ref-front-bare-kind",
+                                  "ref-front-two-senses", "ref-dir-bare-kind"])
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
+    """A run CSV without the run columns, or a front file whose kind or
+    sense line is malformed, ends the command with exit code 2 and one
+    'error: ...' line naming the file."""
+    inst, ref, csv_path = _solve_setup(tmp_path)
+    text = ref.read_text()
+    if case == "report-not-run-csv":
+        bad = tmp_path / "ab.csv"
+        bad.write_text("a,b\n1,2\n")
+        argv = ["report", str(bad)]
+    else:
+        bad = ref
+        old, new = (("sense max max max\n", "sense max max\n") if case == "ref-front-two-senses"
+                    else ("kind knapsack\n", "kind\n"))
+        assert old in text
+        ref.write_text(text.replace(old, new))
+        argv = (["report", str(csv_path), "--ref-dir", str(ref.parent)]
+                if case == "ref-dir-bare-kind" else
+                ["solve", str(inst), "--ref-front", str(ref), "--report-csv", str(csv_path)])
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(bad) in lines[0]
+    assert captured.out == ""
+
+
+def test_tracer_wraps_names_the_cli_path_uses(tmp_path, monkeypatch):
+    """The benchmark's tracer replaces tribip functions by name; an oracle
+    and a solve call under it record a span in every layer, and leaving it
+    puts the originals back."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    tracing = importlib.import_module("tracing")
+    inst = tmp_path / "k.txt"
+    tribip.write_instance(tribip.generate_knapsack(8, seed=1), inst)
+    ref = tmp_path / "ref.txt"
+    originals = (cli.main, cli.run, tribip.heuristic.round_down, tribip.model.read_front)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert cli.main(["oracle", str(inst), "--out", str(ref)]) == 0
+        assert cli.main(["solve", str(inst), "--variant", "PI", "--ref-front", str(ref),
+                         "--report-csv", str(tmp_path / "runs.csv")]) == 0
+    assert (cli.main, cli.run, tribip.heuristic.round_down, tribip.model.read_front) == originals
+    got = tracer.layer_metrics(instances=1)
+    assert got["lbset.calls_per_instance"] == 1 and got["lbset.points"] > 0
+    assert got["heuristic.walks"] > 0 and got["heuristic.steps"] > 0
+    assert got["heuristic.ir_end"] > got["heuristic.ir_start"] > 0
+    assert got["metrics.filter_out"] > 0 and got["metrics.oracle_points"] > 0
+    assert got["metrics.hv_calls"] > 0 and got["model.io_calls"] >= 4
+    assert got["rng.draws"] > 0 and got["cli.self_s"] > 0

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 import tribip
 from tribip import (InsufficientSolutionsError, IrRow, IrSet, NoRoundedSolutionError,
                     PrArchives, PrConfig, ValidationError, Xoshiro256StarStar,
-                    improved_nd, path_relink_once, path_relink_walk, round_down, run,
-                    select_pair)
+                    path_relink_once, path_relink_walk, round_down, run, select_pair)
 from tribip import heuristic
 from tribip.lbset import LbPoint, LbSet
 
@@ -72,7 +71,6 @@ def test_round_down_merges_duplicates(p_matrix_problem):
     lb = _lbset_from(p_matrix_problem, [[1, 0.6, 1, 0], [1, 0.2, 1, 0]])
     ir = round_down(lb, p_matrix_problem)
     assert len(ir) == 1
-    assert ir.provenance[0] == [0, 1]
 
 
 def test_round_down_empty_raises():
@@ -118,9 +116,8 @@ def test_round_down_matches_pointwise_rounding(case):
                 ir = rounding(lb, problem)
             except NoRoundedSolutionError:
                 ir = None
-        outcomes.append((None if ir is None else (
-            ir.rows, ir.provenance,
-            ir.dropped_infeasible, ir.x_matrix().tolist()), warning.call_args_list))
+        outcomes.append((None if ir is None else (ir.rows, ir.dropped_infeasible),
+                         warning.call_args_list))
     assert outcomes[0] == outcomes[1]
 
 
@@ -214,38 +211,47 @@ def test_similarity_counts_equal_positions():
     assert similarity([0, 0, 1, 0], [1, 1, 0, 0]) == 1
 
 
-# -- improved_nd --------------------------------------------------------------
+# -- improved-ND rank rule ----------------------------------------------------
+
+def _kernel_pick(obj, nd):
+    """The walk kernel's pick among neighbour points nd of the current point
+    obj: `_rank_winner` over the sign keys s_k d_k of the displacements
+    d = nd - obj, with s_k = 1 if obj_k > 0 else -1."""
+    signs = [1 if o > 0 else -1 for o in obj]
+    return heuristic._rank_winner([tuple(s * (v - o) for s, v, o in zip(signs, row, obj))
+                                   for row in nd])
+
 
 def test_improved_nd_single():
-    assert improved_nd((-10, -10, -10), [(-12, -11, -10)]) == 0
+    assert _kernel_pick((-10, -10, -10), [(-12, -11, -10)]) == 0
 
 
 def test_improved_nd_worked_example():
     # degrees: A=6, B=7, C=5 -> B
     nd = [(-12, -11, -10), (-11, -13, -10), (-10, -10, -14)]
-    assert improved_nd((-10, -10, -10), nd) == 1
+    assert _kernel_pick((-10, -10, -10), nd) == naive_improved_nd((-10, -10, -10), nd) == 1
 
 
 def test_improved_nd_duplicate_rows_follow_ordinal_ranks():
     # ordinal ranking gives the later duplicate the larger rank sum; the
     # naive rank-table oracle agrees
     nd = [(-12, -11, -10), (-12, -11, -10)]
-    assert improved_nd((-10, -10, -10), nd) == naive_improved_nd((-10, -10, -10), nd) == 1
+    assert _kernel_pick((-10, -10, -10), nd) == naive_improved_nd((-10, -10, -10), nd) == 1
 
 
 def test_improved_nd_zero_denominator_fallback():
     # second objective of the current point is zero: rank by raw value
     nd = [(-5, -7, -1), (-6, -3, -2)]
-    assert improved_nd((-10, 0, -10), nd) == naive_improved_nd((-10, 0, -10), nd)
+    assert _kernel_pick((-10, 0, -10), nd) == naive_improved_nd((-10, 0, -10), nd)
 
 
 def test_improved_nd_matches_naive_oracle():
     rng = np.random.default_rng(7)
     for _ in range(200):
         k = rng.integers(1, 8)
-        nd = -rng.integers(0, 50, size=(k, 3))
-        obj = -rng.integers(1, 50, size=3)
-        assert improved_nd(obj, nd) == naive_improved_nd(obj, nd)
+        nd = (-rng.integers(0, 50, size=(k, 3))).tolist()
+        obj = (-rng.integers(1, 50, size=3)).tolist()
+        assert _kernel_pick(obj, nd) == naive_improved_nd(obj, nd)
 
 
 _small = st.integers(-3, 3)      # narrow range: ties and zero current values are common
@@ -257,19 +263,9 @@ _small = st.integers(-3, 3)      # narrow range: ties and zero current values ar
 @example(obj=(0, 0, 0), nd=[(1, 1, 1)] * 40)
 @example(obj=(-2, 0, 3), nd=[(-1, 2, 0), (-1, 2, 0), (2, -1, 0)])
 def test_improved_nd_matches_naive_oracle_with_ties(obj, nd):
-    assert improved_nd(obj, nd) == naive_improved_nd(obj, nd)
+    assert _kernel_pick(obj, nd) == naive_improved_nd(obj, nd)
     # the kernel ranks integer keys directly, larger meaning more improved
     assert heuristic._rank_winner(nd) == naive_improved_nd((1, 1, 1), nd)
-
-
-def test_improved_nd_empty_raises():
-    with pytest.raises(ValidationError):
-        improved_nd((-1, -1, -1), [])
-
-
-def test_improved_nd_needs_three_objectives():
-    with pytest.raises(ValidationError):
-        improved_nd((-1, -1), [(1, 2)])
 
 
 # -- flip dominance table -----------------------------------------------------
@@ -503,9 +499,6 @@ def test_move_tables_cached_per_problem():
     for problem in problems:
         assert problem.flip_moves is problem.flip_moves
         assert problem.row_bounds is problem.row_bounds
-        for x in rng.integers(0, 2, size=(30, 12)):
-            assert heuristic._feasible_int(problem, x.astype(np.int8)) == \
-                tribip.is_feasible(problem, x)
 
 
 @settings(max_examples=100, deadline=None)
@@ -538,11 +531,6 @@ def test_ir_rows_and_provenance(p_matrix_problem):
     assert type(row) is IrRow and row == (sol.key(), sol.y)
     assert (row.key(), row.y) == (sol.key(), sol.y)
     assert sol.key() in ir and len(ir) == 1
-    # provenance is keyed by row index, so rows without an LB origin, added
-    # in any order, do not shift it
-    other = tribip.make_solution(p_matrix_problem, [0, 1, 1, 0])
-    assert ir.add(other, lb_index=7) and not ir.add(sol, lb_index=8)
-    assert ir.provenance == {1: [7], 0: [8]}
 
 
 def _y_points(size):
@@ -601,9 +589,8 @@ def test_ir_x_matrix_grows_with_adds():
     ir = IrSet()
     for bits in rng.integers(0, 2, size=(40, 9)):
         ir.add(tribip.Solution(bits, (0, 0, 0), True))
-        xs = ir.x_matrix()
+        xs = ir._x_buffer()[:len(ir)]
         assert np.array_equal(xs, np.array([list(row.key()) for row in ir.rows], dtype=np.int8))
-    assert not xs.flags.writeable
 
 
 def test_ir_x_matrix_fills_rows_added_since_last_call():
@@ -613,22 +600,41 @@ def test_ir_x_matrix_fills_rows_added_since_last_call():
     for step, bits in enumerate(rng.integers(0, 2, size=(120, 11))):
         ir.add(tribip.Solution(bits, (0, 0, 0), True))
         if step % 7 == 3 or step == 0:
-            views.append((ir.x_matrix(), [row.key() for row in ir.rows]))
+            views.append((ir._x_buffer()[:len(ir)], [row.key() for row in ir.rows]))
     for view, keys in views:              # earlier views keep their rows, later adds do not show
         assert [row.tobytes() for row in view] == keys
-        assert not view.flags.writeable
 
 
 # -- run ----------------------------------------------------------------------
 
-def test_run_rd_assignment_uses_lb_directly():
-    p = tribip.generate_assignment(3, seed=2)
-    front, report = run(p, PrConfig(variant="RD", seed=0))
-    lb = tribip.compute_lb_set(p)
+def _assert_front_is_snapped_lb(lb, front, report):
+    """Without force_pr an assignment run's front is the filtered LB front:
+    rounding keeps every integral LB vertex and no relinking runs."""
     lb_pts = tribip.filter_nondominated([tuple(int(round(v)) for v in pt.y)
                                          for pt in lb.points])
     assert [s.y for s in front] == [tuple(r) for r in lb_pts.tolist()]
     assert report.pr_iterations == 0
+    assert report.ir_size == len({np.round(pt.x).astype(np.int8).tobytes() for pt in lb.points})
+
+
+def test_run_rd_assignment_uses_lb_directly():
+    p = tribip.generate_assignment(3, seed=2)
+    _assert_front_is_snapped_lb(tribip.compute_lb_set(p), *run(p, PrConfig(variant="RD", seed=0)))
+
+
+@pytest.fixture(scope="module")
+def assignment_lb_sets():
+    """(problem, LB set) per task count, enumerated once for the module."""
+    problems = {t: tribip.generate_assignment(t, seed=t) for t in (3, 5, 8)}
+    return {t: (p, tribip.compute_lb_set(p)) for t, p in problems.items()}
+
+
+@pytest.mark.parametrize("variant", tribip.VARIANTS)
+@pytest.mark.parametrize("tasks", [3, 5, 8])
+def test_assignment_every_variant_gives_snapped_lb_front(assignment_lb_sets, tasks, variant):
+    problem, lb = assignment_lb_sets[tasks]
+    _assert_front_is_snapped_lb(
+        lb, *tribip.solve_from_lb(problem, lb, PrConfig(variant=variant, seed=tasks)))
 
 
 def test_run_deterministic():

@@ -39,15 +39,6 @@ def test_evaluate_matches_cached_y():
             assert sol.y == evaluate(p, x)
 
 
-def test_sense_conversion_involution():
-    p = tribip.generate_knapsack(6, seed=1)
-    x = [1, 0, 1, 1, 0, 0]
-    y = evaluate(p, x)
-    native = p.to_native(y)
-    assert all(v >= 0 for v in native)          # profits positive again
-    assert tuple(-v for v in native) == y       # converting back
-
-
 def test_is_feasible_knapsack():
     p = tribip.knapsack_problem([[1, 1, 1, 1]] * 3, [1, 1, 1, 1], 2)
     assert is_feasible(p, [1, 0, 1, 0])
