@@ -52,25 +52,37 @@ def summary(times: list[tuple[float, float]]) -> str:
             f"PI median {statistics.median(t[1] for t in times):.3f} s")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def alternate(checkouts: list[Path], runs: int):
+    """(run, checkout) in the order the runs go: the first checkout leads on
+    even runs and the last on odd ones."""
+    for run in range(runs):
+        for checkout in checkouts if run % 2 == 0 else checkouts[::-1]:
+            yield run, checkout
+
+
+def parse_checkouts(parser: argparse.ArgumentParser, argv=None, runs: int = 10):
+    """Parse argv with the checkouts and --runs arguments added to parser,
+    after checking that every checkout has the package under src/."""
     parser.add_argument("checkouts", nargs="+", type=Path,
                         help="repository checkouts, each with the package under src/")
-    parser.add_argument("--runs", type=int, default=10, help="fresh processes per checkout")
+    parser.add_argument("--runs", type=int, default=runs, help="fresh processes per checkout")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
     for checkout in args.checkouts:
         if not (checkout / "src" / "tribip").is_dir():
             parser.error(f"{checkout} has no src/tribip")
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_checkouts(argparse.ArgumentParser(description=__doc__.split("\n\n")[0]), argv)
     times: dict[Path, list] = {checkout: [] for checkout in args.checkouts}
-    for run in range(args.runs):
-        order = args.checkouts if run % 2 == 0 else args.checkouts[::-1]
-        for checkout in order:
-            pairs = run_once(checkout)
-            times[checkout] += pairs
-            ratios = ", ".join(f"{100 * rd / pi:.2f}%" for rd, pi in pairs)
-            print(f"run {run}: {checkout}: {ratios}", file=sys.stderr)
+    for run, checkout in alternate(args.checkouts, args.runs):
+        pairs = run_once(checkout)
+        times[checkout] += pairs
+        ratios = ", ".join(f"{100 * rd / pi:.2f}%" for rd, pi in pairs)
+        print(f"run {run}: {checkout}: {ratios}", file=sys.stderr)
     for checkout in args.checkouts:
         print(f"{checkout}: {summary(times[checkout])}")
     return 0

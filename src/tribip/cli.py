@@ -2,7 +2,8 @@
 exact oracle, and aggregate run CSVs into table-style reports.
 
 Subcommands: generate | solve | oracle | report.  Run rows share a fixed CSV
-header; wall times cover the solve pipeline only (file I/O excluded).
+header; wall times cover the solve pipeline only (file I/O and module
+loading excluded).
 
 `solve` groups its runs by instance: it reads each instance once and
 enumerates its LB set once, and every run (seed) of that instance starts
@@ -29,7 +30,7 @@ from . import model
 from .errors import ParseError, TribipError
 # `run` stays in this namespace for perfbench/tracing.py, which wraps cli.run
 from .heuristic import VARIANTS, PrConfig, run, solve_from_lb
-from .lbset import compute_lb_set
+from .lbset import _load_scipy, compute_lb_set
 from .metrics import ReferenceFront, exact_front_solutions, hv_percent, hypervolume, normalize
 
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
@@ -62,6 +63,7 @@ def _prepare(instance_path: Path, args):
     """Read one instance, enumerate its LB set for all of its runs and, with
     --lb-front, write that set; returns (problem, lb, enumeration seconds)."""
     problem = model.read_instance(instance_path)
+    _load_scipy(problem.kind)
     t0 = time.perf_counter()
     lb = compute_lb_set(problem)
     lb_sec = time.perf_counter() - t0
@@ -262,6 +264,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tribip",
                                      description="Tri-objective binary programming matheuristic")
@@ -274,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--kind", choices=("knapsack", "assignment"), required=True)
     g.add_argument("--n", type=int, required=True,
                    help="items (knapsack) or tasks (assignment)")
-    g.add_argument("--count", type=int, default=1)
+    g.add_argument("--count", type=_positive_int, default=1)
     g.add_argument("--seed", type=int, default=0,
                    help="instance i uses seed+i")
     g.add_argument("--coeff-min", type=int, default=model.DEFAULT_COEFF_RANGE[0])
@@ -288,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--runs", type=_positive_int, default=1,
                    help="consecutive seeds starting at --seed")
-    s.add_argument("--iter-mult", type=int, default=50)
-    s.add_argument("--best-prob", type=float, default=0.7)
+    s.add_argument("--iter-mult", type=_nonnegative_int, default=50)
+    s.add_argument("--best-prob", type=_probability, default=0.7)
     s.add_argument("--force-pr", action="store_true",
                    help="run path relinking on assignment instances too")
     s.add_argument("--ref-front", help="reference front file for HV and HV%%")

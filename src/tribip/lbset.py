@@ -30,17 +30,17 @@ cached so no LP is solved twice.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import InfeasibleProblemError
 from .lp import RelaxationSolver
 from .metrics import unique_rows
-from .model import Problem
+from .model import KIND_KNAPSACK, Problem
 
 SEED_EPSILON = 1e-4
 POINT_TOL = 1e-6          # two points closer than this in every coordinate are one
@@ -84,13 +84,30 @@ class LbSet:
         return len(self.points)
 
 
+@functools.cache
+def _load_scipy(kind: str = KIND_KNAPSACK):
+    """Import the scipy modules that LB enumeration of a `kind` problem
+    uses, and return scipy.spatial (the hull of every round).
+
+    The one place that decides what gets loaded.  scipy.spatial costs about
+    0.4 s on first import, and scipy.optimize (the assignment and general LP
+    oracles in `lp`, whose local imports then find it loaded) about 0.1 s
+    more, so `import tribip` loads neither: `run` and `cli._prepare` call
+    this before their timers start, and later calls are cache hits."""
+    import scipy.spatial
+    if kind != KIND_KNAPSACK:
+        import scipy.optimize  # noqa: F401
+    return scipy.spatial
+
+
 def _lower_facet_weights(nodes: np.ndarray) -> np.ndarray:
     """Normalised nonnegative normals of the lower facets of conv(nodes),
     deduplicated and lexicographically sorted (rows of the result)."""
+    spatial = _load_scipy()            # bound before the try: the except clause reads it
     try:
-        hull = ConvexHull(nodes)
-    except QhullError:
-        hull = ConvexHull(nodes, qhull_options="QJ")   # joggle degenerate input
+        hull = spatial.ConvexHull(nodes)
+    except spatial.QhullError:
+        hull = spatial.ConvexHull(nodes, qhull_options="QJ")   # joggle degenerate input
     normals = hull.equations[:, :3]
     w = np.clip(-normals[normals.max(axis=1) <= 1e-9], 0.0, None)
     totals = w.sum(axis=1)

@@ -106,7 +106,8 @@ class RelaxationSolver:
         return x
 
     def _assignment(self, c: np.ndarray) -> np.ndarray:
-        # imported here: scipy.optimize adds ~0.1 s and ~12 MiB to every start-up
+        # imported here, not at start-up; `run` and `cli` load it before their timers
+        # (lbset._load_scipy), so this is a cache hit there
         from scipy.optimize import linear_sum_assignment
 
         t = self.problem.tasks
@@ -116,7 +117,8 @@ class RelaxationSolver:
         return x
 
     def _general(self, c: np.ndarray) -> np.ndarray | None:
-        # imported here: scipy.optimize adds ~0.1 s and ~12 MiB to every start-up
+        # imported here, not at start-up; `run` and `cli` load it before their timers
+        # (lbset._load_scipy), so this is a cache hit there
         from scipy.optimize import linprog
 
         p = self.problem

@@ -423,6 +423,37 @@ def test_solve_rejects_counts_below_one(tmp_path, capsys, extra):
     assert not csv_path.exists()
 
 
+@pytest.mark.parametrize("extra", [["--iter-mult", "-1"], ["--best-prob", "-0.1"],
+                                   ["--best-prob", "1.5"], ["--best-prob", "nan"]])
+def test_solve_rejects_out_of_range_parameters(tmp_path, capsys, monkeypatch, extra):
+    main(["generate", "--kind", "knapsack", "--n", "6", "--count", "1",
+          "--seed", "14", "--out-dir", str(tmp_path)])
+    inst = next(tmp_path.glob("*.txt"))
+    csv_path = tmp_path / "runs.csv"
+    capsys.readouterr()
+
+    def no_prepare(*args):
+        raise AssertionError("an instance was read before the arguments were checked")
+
+    monkeypatch.setattr(cli, "_prepare", no_prepare)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(inst), "--variant", "RD", "--report-csv", str(csv_path), *extra])
+    assert exc.value.code == 2
+    assert extra[0] in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_generate_rejects_count_below_one(tmp_path, capsys, count):
+    out_dir = tmp_path / "inst"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--kind", "knapsack", "--n", "6", "--count", count,
+              "--out-dir", str(out_dir)])
+    assert exc.value.code == 2
+    assert "--count" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_solve_out_rejects_several_runs(tmp_path, capsys, monkeypatch):
     main(["generate", "--kind", "knapsack", "--n", "6", "--count", "2",
           "--seed", "15", "--out-dir", str(tmp_path)])
