@@ -7,10 +7,10 @@ loading excluded).
 
 `solve` groups its runs by instance: it reads each instance once and
 enumerates its LB set once, and every run (seed) of that instance starts
-from the same set, which `--jobs` threads share read-only.  A row's
-`time_sec` is the instance's LB enumeration time plus the run's own
-`solve_from_lb` time, the same span `run()` reports.  A failure to read an
-instance or to enumerate its LB set fails that instance's runs only.
+from the same set.  The runs go one after another.  A row's `time_sec` is
+the instance's LB enumeration time plus the run's own `solve_from_lb` time,
+the same span `run()` reports.  A failure to read an instance or to
+enumerate its LB set fails that instance's runs only.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import logging
 import statistics
 import sys
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 from . import model
@@ -73,48 +72,38 @@ def _prepare(instance_path: Path, args):
 
 
 def _solve_one(instance_path: Path, problem, lb, lb_sec: float, seed: int, args,
-               ref: ReferenceFront | None):
+               ref: ReferenceFront | None) -> dict:
     config = PrConfig(variant=args.variant, seed=seed,
                       iteration_multiplier=args.iter_mult,
                       best_move_prob=args.best_prob,
                       force_pr=args.force_pr)
     front, report = solve_from_lb(problem, lb, config)
     report.time_sec += lb_sec
-    report.instance = instance_path.stem
 
-    raw_hv = None
+    hv = hv_pct = raw_hv = None
     if ref is not None:
         pts = [s.y for s in front]
-        report.hv = hypervolume(normalize(pts, ref)) if pts else 0.0
-        report.hv_percent = hv_percent(pts, ref)
+        hv = hypervolume(normalize(pts, ref)) if pts else 0.0
+        hv_pct = hv_percent(pts, ref)
     elif args.ref_point is not None:
         pts = [s.y for s in front]
         raw_hv = hypervolume(pts, args.ref_point) if pts else 0.0
 
     front_file = None
-    if args.out or args.out_dir:
-        if args.out:                    # main() allows it for a single run only
-            front_file = Path(args.out)
-        else:
-            base = Path(args.out_dir or ".")
-            base.mkdir(parents=True, exist_ok=True)
-            front_file = base / f"{instance_path.stem}__{args.variant}_s{seed}.front.txt"
+    if args.out:                        # main() allows it for a single run only
+        front_file = Path(args.out)
+    elif args.out_dir:
+        front_file = Path(args.out_dir) / f"{instance_path.stem}__{args.variant}_s{seed}.front.txt"
+        front_file.parent.mkdir(parents=True, exist_ok=True)
+    if front_file:
         model.write_front(front_file, problem, front)
-    return _report_row(report, front_file, problem, raw_hv)
+    return _report_row(instance_path.stem, problem, report, front_file, hv, hv_pct, raw_hv)
 
 
-def _attempt(job):
-    """The CSV row of one run, or the error that failed it."""
-    try:
-        return _solve_one(*job)
-    except (TribipError, OSError) as exc:
-        return exc
-
-
-def _report_row(report, front_file, problem, raw_hv) -> dict:
+def _report_row(instance, problem, report, front_file, hv, hv_pct, raw_hv) -> dict:
     size = problem.tasks if problem.kind == "assignment" else problem.n
     return {
-        "instance": report.instance,
+        "instance": instance,
         "kind": problem.kind,
         "n": size,
         "variant": report.variant,
@@ -122,42 +111,49 @@ def _report_row(report, front_file, problem, raw_hv) -> dict:
         "y_count": report.y_count,
         "time_sec": f"{report.time_sec:.6f}",
         "lp_count": report.lp_count,
-        "hv": "" if report.hv is None else f"{report.hv:.6f}",
-        "hv_pct": "" if report.hv_percent is None else f"{report.hv_percent:.4f}",
+        "hv": "" if hv is None else f"{hv:.6f}",
+        "hv_pct": "" if hv_pct is None else f"{hv_pct:.4f}",
         "raw_hv": "" if raw_hv is None else f"{raw_hv:.6f}",
         "front_file": str(front_file) if front_file else "",
     }
 
 
+def _needs_header(csv_path: Path) -> bool:
+    """Whether rows appended to this run CSV need the header first: the file
+    is missing or empty.  Any other file must start with the run header."""
+    try:
+        with csv_path.open(newline="") as fh:
+            header = next(csv.reader(fh), None)
+    except FileNotFoundError:
+        return True
+    if header is None:
+        return True
+    if header != CSV_FIELDS:
+        raise ParseError(csv_path, 1, f"not a run CSV header, expected {','.join(CSV_FIELDS)}")
+    return False
+
+
 def cmd_solve(args) -> int:
-    ref = _load_reference(args.ref_front) if args.ref_front else None
-    seeds = range(args.seed, args.seed + args.runs)
-    outcomes = []          # (instance, row | error | Future of either), in run order
-    pool = ThreadPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
-    with pool or contextlib.nullcontext():
-        for inst in map(Path, args.instances):
-            try:
-                problem, lb, lb_sec = _prepare(inst, args)
-            except (TribipError, OSError) as exc:
-                outcomes += [(inst, exc)] * len(seeds)
-                continue
-            for seed in seeds:
-                job = (inst, problem, lb, lb_sec, seed, args, ref)
-                outcomes.append((inst, pool.submit(_attempt, job) if pool else _attempt(job)))
-
-    rows = []
-    failures = []
-    for inst, outcome in outcomes:
-        if isinstance(outcome, Future):
-            outcome = outcome.result()
-        if isinstance(outcome, Exception):
-            failures.append((inst, outcome))
-        else:
-            rows.append(outcome)
-
     if args.report_csv:
         csv_path = Path(args.report_csv)
-        new_file = not csv_path.exists()
+        new_file = _needs_header(csv_path)
+    ref = _load_reference(args.ref_front) if args.ref_front else None
+    seeds = range(args.seed, args.seed + args.runs)
+    rows = []
+    failures = []          # (instance, error), one per failed run
+    for inst in map(Path, args.instances):
+        try:
+            problem, lb, lb_sec = _prepare(inst, args)
+        except (TribipError, OSError) as exc:
+            failures += [(inst, exc)] * len(seeds)
+            continue
+        for seed in seeds:
+            try:
+                rows.append(_solve_one(inst, problem, lb, lb_sec, seed, args, ref))
+            except (TribipError, OSError) as exc:
+                failures.append((inst, exc))
+
+    if args.report_csv:
         with csv_path.open("a", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
             if new_file:
@@ -311,13 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ref-front", help="reference front file for HV and HV%%")
     s.add_argument("--ref-point", type=_parse_ref_point,
                    help="raw-HV reference point y1,y2,y3 (minimisation form)")
-    s.add_argument("--out", help="front file; one instance and --runs 1 only")
-    s.add_argument("--out-dir", help="front file directory (batches)")
+    out = s.add_mutually_exclusive_group()
+    out.add_argument("--out", help="front file; one instance and --runs 1 only")
+    out.add_argument("--out-dir", help="front file directory (batches)")
     s.add_argument("--lb-front", help="also export the LB set (fractional "
                                       "solutions flagged) to this front file; "
-                                      "one instance, --runs 1 and --jobs 1 only")
-    s.add_argument("--report-csv", help="append run rows to this CSV")
-    s.add_argument("--jobs", type=_positive_int, default=1)
+                                      "one instance and --runs 1 only")
+    s.add_argument("--report-csv", help="append run rows to this CSV; an existing "
+                                        "non-empty file must start with the run header")
     s.set_defaults(func=cmd_solve)
 
     o = sub.add_parser("oracle", help="exact front by enumeration (desk scale)")
@@ -352,8 +349,8 @@ def main(argv=None) -> int:
         # every run would write to the same file
         if args.out and several_runs:
             parser.error("--out needs a single instance and --runs 1; use --out-dir")
-        if args.lb_front and (several_runs or args.jobs > 1):
-            parser.error("--lb-front needs a single instance, --runs 1 and --jobs 1")
+        if args.lb_front and several_runs:
+            parser.error("--lb-front needs a single instance and --runs 1")
     try:
         return args.func(args)
     except (TribipError, OSError) as exc:

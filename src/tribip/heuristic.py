@@ -187,9 +187,6 @@ class RunReport:
     lp_count: int
     ir_size: int = 0
     pr_iterations: int = 0
-    instance: str | None = None
-    hv: float | None = None
-    hv_percent: float | None = None
 
 
 def round_down(lb: LbSet, problem: Problem) -> IrSet:

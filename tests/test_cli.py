@@ -197,22 +197,6 @@ def test_solve_batch_runs(tmp_path):
     assert len(list((tmp_path / "fronts").glob("*.front.txt"))) == 6
 
 
-def test_solve_parallel_jobs_match_serial(tmp_path):
-    main(["generate", "--kind", "knapsack", "--n", "6", "--count", "2",
-          "--seed", "12", "--out-dir", str(tmp_path)])
-    insts = sorted(str(p) for p in tmp_path.glob("*.txt"))
-    csvs = []
-    for jobs, tag in ((1, "serial"), (3, "parallel")):
-        csv_path = tmp_path / f"runs_{tag}.csv"
-        rc = main(["solve", *insts, "--variant", "PI", "--runs", "2",
-                   "--jobs", str(jobs), "--report-csv", str(csv_path)])
-        assert rc == 0
-        rows = sorted((r["instance"], r["seed"], r["y_count"])
-                      for r in _rows(csv_path))
-        csvs.append(rows)
-    assert csvs[0] == csvs[1]
-
-
 def _counting_lb_set(monkeypatch):
     """Count the calls through tribip.cli.compute_lb_set."""
     calls = []
@@ -269,9 +253,9 @@ def test_solve_enumerates_lb_once_per_instance(tmp_path, monkeypatch):
     assert len(tribip.read_front(lb_path).records) == len(lb.points)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("runs", [1, 2])
 @pytest.mark.parametrize("bad_kind", ["malformed", "infeasible"])
-def test_solve_failure_fails_only_its_instance(tmp_path, capsys, jobs, bad_kind):
+def test_solve_failure_fails_only_its_instance(tmp_path, capsys, runs, bad_kind):
     main(["generate", "--kind", "knapsack", "--n", "6", "--count", "1",
           "--seed", "15", "--out-dir", str(tmp_path / "inst")])
     good = next((tmp_path / "inst").glob("*.txt"))
@@ -284,14 +268,14 @@ def test_solve_failure_fails_only_its_instance(tmp_path, capsys, jobs, bad_kind)
             a=[[1, 1]], row_sense=[">="], b=[3]), bad)
     csv_path = tmp_path / "runs.csv"
     capsys.readouterr()
-    rc = main(["solve", str(bad), str(good), "--variant", "PI", "--runs", "2",
-               "--jobs", str(jobs), "--report-csv", str(csv_path)])
+    rc = main(["solve", str(bad), str(good), "--variant", "PI", "--runs", str(runs),
+               "--report-csv", str(csv_path)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.count(f"FAILED {bad}:") == 2          # one line per run of the bad instance
+    assert err.count(f"FAILED {bad}:") == runs       # one line per run of the bad instance
     assert str(good) not in err
-    assert [(r["instance"], r["seed"]) for r in _rows(csv_path)] == [(good.stem, "0"),
-                                                                    (good.stem, "1")]
+    assert [(r["instance"], r["seed"]) for r in _rows(csv_path)] == [
+        (good.stem, str(seed)) for seed in range(runs)]
 
 
 def test_report_ref_dir_fills_missing_hv(tmp_path):
@@ -382,7 +366,7 @@ def test_solve_lb_front_rejects_several_jobs(tmp_path, capsys):
     first, second = sorted(tmp_path.glob("*.txt"))
     lb_path = tmp_path / "lb.front.txt"
     one, two = [str(first)], [str(first), str(second)]
-    for instances, extra in ((one, ["--runs", "2"]), (one, ["--jobs", "2"]), (two, [])):
+    for instances, extra in ((one, ["--runs", "2"]), (two, [])):
         with pytest.raises(SystemExit) as exc:
             main(["solve", *instances, "--variant", "RD", "--lb-front", str(lb_path), *extra])
         assert exc.value.code == 2
@@ -408,8 +392,7 @@ def test_report_closes_its_files(tmp_path, monkeypatch):
     assert [u.exc_type for u in unraisable] == []
 
 
-@pytest.mark.parametrize("extra", [["--runs", "0"], ["--runs", "-1"], ["--jobs", "0"],
-                                   ["--jobs", "-3"]])
+@pytest.mark.parametrize("extra", [["--runs", "0"], ["--runs", "-1"]])
 def test_solve_rejects_counts_below_one(tmp_path, capsys, extra):
     main(["generate", "--kind", "knapsack", "--n", "6", "--count", "1",
           "--seed", "14", "--out-dir", str(tmp_path)])
@@ -424,7 +407,8 @@ def test_solve_rejects_counts_below_one(tmp_path, capsys, extra):
 
 
 @pytest.mark.parametrize("extra", [["--iter-mult", "-1"], ["--best-prob", "-0.1"],
-                                   ["--best-prob", "1.5"], ["--best-prob", "nan"]])
+                                   ["--best-prob", "1.5"], ["--best-prob", "nan"],
+                                   ["--jobs", "2"]])   # no such option: runs are serial
 def test_solve_rejects_out_of_range_parameters(tmp_path, capsys, monkeypatch, extra):
     main(["generate", "--kind", "knapsack", "--n", "6", "--count", "1",
           "--seed", "14", "--out-dir", str(tmp_path)])
@@ -462,12 +446,49 @@ def test_solve_out_rejects_several_runs(tmp_path, capsys, monkeypatch):
     work.mkdir()
     monkeypatch.chdir(work)
     out = work / "f.txt"
-    for instances, extra in (([first], ["--runs", "2"]), ([first, second], [])):
+    for instances, extra in (([first], ["--runs", "2"]), ([first, second], []),
+                             ([first], ["--out-dir", str(work / "fronts")])):
         with pytest.raises(SystemExit) as exc:
             main(["solve", *map(str, instances), "--variant", "RD", "--out", str(out), *extra])
         assert exc.value.code == 2
         assert "--out" in capsys.readouterr().err
     assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("existing", ["empty", "summary"])
+def test_solve_report_csv_checks_an_existing_file(tmp_path, capsys, monkeypatch, existing):
+    """An existing empty --report-csv file gets the run header before its
+    rows.  A non-empty one whose first row is not the run header, such as a
+    `report` summary, ends the command with exit code 2 and one 'error: ...'
+    line before any instance is read, and is left as it was."""
+    inst = tmp_path / "k.txt"
+    tribip.write_instance(tribip.generate_knapsack(6, seed=4), inst)
+    csv_path = tmp_path / "target.csv"
+    if existing == "empty":
+        csv_path.touch()
+    else:
+        runs = tmp_path / "runs.csv"
+        assert main(["solve", str(inst), "--variant", "RD", "--report-csv", str(runs)]) == 0
+        assert main(["report", str(runs), "--out", str(csv_path)]) == 0
+
+        def no_prepare(*args):
+            raise AssertionError("an instance was read before the CSV was checked")
+
+        monkeypatch.setattr(cli, "_prepare", no_prepare)
+    before = csv_path.read_bytes()
+    capsys.readouterr()
+    rc = main(["solve", str(inst), "--variant", "RD", "--report-csv", str(csv_path)])
+    captured = capsys.readouterr()
+    if existing == "empty":
+        assert rc == 0
+        assert csv_path.read_text().splitlines()[0] == ",".join(cli.CSV_FIELDS)
+        assert [r["instance"] for r in _rows(csv_path)] == ["k"]
+        assert main(["report", str(csv_path)]) == 0
+    else:
+        assert rc == 2
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and str(csv_path) in lines[0]
+        assert csv_path.read_bytes() == before
 
 
 @pytest.fixture

@@ -69,6 +69,12 @@ def test_commands_that_need_no_lp_load_no_scipy(tmp_path):
     assert loaded == dict.fromkeys(loaded, [])
 
 
+def test_cli_loads_no_thread_pool():
+    # `solve` runs serially, so the CLI needs no executor
+    code = "import tribip.cli\nprint(json.dumps('concurrent.futures' in sys.modules))"
+    assert _fresh(code) is False
+
+
 TIMED = """
 import time
 import tribip
