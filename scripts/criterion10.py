@@ -7,7 +7,9 @@ instance seeds 0, 1 and 2, RD then PI at seed 0, so one run gives three
 ratios RD time_sec / PI time_sec.  Runs alternate between the checkouts,
 the first checkout leading on even runs and the last on odd ones, so that
 host drift reaches every side alike.  Prints, per checkout, the median,
-quartiles and maximum of its ratios, and the medians of RD and PI time.
+quartiles and maximum of its ratios, the medians of RD and PI time, and
+how many runs would fail the criterion: a run fails when one of its ratios
+is 10% or more, or one of its RD times is 1 s or more.
 
     python3 scripts/criterion10.py PARENT_CHECKOUT CHANGE_CHECKOUT --runs 10
 """
@@ -44,12 +46,19 @@ def run_once(checkout: Path) -> list[tuple[float, float]]:
     return [tuple(pair) for pair in json.loads(done.stdout)]
 
 
-def summary(times: list[tuple[float, float]]) -> str:
+def fails(pairs: list[tuple[float, float]]) -> bool:
+    """Whether one run's (RD, PI) times fail criterion 10."""
+    return any(rd >= 1.0 or rd / pi >= 0.10 for rd, pi in pairs)
+
+
+def summary(runs: list[list[tuple[float, float]]]) -> str:
+    times = [pair for pairs in runs for pair in pairs]
     ratios = [100 * rd / pi for rd, pi in times]
     q1, median, q3 = statistics.quantiles(ratios, n=4)
     return (f"ratio median {median:.2f}% (quartiles {q1:.2f}-{q3:.2f}, max {max(ratios):.2f}, "
             f"{len(ratios)} ratios); RD median {1e3 * statistics.median(t[0] for t in times):.1f} ms, "
-            f"PI median {statistics.median(t[1] for t in times):.3f} s")
+            f"PI median {statistics.median(t[1] for t in times):.3f} s; "
+            f"{sum(map(fails, runs))} of {len(runs)} runs fail")
 
 
 def alternate(checkouts: list[Path], runs: int):
@@ -80,7 +89,7 @@ def main(argv=None) -> int:
     times: dict[Path, list] = {checkout: [] for checkout in args.checkouts}
     for run, checkout in alternate(args.checkouts, args.runs):
         pairs = run_once(checkout)
-        times[checkout] += pairs
+        times[checkout].append(pairs)
         ratios = ", ".join(f"{100 * rd / pi:.2f}%" for rd, pi in pairs)
         print(f"run {run}: {checkout}: {ratios}", file=sys.stderr)
     for checkout in args.checkouts:

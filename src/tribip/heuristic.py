@@ -26,7 +26,8 @@ Walk kernel
 -----------
 `path_relink_walk` is one loop for every relinking variant.  Its state comes
 from the problem's cached per-column moves (`Problem.flip_moves`) as Python
-ints, with x a `bytearray` flipped in place, on three facts:
+ints, with x a `bytearray` flipped in place and y started from the initiating
+row's y, on four facts:
 
 * D, the ascending positions where x differs from the guide, loses only the
   flipped entry per step, so it stays ``np.flatnonzero(x != x_g)`` in order
@@ -46,6 +47,11 @@ ints, with x a `bytearray` flipped in place, on three facts:
   by the pairwise tournament of `_rank_winner`.  This equals ranking the
   float ratios while objective values stay below 2**52 in magnitude, where
   float64 division keeps distinct integers apart.
+* Every pair in ig_pairs starts at an IR key: `path_relink_once` records
+  only pairs that `select_pair` drew from the IR set, which only grows.  So
+  a step looks its key up in the IR index first; only an unseen key takes
+  the row bounds test (`_within`), and only a known key is looked up in
+  ig_pairs.
 
 Assignment instances go through the same rounding: their LB vertices are
 already 0/1, so rounding leaves them unchanged, and only path relinking is
@@ -280,22 +286,26 @@ def path_relink_walk(problem: Problem, s_i, s_g, ir: IrSet,
                      best_move_prob: float, collect_visits: bool = False):
     """Walk from the initiating to the guiding solution, one flip per step.
 
-    s_i and s_g are `IrRow`s or `Solution`s; only their keys are read.
-    Feasible, previously unseen intermediate solutions are appended to the
-    IR set as rows; infeasible intermediates keep walking but are never
-    archived.  The walk stops when the current solution reaches the guiding
-    one or the current (S_i, S_g) pair was already used.  Returns the list
-    of visited vectors (read-only int8 arrays) when collect_visits is set.
+    s_i and s_g are `IrRow`s or `Solution`s; the walk reads their keys and
+    s_i.y, which must be the objective point of s_i's key.  Feasible,
+    previously unseen intermediate solutions are appended to the IR set as
+    rows; infeasible intermediates keep walking but are never archived.  The
+    walk stops when the current solution reaches the guiding one or the
+    current (S_i, S_g) pair was already used.  Past the first step, the
+    pair is looked up only when the current key is in the IR set, which
+    assumes that every pair in archives.ig_pairs starts at an IR key, as
+    `path_relink_once` keeps it.  Returns the list of visited vectors
+    (read-only int8 arrays) when collect_visits is set.
     """
     key, key_g = s_i.key(), s_g.key()
     pairs = archives.ig_pairs
     if key == key_g or (key, key_g) in pairs:
         return []
-    c_rows, a_rows, moves = problem.flip_moves
+    a_rows, moves = problem.flip_moves
     bounds = problem.row_bounds
     x = bytearray(key)
     rest = list(compress(range(len(key)), map(ne, key, key_g)))   # ascending
-    y0, y1, y2 = (sum(compress(row, key)) for row in c_rows)
+    y0, y1, y2 = s_i.y
     lhs = [sum(compress(row, key)) for row in a_rows]
     n = len(key)
     masks = None        # dominator masks and displacements along rest, built on first use
@@ -319,11 +329,12 @@ def path_relink_walk(problem: Problem, s_i, s_g, ir: IrSet,
         else:
             at = randint(len(rest))
         j = rest.pop(at)
+        v = x[j]
         if masks is not None:
             del masks[at], disps[at]
-            live ^= 1 << (j + n * x[j])
-        dy, dlhs = moves[x[j]][j]
-        x[j] ^= 1
+            live ^= 1 << (j + n * v)
+        dy, dlhs = moves[v][j]
+        x[j] = v ^ 1
         y0 += dy[0]
         y1 += dy[1]
         y2 += dy[2]
@@ -331,10 +342,13 @@ def path_relink_walk(problem: Problem, s_i, s_g, ir: IrSet,
         key = bytes(x)
         if collect_visits:
             visits.append(key)
-        if _within(lhs, bounds) and key not in known:
+        if key in known:            # only an IR key can start a recorded pair
+            if (key, key_g) in pairs:
+                break
+        elif _within(lhs, bounds):
             known[key] = len(rows)
             rows.append(IrRow((key, (y0, y1, y2))))
-        if not rest or (key, key_g) in pairs:
+        if not rest:
             break
     return [np.frombuffer(v, dtype=np.int8) for v in visits]
 

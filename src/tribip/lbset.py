@@ -14,10 +14,11 @@ are skipped: only nonnegative weights are valid scalarisations.
 Every facet weight of a round is known before any of them is solved, so
 the round's uncached weights go to the LP oracle in one call (for knapsacks
 one greedy pass over all their cost rows) and enter the cache in round
-order; `lp_count` and `probes` are those of solving them one by one.  An
-improving probe's point is accepted unless a known point lies within
-POINT_TOL of it; that test reads the known points kept in order of their
-first coordinate, in a window around the candidate's.  At the end, points
+order; `lp_count` and `probes` are those of solving them one by one.  One
+vectorised comparison per round finds the improving probes.  An improving
+probe's point is accepted unless a known point lies within POINT_TOL of it;
+that test reads the known points kept in order of their first coordinate,
+in a window around the candidate's.  At the end, points
 are kept if no other point dominates them by more than POINT_TOL and no
 earlier point lies within POINT_TOL, a pairwise test on the largest and
 smallest coordinate difference of each pair, run one block of points at a
@@ -37,7 +38,6 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import InfeasibleProblemError
 from .lp import RelaxationSolver
 from .metrics import unique_rows
 from .model import KIND_KNAPSACK, Problem
@@ -64,6 +64,16 @@ class LbPoint:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", tuple(map(float, self.y)))
         object.__setattr__(self, "w", tuple(map(float, self.w)))
+
+    @classmethod
+    def _exact(cls, x: np.ndarray, y: tuple, w: tuple) -> "LbPoint":
+        """A point from a read-only float64 x and tuples of floats y and w,
+        taken as they are."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "x", x)
+        object.__setattr__(point, "y", y)
+        object.__setattr__(point, "w", w)
+        return point
 
 
 @dataclass
@@ -184,25 +194,26 @@ def compute_lb_set(problem: Problem) -> LbSet:
     # every LP solved, in order: rounded weight -> (value, x, y), and the weights
     solved: dict[bytes, tuple] = {}
     probe_ws: list[np.ndarray] = []
+    key_size = np.dtype(np.float64).itemsize * problem.p      # bytes of one rounded weight
 
     def solve(ws: np.ndarray) -> list[tuple]:
         """(value, x, y) of every row of ws; the uncached ones are solved in
         one call and cached in row order."""
-        keys = [row.tobytes() for row in np.round(ws, 12)]
-        todo: dict[bytes, np.ndarray] = {}
-        for key, w in zip(keys, ws):
+        rounded = np.round(ws, 12).tobytes()
+        keys = [rounded[at:at + key_size] for at in range(0, len(rounded), key_size)]
+        todo: dict[bytes, int] = {}
+        for at, key in enumerate(keys):
             if key not in solved:
-                todo.setdefault(key, w)
+                todo.setdefault(key, at)
         if todo:
-            results = solver.solve_weighted_many(list(todo.values()))
-            if any(res.status == "infeasible" for res in results):
-                raise InfeasibleProblemError("LP relaxation is infeasible")
+            batch = ws[list(todo.values())]
+            values, x_batch = solver.solve_weighted_many(batch)
+            x_batch.setflags(write=False)
             # C @ x per LP; the stacked matmul computes each as `c_float @ x` does
-            x_batch = np.array([res.x for res in results])
             y_batch = np.matmul(c_float, x_batch[:, :, None])[:, :, 0]
-            for key, res, y in zip(todo, results, y_batch):
-                solved[key] = (res.value, res.x, y)
-            probe_ws.extend(todo.values())
+            for key, value, x, y in zip(todo, values.tolist(), x_batch, y_batch.tolist()):
+                solved[key] = (value, x, tuple(y))
+            probe_ws.append(batch)
         return [solved[key] for key in keys]
 
     # points in the order they were found: y as float tuples, x, w
@@ -215,7 +226,6 @@ def compute_lb_set(problem: Problem) -> LbSet:
     np.fill_diagonal(seeds, 1.0)
     seeds = seeds / seeds.sum(axis=1, keepdims=True)
     for w, (value, x, y) in zip(seeds.tolist(), solve(seeds)):
-        y = tuple(y.tolist())
         if not index.near(y):
             index.add(y)
             ys.append(y)
@@ -241,13 +251,15 @@ def compute_lb_set(problem: Problem) -> LbSet:
         if weights.shape[0] == 0:
             break
         hull_values = (nodes @ weights.T).min(axis=0)
+        results = solve(weights)
+        values = np.array([value for value, _, _ in results])
+        improving = hull_values - values > _FACET_REL_TOL * np.maximum(1.0, np.abs(hull_values))
         new_points = []
-        for w, hv, (value, x, y) in zip(weights.tolist(), hull_values.tolist(), solve(weights)):
-            if hv - value > _FACET_REL_TOL * max(1.0, abs(hv)):
-                y = tuple(y.tolist())
-                if not index.near(y):
-                    index.add(y)
-                    new_points.append((y, x, tuple(w)))
+        for at in np.flatnonzero(improving).tolist():
+            _, x, y = results[at]
+            if not index.near(y):
+                index.add(y)
+                new_points.append((y, x, tuple(weights[at].tolist())))
         if not new_points:
             break
         new_points.sort(key=itemgetter(0))
@@ -255,11 +267,12 @@ def compute_lb_set(problem: Problem) -> LbSet:
             ys.append(y)
             xs.append(x)
             ws.append(w)
-        y_arr = np.array(ys)
+        y_arr = np.concatenate([y_arr, [y for y, _, _ in new_points]])
 
     # keep strictly nondominated, distinct points, sorted for determinism
     dropped = _tolerant_dropped(y_arr, POINT_TOL)
     kept = sorted(np.flatnonzero(~dropped).tolist(), key=ys.__getitem__)
-    points = [LbPoint(xs[i], ys[i], ws[i]) for i in kept]
-    probes = list(zip(map(tuple, np.array(probe_ws).tolist()), (v for v, _, _ in solved.values())))
+    points = [LbPoint._exact(xs[i], ys[i], ws[i]) for i in kept]
+    probes = list(zip(map(tuple, np.concatenate(probe_ws).tolist()),
+                      (v for v, _, _ in solved.values())))
     return LbSet(points=points, lp_count=len(solved), probes=probes)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, TribipError, ValidationError
+from .errors import DimensionError, InfeasibleProblemError, TribipError, ValidationError
 from .model import KIND_ASSIGNMENT, KIND_KNAPSACK, Problem
 
 INT_TOL = 1e-6
@@ -57,20 +57,23 @@ class RelaxationSolver:
                 return LpSolveResult("infeasible", None, None)
         return LpSolveResult("optimal", x, float(c @ x))
 
-    def solve_weighted_many(self, ws) -> list[LpSolveResult]:
-        """`solve_weighted` of every weight vector in ws, in order; knapsack
-        LPs are solved together by one greedy pass over all their cost rows."""
-        if self.problem.kind != KIND_KNAPSACK:
-            return [self.solve_weighted(w) for w in ws]
+    def solve_weighted_many(self, ws) -> tuple[np.ndarray, np.ndarray]:
+        """Optimal values and vertices (rows) of `solve_weighted` for every
+        weight vector in ws, in order; knapsack LPs are solved together by
+        one greedy pass over all their cost rows.  Raises
+        InfeasibleProblemError when the relaxation has no feasible point."""
         ws = np.asarray(ws, dtype=np.float64)
-        if ws.size == 0:
-            return []
         if ws.ndim != 2 or ws.shape[1] != self.problem.p:
             raise DimensionError(f"weight vectors must have length {self.problem.p}")
+        if self.problem.kind != KIND_KNAPSACK:
+            results = [self.solve_weighted(w) for w in ws]
+            if any(res.status == "infeasible" for res in results):
+                raise InfeasibleProblemError("LP relaxation is infeasible")
+            return (np.array([res.value for res in results]),
+                    np.array([res.x for res in results]).reshape(-1, self.problem.n))
         cs = self._costs(ws)
         xs = self._knapsack(cs)
-        values = np.matmul(cs[:, None, :], xs[:, :, None])[:, 0, 0].tolist()   # c @ x per row
-        return [LpSolveResult("optimal", x, value) for x, value in zip(xs, values)]
+        return np.matmul(cs[:, None, :], xs[:, :, None])[:, 0, 0], xs   # c @ x per row
 
     def _costs(self, ws: np.ndarray) -> np.ndarray:
         """Cost row w @ C of each weight row w of ws; every row is checked.

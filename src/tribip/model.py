@@ -172,13 +172,13 @@ class Problem:
 
     @cached_property
     def flip_moves(self) -> tuple:
-        """(C rows, A rows, moves) as Python ints, built once per problem;
-        moves[v][j] is the (objective, row) displacement of flipping x_j
-        away from the value v."""
+        """(A rows, moves) as Python ints, built once per problem; moves[v][j]
+        is the (objective, row) displacement of flipping x_j away from the
+        value v."""
         cols = list(zip(self.C.T.tolist(), self.A.T.tolist()))
         up = [(tuple(c), tuple(a)) for c, a in cols]
         down = [(tuple(-v for v in c), tuple(-v for v in a)) for c, a in cols]
-        return self.C.tolist(), self.A.tolist(), (up, down)
+        return self.A.tolist(), (up, down)
 
     @cached_property
     def flip_dominators(self) -> tuple:

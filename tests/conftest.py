@@ -225,6 +225,20 @@ def naive_improved_nd(obj_s_i, nd):
     return degree.index(best)
 
 
+def naive_rows_hold(problem, x) -> bool:
+    """Whether lo <= A_i.x <= hi holds for every row i, one row at a time,
+    with (lo, hi) read off the row's sense (an open side is infinite): the
+    oracle of the walk's and rounding's test over `Problem.row_bounds`."""
+    inf = float("inf")
+    for row, sense, rhs in zip(problem.A.tolist(), problem.row_sense, problem.b.tolist()):
+        lhs = sum(a * int(v) for a, v in zip(row, x))
+        lo = -inf if sense == "<=" else rhs
+        hi = inf if sense == ">=" else rhs
+        if not lo <= lhs <= hi:
+            return False
+    return True
+
+
 def naive_round_down(lb, problem):
     """Reference round-down: one LB point at a time, checked by
     `tribip.is_feasible`, with the IR order, drop count and warning of

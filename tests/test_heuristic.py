@@ -468,6 +468,24 @@ def test_walk_kernel_equal_displacements_match_reference_walk(variant, prob):
     assert got == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(problem=_relink_problems(), data=st.data(),
+       variant=st.sampled_from([v for v in tribip.VARIANTS if v != "RD"]),
+       seed=st.integers(0, 2**32), iterations=st.integers(1, 60))
+def test_recorded_pairs_start_at_ir_keys(problem, data, variant, seed, iterations):
+    """Every pair that `path_relink_once` records starts at a key of the IR
+    set, which the walk relies on when it looks up only IR keys in
+    ig_pairs."""
+    n = problem.n
+    starts = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                                min_size=2, max_size=6, unique_by=tuple))
+    ir, archives, rng = _ir_from(problem, starts), PrArchives(), Xoshiro256StarStar(seed)
+    config = PrConfig(variant=variant, seed=seed)
+    for _ in range(iterations):
+        path_relink_once(ir, archives, config, rng, problem)
+        assert all(key_i in ir for key_i, _ in archives.ig_pairs)
+
+
 def test_move_tables_cached_per_problem():
     """Two problems with the same n and different coefficients, walked
     alternately at best_move_prob 0: each matches the reference walk, so

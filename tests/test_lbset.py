@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from unittest import mock
 
@@ -124,6 +125,50 @@ def test_lb_values_bound_integer_front():
         lp_val = float(w @ pt.y)
         int_val = float(np.min(ref.points @ w))
         assert lp_val <= int_val + 1e-6
+
+
+def _lb_digest(lb) -> str:
+    """sha256 over every point's x bytes, y and w, then lp_count, then every
+    probe's weight and value, all as float64 bytes."""
+    digest = hashlib.sha256()
+    for point in lb.points:
+        digest.update(point.x.tobytes())
+        digest.update(np.array(point.y + point.w, dtype=np.float64).tobytes())
+    digest.update(b"lp_count %d" % lb.lp_count)
+    for w, value in lb.probes:
+        digest.update(np.array(w + (value,), dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+# recorded with numpy 2.4 on x86-64; an LP tie that resolves to another vertex,
+# or a cost or value that changes in its last bit, changes the digest
+_LB_DIGESTS = {
+    ("knapsack", 10, 0): "1fa038c46ebe869b40f9bbdd2aea2d46caf1a521c3f474645b0c75c5bd0f64ed",
+    ("knapsack", 10, 1): "0b5f5c5d26e7019fb3e41851d8861fcb411eedf8fc4f6e68bd41cc2bb3836be1",
+    ("knapsack", 10, 2): "1ffbc96e7d70de46428790329eb399052bd8ca97d65d01d87ef9678279daff27",
+    ("knapsack", 34, 0): "12d23fbddea7019e0a7ecbfc3ab9605822077472387df0f8525f99dd0c0d8cb7",
+    ("knapsack", 34, 1): "f886eb4fcf009a9d965955dbfe321dc6c8f73129d29781ceb6b4840bad53f35f",
+    ("knapsack", 34, 2): "fcbbea25605584e94c04a9019dfddbc25587f710c00b68b2007a7ba7d67933de",
+    ("knapsack", 50, 0): "422dba9a1037a8211b9039ff509e4cb7a95f076deb853a33cafde5194cee368e",
+    ("knapsack", 50, 1): "f59559316570799c07614336a6a358769ebb8956cc043ea61e133d25a77de055",
+    ("knapsack", 50, 2): "b09044b3edc282f639217c0104ebb303a4c3341e19ae04456228e1b235c92663",
+    ("assignment", 5, 5): "1e2770a88bd6b826f892bf4644fa01f3373546c8250c7a19c7ab1ab623fa193e",
+    ("assignment", 7, 7): "0ddfc208d878356dd54db397befe7f62f7b090d4b241d418830c504f7bfa2d8d",
+}
+
+
+@pytest.mark.parametrize("kind, size, seed", list(_LB_DIGESTS))
+def test_lb_set_matches_recorded_digest(kind, size, seed):
+    """The LB points, lp_count and probes are bit for bit those recorded
+    before the batched LP results, the vectorised improvement test and the
+    direct `LbPoint` construction; every point still holds a read-only
+    float64 x and float tuples y and w."""
+    generate = tribip.generate_knapsack if kind == "knapsack" else tribip.generate_assignment
+    lb = compute_lb_set(generate(size, seed=seed))
+    assert _lb_digest(lb) == _LB_DIGESTS[kind, size, seed]
+    for point in lb.points:
+        assert point.x.dtype == np.float64 and not point.x.flags.writeable
+        assert all(type(v) is float for v in point.y + point.w)
 
 
 def test_probes_collected():

@@ -203,17 +203,17 @@ def test_knapsack_batch_matches_per_lp_greedy(case):
     p, ws = case
     solver = RelaxationSolver(p)
     c_float = p.C.astype(np.float64)
-    batch = solver.solve_weighted_many(ws)
-    assert len(batch) == len(ws)
-    for w, res in zip(ws, batch):
+    values, xs = solver.solve_weighted_many(ws)
+    assert values.shape == (len(ws),) and xs.shape == (len(ws), p.n)
+    for w, value, x_batch in zip(ws, values.tolist(), xs):
         c = np.asarray(w, dtype=np.float64) @ c_float
         x = naive_knapsack(p, c)
         single = solver.solve_weighted(w)
-        for got in (res, single):
-            assert got.status == "optimal"
-            assert got.x.tobytes() == x.tobytes()
-            assert got.value == float(c @ x)
-            assert (c_float @ got.x).tobytes() == (c_float @ x).tobytes()
+        assert single.status == "optimal"
+        for got_x, got_value in ((x_batch, value), (single.x, single.value)):
+            assert got_x.tobytes() == x.tobytes()
+            assert got_value == float(c @ x)
+            assert (c_float @ got_x).tobytes() == (c_float @ x).tobytes()
 
 
 @pytest.mark.parametrize("tasks", [2, 5, 8, 25])

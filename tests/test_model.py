@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,9 +7,9 @@ from hypothesis import strategies as st
 
 import tribip
 from tribip import (DimensionError, ParseError, TribipError, ValidationError,
-                    evaluate, is_feasible)
+                    evaluate, heuristic, is_feasible)
 
-from conftest import brute_force_front, naive_write_front
+from conftest import brute_force_front, naive_rows_hold, naive_write_front
 
 
 def test_evaluate_p_matrix(p_matrix_problem):
@@ -238,6 +240,54 @@ def test_write_front_matches_naive_writer(tmp_path_factory, case):
     tribip.write_front(tmp / "fast.txt", problem, entries)
     naive_write_front(tmp / "naive.txt", problem, entries)
     assert (tmp / "fast.txt").read_bytes() == (tmp / "naive.txt").read_bytes()
+
+
+@st.composite
+def _row_problems(draw):
+    """General problems with 0 to 4 rows of mixed senses and coefficients of
+    both signs, some of them wide.  Each right-hand side lies at an end of
+    the range the row's left-hand side reaches on 0/1 vectors, just outside
+    it, or near it, so rows that no 0/1 vector satisfies and left-hand sides
+    at the reachable minimum and maximum are common."""
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(0, 4))
+    coefficient = st.integers(-5, 5) | st.sampled_from([0, -(2 ** 40), 2 ** 40])
+    rows = draw(st.lists(st.lists(coefficient, min_size=n, max_size=n), min_size=m, max_size=m))
+    rhs = []
+    for row in rows:
+        low, high = sum(a for a in row if a < 0), sum(a for a in row if a > 0)
+        rhs.append(draw(st.sampled_from([low, high, low - 1, high + 1])
+                        | st.integers(low - 2, high + 2)))
+    return tribip.general_problem([[1] * n] * 3, ("min",) * 3,
+                                  np.array(rows, dtype=np.int64).reshape(m, n),
+                                  draw(st.lists(st.sampled_from(tribip.model.ROW_SENSES),
+                                                min_size=m, max_size=m)), rhs)
+
+
+def _rows_only(a, row_sense, b):
+    n = np.shape(a)[1]
+    return tribip.general_problem([[1] * n] * 3, ("min",) * 3, a, row_sense, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=_row_problems())
+@example(problem=_rows_only(np.zeros((0, 2), dtype=np.int64), (), []))           # m = 0
+@example(problem=_rows_only([[2, 2], [0, 0]], ("=", ">="), [1, 0]))    # no 0/1 vector fits row 0
+@example(problem=_rows_only([[3, -2, 0], [-1, -1, 4]], ("<=", ">="), [3, -2]))   # bounds at max, min
+def test_row_bounds_test_matches_row_by_row_check(problem):
+    """The row test of the walk and the rounding, `_within` over
+    `Problem.row_bounds`, agrees with the row-by-row check on every 0/1
+    vector, and flipping x_j changes the row sums by exactly the row half of
+    flip_moves[1][x_j][j]."""
+    a_rows, moves = problem.flip_moves
+    for bits in itertools.product((0, 1), repeat=problem.n):
+        lhs = [sum(a * v for a, v in zip(row, bits)) for row in a_rows]
+        assert heuristic._within(lhs, problem.row_bounds) == naive_rows_hold(problem, bits)
+        for j, v in enumerate(bits):
+            flipped = list(bits)
+            flipped[j] ^= 1
+            assert [sum(a * u for a, u in zip(row, flipped)) for row in a_rows] == \
+                [s + d for s, d in zip(lhs, moves[v][j][1])]
 
 
 def test_problem_immutable(p_matrix_problem):
