@@ -205,17 +205,22 @@ def cmd_report(args) -> int:
 
     ref_dir = Path(args.ref_dir) if args.ref_dir else None
     if ref_dir is not None:
-        refs: dict[str, ReferenceFront] = {}
+        refs: dict[str, ReferenceFront | None] = {}
         for row in rows:
             if row["hv_pct"] or not row["front_file"]:
                 continue
             instance = row["instance"]
             if instance not in refs:
                 ref_path = ref_dir / f"{instance}.ref.txt"
-                if not ref_path.is_file():
-                    continue
-                refs[instance] = _load_reference(ref_path)
+                if ref_path.is_file():
+                    refs[instance] = _load_reference(ref_path)
+                else:
+                    print(f"warning: no reference front {ref_path}; hv left blank for "
+                          f"instance {instance}", file=sys.stderr)
+                    refs[instance] = None
             ref = refs[instance]
+            if ref is None:
+                continue
             pts = model.read_front(row["front_file"]).min_points()
             if len(pts):
                 row["hv"] = f"{hypervolume(normalize(pts, ref)):.6f}"

@@ -1,14 +1,24 @@
 """Quality metrics: dominance filtering, exact and Monte-Carlo hypervolume,
 normalisation, and a brute-force exact Pareto oracle for desk-scale instances.
 
-All dominance comparisons are exact (integer points compare exactly, floats
-compare bitwise); the hypervolume is the exact Lebesgue measure of the union
-of boxes between the points and the reference point, computed by a sweep
-along the third objective.
+Three kernels carry the work, and all of them are exact (integer points
+compare exactly, floats compare bitwise):
+
+- `_first_nondominated` keeps the first occurrence of each nondominated row
+  by a forward screen in coordinate-sum order.  Both filters and both
+  oracles call it.
+- the binary oracle builds y and the row sums of every 0/1 vector by
+  doubling over the low bits, then screens one block per value of the high
+  bits into a running front.  Each point keeps its lowest id sum x_j 2^j.
+- `hypervolume` is the exact Lebesgue measure of the union of boxes between
+  the points and the reference point.  It makes one pass in z order over a
+  2-D staircase, adding the area that each new point uncovers (Beume et
+  al., IEEE TEC 2009).
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import logging
 import math
@@ -17,46 +27,59 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, EnumerationLimitError, ValidationError
-from .model import P_OBJECTIVES, KIND_ASSIGNMENT, KIND_KNAPSACK, Problem, Solution
+from .model import P_OBJECTIVES, KIND_ASSIGNMENT, Problem, Solution
 
 log = logging.getLogger(__name__)
 
 MAX_ENUM_KNAPSACK_N = 25
 MAX_ENUM_ASSIGNMENT_TASKS = 8
 
-_ENUM_CHUNK = 1 << 18
+_LOW_BITS = 18          # the binary oracle's block: ids sharing their high bits
 _SCREEN_HEAD = 64
 
 
-def _nondominated_mask_unique(pts: np.ndarray) -> np.ndarray:
-    """Mask of nondominated rows; rows must be pairwise distinct.
+def _first_nondominated(pts: np.ndarray) -> np.ndarray:
+    """Positions of the first occurrence of each nondominated row of a
+    (k, 3) array, ordered lexicographically by row.
 
-    Forward screen: rows are taken in ascending coordinate-sum order, so a
-    row can only be dominated by an earlier one.  The first _SCREEN_HEAD rows
-    still alive are resolved pairwise; every later row that a kept head row
-    dominates is dropped, and the next head is taken from what is left.
+    Forward screen (the maxima problem of Kung, Luccio & Preparata, JACM
+    1975): rows are taken in ascending coordinate-sum order, stable, so a
+    row can only be weakly dominated by an earlier one.  The first
+    _SCREEN_HEAD rows still alive are resolved pairwise, where a row loses
+    to one that dominates it or to an equal one taken earlier; every later
+    row that a kept head row weakly dominates is dropped, and the next head
+    is taken from what is left.
     """
-    k = pts.shape[0]
     sums = pts.sum(axis=1)
-    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], sums))
-    alive = order                         # row indices still undecided, in screen order
-    mask = np.zeros(k, dtype=bool)
+    if pts.dtype.kind == "f":      # a rounded sum can tie a row with one it dominates
+        order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], sums))
+    else:
+        order = np.argsort(sums, kind="stable")
+    alive = order                  # positions still undecided, in screen order
+    rest = pts[order]              # their rows
+    kept = [order[:0]]
     while alive.size:
-        head_idx, alive = alive[:_SCREEN_HEAD], alive[_SCREEN_HEAD:]
-        head = pts[head_idx]
-        # le[i, j]: head row j <= head row i; rows are distinct, so j != i dominates
+        head_idx, head = alive[:_SCREEN_HEAD], rest[:_SCREEN_HEAD]
+        alive, rest = alive[_SCREEN_HEAD:], rest[_SCREEN_HEAD:]
+        # le[i, j]: head row j <= head row i; j beats i unless they are equal
+        # and i is taken first
         le = (head[None, :, :] <= head[:, None, :]).all(axis=2)
-        keep = le.sum(axis=1) == 1
-        kept = head[keep]
-        mask[head_idx[keep]] = True
-        if alive.size:
-            rest = pts[alive]
-            # dominated[r, i]: kept row i <= rest row r, one coordinate at a time
-            dominated = kept[:, 0] <= rest[:, 0, None]
-            dominated &= kept[:, 1] <= rest[:, 1, None]
-            dominated &= kept[:, 2] <= rest[:, 2, None]
-            alive = alive[~dominated.any(axis=1)]
-    return mask
+        beaten = le & (~le.T | np.tri(head.shape[0], k=-1, dtype=bool))
+        keep = ~beaten.any(axis=1)
+        kept.append(head_idx[keep])
+        win = head[keep]
+        # the kept row of smallest sum goes first, alone: it drops most of
+        # a large rest for a fraction of the cost of all kept rows
+        for grp in (win[:1], win[1:]):
+            if grp.size and alive.size:
+                # dominated[r, i]: kept row i <= rest row r, one coordinate at a time
+                dominated = grp[:, 0] <= rest[:, 0, None]
+                dominated &= grp[:, 1] <= rest[:, 1, None]
+                dominated &= grp[:, 2] <= rest[:, 2, None]
+                live = ~dominated.any(axis=1)
+                alive, rest = alive[live], rest[live]
+    idx = np.concatenate(kept)
+    return idx[np.lexsort(pts[idx].T[::-1])]
 
 
 def unique_rows(a: np.ndarray) -> np.ndarray:
@@ -78,8 +101,7 @@ def filter_nondominated(points) -> np.ndarray:
     pts = pts.reshape(-1, pts.shape[-1])
     if pts.shape[1] != P_OBJECTIVES:
         raise DimensionError(f"points must have {P_OBJECTIVES} coordinates")
-    uniq = unique_rows(pts)
-    return uniq[_nondominated_mask_unique(uniq)]
+    return pts[_first_nondominated(pts)]
 
 
 def filter_nondominated_solutions(solutions) -> list:
@@ -87,15 +109,9 @@ def filter_nondominated_solutions(solutions) -> list:
     `Solution`s or IR rows); among solutions sharing an objective point the
     first-discovered one is kept.  Output sorted by objective."""
     solutions = list(solutions)
-    if not solutions:
-        return []
-    ys = [s.y for s in solutions]
-    front_set = set(map(tuple, filter_nondominated(np.array(ys, dtype=np.int64)).tolist()))
-    chosen: dict[tuple, Solution] = {}
-    for y, sol in zip(ys, solutions):
-        if y in front_set and y not in chosen:
-            chosen[y] = sol
-    return [chosen[key] for key in sorted(chosen)]
+    ys = np.fromiter(itertools.chain.from_iterable([s.y for s in solutions]), dtype=np.int64,
+                     count=P_OBJECTIVES * len(solutions)).reshape(-1, P_OBJECTIVES)
+    return [solutions[i] for i in _first_nondominated(ys).tolist()]
 
 
 @dataclass(frozen=True)
@@ -155,37 +171,37 @@ def hypervolume(points, ref_point=(1.0, 1.0, 1.0)) -> float:
     if (pts > ref + 1e-9).any():
         raise ValidationError("point beyond the reference point; normalise (clamp) first")
     pts = np.minimum(pts, ref)
-    r1, r2, r3 = ref
+    r1, r2, r3 = ref.tolist()
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0], pts[:, 2]))]
 
-    order = np.lexsort((pts[:, 1], pts[:, 0], pts[:, 2]))
-    pts = pts[order]
-    volume = 0.0
-    stair: np.ndarray | None = None            # rows (x, y), x asc, y strictly desc
-    i = 0
-    k = pts.shape[0]
-    while i < k:
-        z = pts[i, 2]
-        j = i
-        while j < k and pts[j, 2] == z:
-            j += 1
+    # One pass in z order over the staircase of the points seen so far,
+    # projected on (x, y): steps xs ascending, ys strictly descending, with
+    # `area` the measure of their boxes up to (r1, r2).
+    xs: list[float] = []
+    ys: list[float] = []
+    area = volume = 0.0
+    z_prev = 0.0
+    for x, y, z in pts.tolist():
         if z >= r3:
             break
-        fresh = pts[i:j, :2]
-        stair = fresh if stair is None else np.concatenate([stair, fresh], axis=0)
-        srt = stair[np.lexsort((stair[:, 1], stair[:, 0]))]
-        ymin = np.minimum.accumulate(srt[:, 1])
-        keep = np.empty(srt.shape[0], dtype=bool)
-        keep[0] = True
-        keep[1:] = srt[1:, 1] < ymin[:-1]
-        stair = srt[keep]
-        widths = np.empty(stair.shape[0])
-        widths[:-1] = stair[1:, 0] - stair[:-1, 0]
-        widths[-1] = r1 - stair[-1, 0]
-        area = float(widths @ (r2 - stair[:, 1]))
-        z_next = min(float(pts[j, 2]), r3) if j < k else r3
-        volume += (z_next - z) * area
-        i = j
-    return volume
+        volume += area * (z - z_prev)
+        z_prev = z
+        right = bisect.bisect_right(xs, x)
+        if right and ys[right - 1] <= y:
+            continue                           # weakly dominated in (x, y)
+        left = bisect.bisect_left(xs, x)
+        # the new box uncovers the strip above y, step by step, up to the
+        # first step at or below y; the steps in between are buried
+        stop = left
+        at, height = x, ys[left - 1] if left else r2
+        while stop < len(xs) and ys[stop] >= y:
+            area += (xs[stop] - at) * (height - y)
+            at, height = xs[stop], ys[stop]
+            stop += 1
+        area += ((xs[stop] if stop < len(xs) else r1) - at) * (height - y)
+        xs[left:stop] = [x]
+        ys[left:stop] = [y]
+    return volume + area * (r3 - z_prev)
 
 
 def hypervolume_mc(points, n_samples: int = 1_000_000, seed: int = 0) -> float:
@@ -210,50 +226,44 @@ def hypervolume_mc(points, n_samples: int = 1_000_000, seed: int = 0) -> float:
 # brute-force exact oracle
 # ---------------------------------------------------------------------------
 
-def _merge_front(y_run, id_run, x_run, y_new, id_new, x_new):
-    y = np.concatenate([y_run, y_new], axis=0)
-    ids = np.concatenate([id_run, id_new], axis=0)
-    xs = np.concatenate([x_run, x_new], axis=0)
-    order = np.lexsort((ids, y[:, 2], y[:, 1], y[:, 0]))
-    y, ids, xs = y[order], ids[order], xs[order]
-    first = np.empty(y.shape[0], dtype=bool)
-    first[0] = True
-    first[1:] = (y[1:] != y[:-1]).any(axis=1)
-    y, ids, xs = y[first], ids[first], xs[first]
-    mask = _nondominated_mask_unique(y)
-    return y[mask], ids[mask], xs[mask]
+def _subset_sums(cols: np.ndarray) -> np.ndarray:
+    """Row `id` holds the sum of cols[j] over the set bits j of id, for every
+    id below 2**len(cols), built by doubling in id order."""
+    out = np.zeros((1 << cols.shape[0], cols.shape[1]), dtype=np.int64)
+    for j, col in enumerate(cols):
+        half = 1 << j
+        np.add(out[:half], col, out=out[half:2 * half])
+    return out
 
 
 def _enumerate_binary_front(problem: Problem):
+    """Every x in {0,1}^n as id = sum x_j 2^j.  The low _LOW_BITS bits run
+    inside a block, and each value of the high bits is one block, merged
+    into the running front in id order, so each point keeps its lowest id."""
     n = problem.n
-    ct = problem.C.T.astype(np.int64)
-    shifts = np.arange(n, dtype=np.uint64)
+    low = min(n, _LOW_BITS)
+    cols = np.concatenate([problem.C.T, problem.A.T], axis=1)     # y, then row sums
+    low_sums = _subset_sums(cols[:low])
+    high_sums = _subset_sums(cols[low:])
     y_run = np.zeros((0, P_OBJECTIVES), dtype=np.int64)
-    id_run = np.zeros(0, dtype=np.uint64)
-    x_run = np.zeros((0, n), dtype=np.int8)
-    total = 1 << n
-    for start in range(0, total, _ENUM_CHUNK):
-        stop = min(start + _ENUM_CHUNK, total)
-        ids = np.arange(start, stop, dtype=np.uint64)
-        b = ids[:, None] >> shifts
-        b &= 1
-        bits = b.astype(np.int8)
-        del b                     # free the 8-byte matrix before the products
-        lhs = bits @ problem.A.T
-        feas = np.ones(bits.shape[0], dtype=bool)
-        for i, sense in enumerate(problem.row_sense):
-            if sense == "<=":
-                feas &= lhs[:, i] <= problem.b[i]
-            elif sense == ">=":
-                feas &= lhs[:, i] >= problem.b[i]
-            else:
-                feas &= lhs[:, i] == problem.b[i]
-        if not feas.any():
+    id_run = np.zeros(0, dtype=np.int64)
+    for high, shift in enumerate(high_sums):
+        block = low_sums + shift
+        feas = np.ones(block.shape[0], dtype=bool)
+        for lhs, (lo, hi) in zip(block[:, P_OBJECTIVES:].T, problem.row_bounds):
+            if lo > -math.inf:
+                feas &= lhs >= lo
+            if hi < math.inf:
+                feas &= lhs <= hi
+        ids = np.flatnonzero(feas)
+        if not ids.size:
             continue
-        xc = bits[feas]
-        yc = xc @ ct
-        y_run, id_run, x_run = _merge_front(y_run, id_run, x_run, yc, ids[feas], xc)
-    return y_run, x_run
+        y = np.concatenate([y_run, block[ids, :P_OBJECTIVES]])
+        ids = np.concatenate([id_run, ids + (high << low)])
+        keep = _first_nondominated(y)
+        y_run, id_run = y[keep], ids[keep]
+    x = (id_run[:, None] >> np.arange(n)) & 1
+    return y_run, x.astype(np.int8)
 
 
 def _enumerate_assignment_front(problem: Problem):
@@ -262,14 +272,10 @@ def _enumerate_assignment_front(problem: Problem):
     perms = np.array(list(itertools.permutations(range(t))), dtype=np.int64)
     rows = np.arange(t)[None, :]
     y = costs[:, rows, perms].sum(axis=2).T.astype(np.int64)
-    xs = np.zeros((perms.shape[0], t * t), dtype=np.int8)
-    cols = perms + np.arange(t)[None, :] * t
-    np.put_along_axis(xs, cols, 1, axis=1)
-    ids = np.arange(perms.shape[0], dtype=np.uint64)
-    empty_y = np.zeros((0, P_OBJECTIVES), dtype=np.int64)
-    empty_x = np.zeros((0, t * t), dtype=np.int8)
-    yf, _, xf = _merge_front(empty_y, np.zeros(0, dtype=np.uint64), empty_x, y, ids, xs)
-    return yf, xf
+    keep = _first_nondominated(y)
+    xs = np.zeros((keep.size, t * t), dtype=np.int8)
+    np.put_along_axis(xs, perms[keep] + np.arange(t)[None, :] * t, 1, axis=1)
+    return y[keep], xs
 
 
 def _enumerate_front(problem: Problem):

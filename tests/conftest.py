@@ -99,6 +99,21 @@ def naive_filter(points):
     return sorted(out)
 
 
+def naive_hypervolume(points, ref_point) -> float:
+    """Exact hypervolume on the grid of the points' coordinates: the sum of
+    the grid cells whose lower corner some point weakly dominates.  Points
+    must not exceed the reference point."""
+    pts = [tuple(float(v) for v in p) for p in points]
+    axes = [sorted({p[d] for p in pts} | {float(ref_point[d])}) for d in range(3)]
+    total = 0.0
+    for x0, x1 in zip(axes[0], axes[0][1:]):
+        for y0, y1 in zip(axes[1], axes[1][1:]):
+            for z0, z1 in zip(axes[2], axes[2][1:]):
+                if any(p[0] <= x0 and p[1] <= y0 and p[2] <= z0 for p in pts):
+                    total += (x1 - x0) * (y1 - y0) * (z1 - z0)
+    return total
+
+
 def brute_force_front(problem):
     """Exact front by itertools enumeration (independent of metrics)."""
     pts = set()

@@ -321,6 +321,26 @@ def test_report_ref_dir_matches_instance_name_exactly(tmp_path, stray):
     assert _rows(out)[0]["mean_hv_pct"] == ""
 
 
+def test_report_ref_dir_warns_once_per_missing_reference(tmp_path, capsys):
+    main(["generate", "--kind", "knapsack", "--n", "8", "--count", "2",
+          "--seed", "12", "--out-dir", str(tmp_path)])
+    with_ref, without_ref = sorted(tmp_path.glob("*.txt"))
+    refs = tmp_path / "refs"
+    refs.mkdir()
+    main(["oracle", str(with_ref), "--out", str(refs / f"{with_ref.stem}.ref.txt")])
+    csv_path = tmp_path / "runs.csv"
+    main(["solve", str(with_ref), str(without_ref), "--variant", "RD", "--runs", "2",
+          "--report-csv", str(csv_path), "--out-dir", str(tmp_path / "fronts")])
+    capsys.readouterr()
+    out = tmp_path / "agg.csv"
+    rc = main(["report", str(csv_path), "--ref-dir", str(refs), "--out", str(out)])
+    assert rc == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"warning: no reference front {refs / without_ref.stem}.ref.txt; "
+                     f"hv left blank for instance {without_ref.stem}"]
+    assert _rows(out)[0]["mean_hv_pct"] != ""
+
+
 def test_solve_lb_front_export(tmp_path):
     main(["generate", "--kind", "knapsack", "--n", "8", "--count", "1",
           "--seed", "10", "--out-dir", str(tmp_path)])

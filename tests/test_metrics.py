@@ -1,3 +1,4 @@
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -10,9 +11,11 @@ from tribip import (DimensionError, EnumerationLimitError, ReferenceFront,
                     ValidationError, exact_front, exact_front_solutions,
                     filter_nondominated, filter_nondominated_solutions, hv_percent,
                     hypervolume, hypervolume_mc, normalize)
-from tribip.metrics import _nondominated_mask_unique
+from tribip import metrics
+from tribip.metrics import _first_nondominated
 
-from conftest import brute_force_front, dominates, naive_filter
+from conftest import (brute_force_feasible_points, brute_force_front, dominates, naive_filter,
+                      naive_hypervolume)
 
 
 def test_dominates_basic():
@@ -69,13 +72,34 @@ def test_filter_matches_pairwise_oracle(points):
     assert [tuple(r) for r in filter_nondominated(pts).tolist()] == naive_filter(points)
 
 
+# a rounded float sum ties a row with the row that dominates it, and a full
+# head of mutually nondominated rows with that sum sits between the two
+_ROUNDED_TIE = ([(1e16, 1, 0)] + [(2 * i, 0, 1e16 - 2 * i) for i in range(1, _HEAD + 1)]
+                + [(1e16, 0, 0)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=_points, dtype=st.sampled_from([np.int64, np.float64]))
+@example(points=[], dtype=np.int64)
+@example(points=[(1, 1, 1)] * (2 * _HEAD + 1) + [(0, 1, 1)], dtype=np.int64)   # equal rows over heads
+@example(points=_ROUNDED_TIE, dtype=np.float64)
+def test_first_nondominated_keeps_first_positions(points, dtype):
+    pts = np.array(points, dtype=dtype).reshape(-1, 3)
+    first = {}
+    for i, p in enumerate(points):
+        first.setdefault(tuple(int(v) for v in p), i)
+    got = _first_nondominated(pts)
+    assert got.tolist() == [first[p] for p in naive_filter(points)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(points=_points, dtype=st.sampled_from([np.int64, np.float64]))
 def test_filter_dedupe_matches_np_unique(points, dtype):
     assume(points)
     pts = np.array(points, dtype=dtype)
     uniq = np.unique(pts, axis=0)
-    want = uniq[_nondominated_mask_unique(uniq)]
+    front = set(naive_filter(points))
+    want = uniq[[tuple(int(v) for v in row) in front for row in uniq.tolist()]]
     got = filter_nondominated(pts)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -154,6 +178,31 @@ def test_hypervolume_monotone_and_dominated_noop():
     assert hypervolume(np.vstack([pts, dominated])) == pytest.approx(base, abs=1e-12)
 
 
+@st.composite
+def _hv_cases(draw):
+    """(reference coordinate, at most 10 points): coordinates tie often and
+    touch the reference faces; some points repeat."""
+    ref = draw(st.sampled_from([1.0, 2.0]))
+    coord = st.one_of(st.sampled_from([0.0, ref / 4, ref / 2, ref]),
+                      st.floats(0.0, ref, allow_nan=False))
+    points = draw(st.lists(st.tuples(coord, coord, coord), max_size=8))
+    if points:
+        points += draw(st.lists(st.sampled_from(points), max_size=2))
+    return ref, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_hv_cases())
+@example(case=(1.0, [(1, 0.5, 0.5), (0.5, 1, 0), (0, 0.5, 1),      # one on each face
+                     (0.5, 0.5, 0.5), (0.5, 0.5, 0.5), (0.75, 0.5, 0.5)]))
+@example(case=(2.0, [(0, 0, 2), (2, 0, 0), (0, 2, 0), (1, 1, 1)]))
+def test_hypervolume_matches_grid_oracle(case):
+    ref, points = case
+    ref_point = (ref, ref, ref)
+    want = naive_hypervolume(points, ref_point) if points else 0.0
+    assert hypervolume(points, ref_point) == pytest.approx(want, rel=0, abs=1e-12)
+
+
 def test_hypervolume_rejects_beyond_reference():
     with pytest.raises(ValidationError):
         hypervolume([(1.5, 0.5, 0.5)])
@@ -220,6 +269,76 @@ def test_exact_front_solutions_consistent():
     for s in sols:
         assert tribip.evaluate(p, s.x) == s.y
         assert s.feasible
+
+
+_GENERAL = tribip.general_problem(
+    [[3, -1, 4, 1, -5, 9, 2, 6, -5, 3, 5, 8],
+     [2, 7, 1, -8, 2, 8, 1, 8, 2, -8, 4, 5],
+     [1, 4, 1, 4, 2, 1, -3, 5, 6, 2, 3, 7]],
+    ("max", "min", "max"),
+    [[4, 2, 7, 1, 8, 2, 8, 1, 8, 2, 8, 4],
+     [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]],
+    (">=", "="), [20, 6])
+
+# sha256 (first 16 hex digits) of the oracle's points, then its x, recorded
+# from the earlier chunked enumeration
+_ORACLE_DIGESTS = {
+    ("knapsack", 8, 0): "36a1af59993955a7",
+    ("knapsack", 8, 1): "f6f6f67795650ab7",
+    ("knapsack", 8, 2): "3bc7e8f3858de0c6",
+    ("knapsack", 12, 0): "0e09f2954f2526b5",
+    ("knapsack", 12, 1): "4bab422071ce5978",
+    ("knapsack", 12, 2): "93a6c34e00bc9726",
+    ("knapsack", 16, 0): "c9c1b60ef85b4853",
+    ("knapsack", 16, 1): "c41e7ab4bbbbe516",
+    ("knapsack", 16, 2): "6232aaa2f9a9a398",
+    ("knapsack", 20, 0): "684cbeedc57f85a4",        # more than one block of ids
+    ("general", 12, 0): "dd38825949a1285a",
+    ("assignment", 4, 0): "bf226bcc0c3d0ab0",
+    ("assignment", 6, 0): "4320eceb80cbbdc9",
+    ("assignment", 7, 0): "257419b8b7474598",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_DIGESTS))
+def test_exact_front_solutions_golden(case):
+    kind, n, seed = case
+    problem = {"knapsack": lambda: tribip.generate_knapsack(n, seed=seed),
+               "assignment": lambda: tribip.generate_assignment(n, seed=seed),
+               "general": lambda: _GENERAL}[kind]()
+    sols = exact_front_solutions(problem)
+    h = hashlib.sha256(np.array([s.y for s in sols], dtype=np.int64).tobytes())
+    h.update(np.array([s.x for s in sols], dtype=np.int8).tobytes())
+    assert h.hexdigest()[:16] == _ORACLE_DIGESTS[case]
+
+
+_TIED_KNAPSACK = tribip.knapsack_problem(      # items 5-9 repeat 0-4
+    [[9, 2, 3, 1, 5] * 2, [1, 7, 2, 8, 2] * 2, [3, 4, 9, 1, 6] * 2], [3, 1, 4, 1, 5] * 2, 17)
+_TIED_GENERAL = tribip.general_problem(        # columns 6-11 repeat 0-5
+    [[3, -1, 4, 1, -5, 9] * 2, [2, 7, 1, -8, 2, 8] * 2, [1, 4, 1, 4, 2, 1] * 2],
+    ("max", "min", "max"),
+    [[4, 2, 7, 1, 8, 2, 8, 1, 8, 2, 8, 4], [1] * 12],
+    ("<=", ">="), [30, 4])
+
+
+@pytest.mark.parametrize("low_bits", [None, 3])
+@pytest.mark.parametrize("problem", [_TIED_KNAPSACK, _TIED_GENERAL], ids=["knapsack", "general"])
+def test_exact_front_solutions_lowest_id_on_ties(problem, low_bits, monkeypatch):
+    """Each front point keeps the feasible x of smallest id sum x_j 2^j,
+    within one block of ids and, with 3 low bits, across blocks."""
+    if low_bits is not None:
+        monkeypatch.setattr(metrics, "_LOW_BITS", low_bits)
+    lowest, ties = {}, {}
+    for x, y in brute_force_feasible_points(problem):
+        ident = sum(int(v) << j for j, v in enumerate(x))
+        lowest[y] = min(lowest.get(y, ident), ident)
+        ties[y] = ties.get(y, 0) + 1
+    sols = exact_front_solutions(problem)
+    assert [s.y for s in sols] == brute_force_front(problem)
+    assert any(ties[s.y] > 1 for s in sols)
+    for s in sols:
+        assert s.x.dtype == np.int8
+        assert sum(int(v) << j for j, v in enumerate(s.x)) == lowest[s.y]
 
 
 def test_hv_percent_bounds():
