@@ -11,6 +11,12 @@ quartiles and maximum of its ratios, the medians of RD and PI time, and
 how many runs would fail the criterion: a run fails when one of its ratios
 is 10% or more, or one of its RD times is 1 s or more.
 
+Each run also counts, through `gc.callbacks`, the generation-2 collections
+that start during each `tribip.run` call.  Per checkout it prints how many
+fell inside RD runs and inside PI runs, and how many of the failing ratios
+had one inside their RD run, so that an outlier can be put down to the
+collector or, failing that, to the host.
+
     python3 scripts/criterion10.py PARENT_CHECKOUT CHANGE_CHECKOUT --runs 10
 """
 
@@ -25,40 +31,56 @@ import sys
 from pathlib import Path
 
 LOOP = """
+import gc
 import json
 import tribip
 from tribip import PrConfig
-times = []
+gen2 = [0]
+def count(phase, info):
+    if phase == "start" and info["generation"] == 2:
+        gen2[0] += 1
+gc.callbacks.append(count)
+rows = []
 for inst_seed in range(3):
     p = tribip.generate_knapsack(50, seed=inst_seed)
-    _, rep_rd = tribip.run(p, PrConfig(variant="RD"))
-    _, rep_pi = tribip.run(p, PrConfig(variant="PI", seed=0))
-    times.append((rep_rd.time_sec, rep_pi.time_sec))
-print(json.dumps(times))
+    row = []
+    for config in (PrConfig(variant="RD"), PrConfig(variant="PI", seed=0)):
+        before = gen2[0]
+        _, rep = tribip.run(p, config)
+        row.append((rep.time_sec, gen2[0] - before))
+    rows.append(row)
+print(json.dumps(rows))
 """
 
 
-def run_once(checkout: Path) -> list[tuple[float, float]]:
-    """(RD seconds, PI seconds) per instance from one fresh process."""
+def run_once(checkout: Path) -> list[tuple[float, float, int, int]]:
+    """(RD seconds, PI seconds, generation-2 collections during RD, during
+    PI) per instance from one fresh process."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     done = subprocess.run([sys.executable, "-c", LOOP], env=env, check=True,
                           capture_output=True, text=True)
-    return [tuple(pair) for pair in json.loads(done.stdout)]
+    return [(rd, pi, rd_gen2, pi_gen2)
+            for (rd, rd_gen2), (pi, pi_gen2) in json.loads(done.stdout)]
 
 
-def fails(pairs: list[tuple[float, float]]) -> bool:
-    """Whether one run's (RD, PI) times fail criterion 10."""
-    return any(rd >= 1.0 or rd / pi >= 0.10 for rd, pi in pairs)
+def fails(times: list[tuple]) -> bool:
+    """Whether one run's (RD, PI, ...) times fail criterion 10."""
+    return any(rd >= 1.0 or rd / pi >= 0.10 for rd, pi, *_ in times)
 
 
-def summary(runs: list[list[tuple[float, float]]]) -> str:
-    times = [pair for pairs in runs for pair in pairs]
-    ratios = [100 * rd / pi for rd, pi in times]
+def summary(runs: list[list[tuple]]) -> str:
+    times = [row for rows in runs for row in rows]
+    ratios = [100 * rd / pi for rd, pi, *_ in times]
     q1, median, q3 = statistics.quantiles(ratios, n=4)
+    failing = [row for row in times if fails([row])]
     return (f"ratio median {median:.2f}% (quartiles {q1:.2f}-{q3:.2f}, max {max(ratios):.2f}, "
             f"{len(ratios)} ratios); RD median {1e3 * statistics.median(t[0] for t in times):.1f} ms, "
             f"PI median {statistics.median(t[1] for t in times):.3f} s; "
-            f"{sum(map(fails, runs))} of {len(runs)} runs fail")
+            f"{sum(map(fails, runs))} of {len(runs)} runs fail; "
+            f"gen-2 collections inside RD runs {sum(t[2] for t in times)}, "
+            f"inside PI runs {sum(t[3] for t in times)}; "
+            f"{sum(t[2] > 0 for t in failing)} of {len(failing)} failing ratios "
+            f"had one inside their RD run")
 
 
 def alternate(checkouts: list[Path], runs: int):
@@ -88,9 +110,10 @@ def main(argv=None) -> int:
     args = parse_checkouts(argparse.ArgumentParser(description=__doc__.split("\n\n")[0]), argv)
     times: dict[Path, list] = {checkout: [] for checkout in args.checkouts}
     for run, checkout in alternate(args.checkouts, args.runs):
-        pairs = run_once(checkout)
-        times[checkout].append(pairs)
-        ratios = ", ".join(f"{100 * rd / pi:.2f}%" for rd, pi in pairs)
+        rows = run_once(checkout)
+        times[checkout].append(rows)
+        ratios = ", ".join(f"{100 * rd / pi:.2f}%" + " (gen-2 in RD)" * (rd_gen2 > 0)
+                           for rd, pi, rd_gen2, _ in rows)
         print(f"run {run}: {checkout}: {ratios}", file=sys.stderr)
     for checkout in args.checkouts:
         print(f"{checkout}: {summary(times[checkout])}")

@@ -26,8 +26,10 @@ Walk kernel
 -----------
 `path_relink_walk` is one loop for every relinking variant.  Its state comes
 from the problem's cached per-column moves (`Problem.flip_moves`) as Python
-ints, with x a `bytearray` flipped in place and y started from the initiating
-row's y, on four facts:
+ints, with x a `bytearray` flipped in place, y started from the initiating
+row's y, and the row sums A.x packed into one int (`Problem.packed_rows`): a
+flip adds one packed displacement, and the row test is one add and two
+masks.  It rests on four facts:
 
 * D, the ascending positions where x differs from the guide, loses only the
   flipped entry per step, so it stays ``np.flatnonzero(x != x_g)`` in order
@@ -50,8 +52,14 @@ row's y, on four facts:
 * Every pair in ig_pairs starts at an IR key: `path_relink_once` records
   only pairs that `select_pair` drew from the IR set, which only grows.  So
   a step looks its key up in the IR index first; only an unseen key takes
-  the row bounds test (`_within`), and only a known key is looked up in
-  ig_pairs.
+  the packed row test, and only a known key is looked up in ig_pairs.
+
+A new feasible point goes into the IR set flat: its key onto `IrSet.keys`
+and its y onto the `array('q')` `IrSet.ys`.  So a step leaves behind no
+object that the garbage collector tracks, and the walks no longer trigger
+collections.
+`select_pair` builds an `IrRow` only for the pair it returns, and the final
+filter reads the points straight from `IrSet.ys`.
 
 Assignment instances go through the same rounding: their LB vertices are
 already 0/1, so rounding leaves them unchanged, and only path relinking is
@@ -62,17 +70,18 @@ from __future__ import annotations
 
 import logging
 import time
+from array import array
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import add, index, itemgetter, ne
+from operator import index, itemgetter, ne
 
 import numpy as np
 
-from .errors import (InsufficientSolutionsError, NoRoundedSolutionError,
+from .errors import (DimensionError, InsufficientSolutionsError, NoRoundedSolutionError,
                      ValidationError)
 from .lbset import LbSet, _load_scipy, compute_lb_set
 from .lp import INT_TOL
-from .model import KIND_ASSIGNMENT, Problem, Solution
+from .model import KIND_ASSIGNMENT, P_OBJECTIVES, Problem, Solution
 from .metrics import filter_nondominated_solutions
 from .rng import Xoshiro256StarStar
 
@@ -102,20 +111,23 @@ class PrConfig:
             raise ValidationError(f"unknown variant {self.variant!r}, pick one of {VARIANTS}")
         if not 0.0 <= self.best_move_prob <= 1.0:
             raise ValidationError("best_move_prob must be in [0, 1]")
-        if self.iteration_multiplier < 0:
-            raise ValidationError("iteration_multiplier must be >= 0")
         try:
             self.seed = index(self.seed)
         except TypeError:
             raise ValidationError(f"seed must be an integer, got {self.seed!r}") from None
+        try:
+            self.iteration_multiplier = index(self.iteration_multiplier)
+        except TypeError:
+            raise ValidationError("iteration_multiplier must be an integer, "
+                                  f"got {self.iteration_multiplier!r}") from None
+        if self.iteration_multiplier < 0:
+            raise ValidationError("iteration_multiplier must be >= 0")
 
 
 class IrRow(tuple):
-    """One IR entry: the x vector's bytes and its objective point.
-
-    A plain (key, y) tuple, so rows cost one small object each; the final
-    front turns only the rows it keeps into `Solution`s.
-    """
+    """One IR entry: the x vector's bytes and its objective point, as a
+    (key, y) tuple with `key()` and `.y` like a `Solution`.  `IrSet` stores
+    its rows flat and builds an `IrRow` only for a row that is read."""
 
     __slots__ = ()
 
@@ -130,42 +142,59 @@ class IrSet:
     """Feasible integer solutions rounded from the LB set, then grown by path
     relinking; the x vectors are pairwise distinct.
 
-    `rows` holds one `IrRow` per solution in discovery order.
+    Row k is `keys[k]`, its x as int8 bytes, and `ys[3k:3k + 3]`, its
+    objective point, in discovery order.  Neither holds an object the
+    garbage collector tracks, so growing the set triggers no collection.
+    Indexing and iteration give `IrRow`s.
     """
 
     def __init__(self):
-        self.rows: list[IrRow] = []
+        self.keys: list[bytes] = []
+        self.ys = array("q")
         self.dropped_infeasible = 0
         self._index: dict[bytes, int] = {}
-        self._x = np.empty((0, 0), dtype=np.int8)   # row k < _filled is rows[k]'s x
+        self._x = np.empty((0, 0), dtype=np.int8)   # row k < _filled is keys[k]
         self._filled = 0
         # (initiating row, rule) -> (guide row, its similarity, rows scanned)
         self._guides: dict[tuple[int, str], tuple[int, int, int]] = {}
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.keys)
 
     def __contains__(self, key: bytes):
         return key in self._index
 
+    def __getitem__(self, k: int) -> IrRow:
+        ys = self.ys
+        return IrRow((self.keys[k], (ys[3 * k], ys[3 * k + 1], ys[3 * k + 2])))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.keys)))
+
     def add(self, solution) -> bool:
         """Add a `Solution` or `IrRow` unless its x vector is already present."""
-        key = solution.key()
+        if len(solution.y) != P_OBJECTIVES:
+            raise DimensionError(f"objective point must have {P_OBJECTIVES} entries, "
+                                 f"got {solution.y!r}")
+        return self._add(solution.key(), solution.y)
+
+    def _add(self, key: bytes, y) -> bool:
         if key in self._index:
             return False
-        self._index[key] = len(self.rows)
-        self.rows.append(IrRow((key, solution.y)))
+        self._index[key] = len(self.keys)
+        self.keys.append(key)
+        self.ys.extend(y)
         return True
 
     def _x_buffer(self) -> np.ndarray:
-        """The x buffer with rows 0 .. |IR|-1 filled from `rows` in IR order;
+        """The x buffer with rows 0 .. |IR|-1 filled from `keys` in IR order;
         rows past |IR| are unused.  Rows added since the last call are filled
         here."""
-        k, filled = len(self.rows), self._filled
+        k, filled = len(self.keys), self._filled
         if filled < k:
-            new = b"".join(map(IrRow.key, self.rows[filled:k]))
+            new = b"".join(self.keys[filled:k])
             if k > len(self._x):
-                grown = np.empty((max(16, 2 * k), len(self.rows[0].key())), dtype=np.int8)
+                grown = np.empty((max(16, 2 * k), len(self.keys[0])), dtype=np.int8)
                 if filled:
                     grown[:filled] = self._x[:filled]
                 self._x = grown
@@ -205,25 +234,25 @@ def round_down(lb: LbSet, problem: Problem) -> IrSet:
     ir = IrSet()
     lb_x = np.array([point.x for point in lb.points], dtype=np.float64).reshape(-1, problem.n)
     xs = (lb_x >= 1.0 - INT_TOL).astype(np.int8)
-    xi = xs.astype(np.int64)
-    for x, y, lhs in zip(xs, (xi @ problem.C.T).tolist(), (xi @ problem.A.T).tolist()):
-        if not _within(lhs, problem.row_bounds):
+    keys = xs.view(f"V{problem.n}").ravel().tolist()      # x.tobytes() of each row
+    ys = (xs.astype(np.int64) @ problem.C.T).tolist()
+    # the walk's packed row sums: one int64 product when they fit (exact even
+    # if a partial sum wraps), else a sum of Python ints per vector
+    columns, offset, add_lo, add_hi, guards = problem.packed_rows
+    if guards.bit_length() < 63:
+        packed = (offset + xs.astype(np.int64) @ np.array(columns, dtype=np.int64)).tolist()
+    else:
+        packed = [offset + sum(compress(columns, key)) for key in keys]
+    for key, y, s in zip(keys, ys, packed):
+        if (s + add_lo) & guards == guards and (add_hi - s) & guards == guards:
+            ir._add(key, y)
+        else:
             ir.dropped_infeasible += 1
-            continue
-        ir.add(IrRow((x.tobytes(), tuple(y))))
     if ir.dropped_infeasible:
         log.warning("round_down dropped %d infeasible rounded solutions", ir.dropped_infeasible)
     if len(ir) == 0:
         raise NoRoundedSolutionError("no feasible rounded solution; report the LB set instead")
     return ir
-
-
-def _within(lhs, bounds) -> bool:
-    """Whether every row's left-hand side lies in its (lo, hi) bounds."""
-    for v, (lo, hi) in zip(lhs, bounds):
-        if not lo <= v <= hi:
-            return False
-    return True
 
 
 def select_pair(ir: IrSet, rule: str, rng: Xoshiro256StarStar) -> tuple[IrRow, IrRow]:
@@ -243,7 +272,7 @@ def select_pair(ir: IrSet, rule: str, rng: Xoshiro256StarStar) -> tuple[IrRow, I
         g = rng.randint(k - 1)
         if g >= i:
             g += 1
-        return ir.rows[i], ir.rows[g]
+        return ir[i], ir[g]
     if rule not in ("sim", "dif"):
         raise ValidationError(f"unknown selection rule {rule!r}")
     g, best, scanned = ir._guides.get((i, rule), (-1, 0, 0))
@@ -257,7 +286,7 @@ def select_pair(ir: IrSet, rule: str, rng: Xoshiro256StarStar) -> tuple[IrRow, I
         if g < 0 or (value > best if rule == "sim" else value < best):
             g, best = scanned + at, value
         ir._guides[(i, rule)] = (g, best, k)
-    return ir.rows[i], ir.rows[g]
+    return ir[i], ir[g]
 
 
 def _rank_winner(keys) -> int:
@@ -301,16 +330,16 @@ def path_relink_walk(problem: Problem, s_i, s_g, ir: IrSet,
     pairs = archives.ig_pairs
     if key == key_g or (key, key_g) in pairs:
         return []
-    a_rows, moves = problem.flip_moves
-    bounds = problem.row_bounds
+    moves = problem.flip_moves
+    columns, offset, add_lo, add_hi, guards = problem.packed_rows
     x = bytearray(key)
     rest = list(compress(range(len(key)), map(ne, key, key_g)))   # ascending
     y0, y1, y2 = s_i.y
-    lhs = [sum(compress(row, key)) for row in a_rows]
+    packed = offset + sum(compress(columns, key))
     n = len(key)
     masks = None        # dominator masks and displacements along rest, built on first use
     random, randint = rng.random, rng.randint
-    known, rows = ir._index, ir.rows        # new feasible points are appended here
+    known, keys, ys = ir._index, ir.keys, ir.ys     # new feasible points are appended here
     visits: list[bytes] = []
     while True:
         if random() < best_move_prob:
@@ -333,21 +362,24 @@ def path_relink_walk(problem: Problem, s_i, s_g, ir: IrSet,
         if masks is not None:
             del masks[at], disps[at]
             live ^= 1 << (j + n * v)
-        dy, dlhs = moves[v][j]
+        dy, ds = moves[v][j]
         x[j] = v ^ 1
         y0 += dy[0]
         y1 += dy[1]
         y2 += dy[2]
-        lhs = list(map(add, lhs, dlhs))
+        packed += ds
         key = bytes(x)
         if collect_visits:
             visits.append(key)
         if key in known:            # only an IR key can start a recorded pair
             if (key, key_g) in pairs:
                 break
-        elif _within(lhs, bounds):
-            known[key] = len(rows)
-            rows.append(IrRow((key, (y0, y1, y2))))
+        elif (packed + add_lo) & guards == guards and (add_hi - packed) & guards == guards:
+            known[key] = len(keys)
+            keys.append(key)
+            ys.append(y0)
+            ys.append(y1)
+            ys.append(y2)
         if not rest:
             break
     return [np.frombuffer(v, dtype=np.int8) for v in visits]
@@ -389,8 +421,9 @@ def solve_from_lb(problem: Problem, lb: LbSet, config: PrConfig | None = None):
                 path_relink_once(ir, archives, config, rng, problem)
                 pr_iterations += 1
     # only the rows that reach the front become Solutions
-    front = [Solution(np.frombuffer(row.key(), dtype=np.int8), row.y, True)
-             for row in filter_nondominated_solutions(ir.rows)]
+    points = np.frombuffer(ir.ys, np.int64).reshape(-1, P_OBJECTIVES)
+    kept = filter_nondominated_solutions(ir, points=points)
+    front = [Solution(np.frombuffer(row.key(), dtype=np.int8), row.y, True) for row in kept]
 
     report = RunReport(
         variant=config.variant,

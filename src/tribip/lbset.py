@@ -20,9 +20,11 @@ probe's point is accepted unless a known point lies within POINT_TOL of it;
 that test reads the known points kept in order of their first coordinate,
 in a window around the candidate's.  At the end, points
 are kept if no other point dominates them by more than POINT_TOL and no
-earlier point lies within POINT_TOL, a pairwise test on the largest and
-smallest coordinate difference of each pair, run one block of points at a
-time so that its memory stays linear in the number of points.
+earlier point lies within POINT_TOL: a pairwise test that every
+coordinate difference of a pair is at most POINT_TOL, run one block of
+points at a time so that its memory stays linear in the number of points,
+and then, on the few pairs that pass it, a test of the smallest difference
+and of the order.
 
 Termination is guaranteed: the relaxed polytope has finitely many vertices,
 every round adds at least one of them or stops, and probed weights are
@@ -70,9 +72,7 @@ class LbPoint:
         """A point from a read-only float64 x and tuples of floats y and w,
         taken as they are."""
         point = object.__new__(cls)
-        object.__setattr__(point, "x", x)
-        object.__setattr__(point, "y", y)
-        object.__setattr__(point, "w", w)
+        vars(point).update(x=x, y=y, w=w)
         return point
 
 
@@ -132,25 +132,23 @@ def _tolerant_dropped(y: np.ndarray, point_tol: float) -> np.ndarray:
     point_tol, or that lie within point_tol of an earlier row (in every
     coordinate).
 
-    Both tests read only the largest and the smallest coordinate difference
-    of a pair: row j drops row i when max_c (y_jc - y_ic) <= point_tol and
-    either min_c (y_jc - y_ic) < -point_tol or j < i.  They are taken over
-    three 2-D difference planes, one block of rows against all rows at a
-    time, so memory stays linear in the row count."""
+    Row j drops row i when every coordinate difference d_c = y_jc - y_ic is
+    at most point_tol, and either one of them is below -point_tol or
+    j < i.  The first condition is taken over three 2-D difference planes,
+    one block of rows against all rows at a time, so memory stays linear
+    in the row count; the few pairs that meet it take the second."""
     k = y.shape[0]
     dropped = np.zeros(k, dtype=bool)
-    index = np.arange(k)
     step = max(1, _FILTER_BLOCK // k)
     for lo in range(0, k, step):
-        block = slice(lo, lo + step)
-        d0, d1, d2 = (y[:, None, c] - y[None, block, c] for c in range(3))   # y_jc - y_ic
-        top = np.maximum(d0, d1)
-        np.maximum(top, d2, out=top)
-        low = np.minimum(d0, d1, out=d0)
-        np.minimum(low, d2, out=low)
-        drops = (low < -point_tol) | (index[:, None] < index[None, block])
-        drops &= top <= point_tol
-        dropped[block] = drops.any(axis=0)
+        block = y[lo:lo + step]
+        near = y[:, None, 0] - block[None, :, 0] <= point_tol     # near[j, i - lo]
+        near &= y[:, None, 1] - block[None, :, 1] <= point_tol
+        near &= y[:, None, 2] - block[None, :, 2] <= point_tol
+        j, i = np.nonzero(near)
+        i += lo
+        drops = (y[j] - y[i] < -point_tol).any(axis=1) | (j < i)
+        dropped[i[drops]] = True
     return dropped
 
 
@@ -174,8 +172,9 @@ class _NearIndex:
         tol, (y0, y1, y2) = self.tol, y
         lo = bisect_left(self.firsts, y0 - 2 * tol)
         hi = bisect_right(self.firsts, y0 + 2 * tol, lo)
-        return any(abs(a0 - y0) <= tol and abs(a1 - y1) <= tol and abs(a2 - y2) <= tol
-                   for a0, a1, a2 in self.rows[lo:hi])
+        return lo < hi and any(
+            abs(a0 - y0) <= tol and abs(a1 - y1) <= tol and abs(a2 - y2) <= tol
+            for a0, a1, a2 in self.rows[lo:hi])
 
     def add(self, y) -> None:
         at = bisect_right(self.firsts, y[0])
@@ -199,8 +198,7 @@ def compute_lb_set(problem: Problem) -> LbSet:
     def solve(ws: np.ndarray) -> list[tuple]:
         """(value, x, y) of every row of ws; the uncached ones are solved in
         one call and cached in row order."""
-        rounded = np.round(ws, 12).tobytes()
-        keys = [rounded[at:at + key_size] for at in range(0, len(rounded), key_size)]
+        keys = np.round(ws, 12).view(f"V{key_size}").ravel().tolist()
         todo: dict[bytes, int] = {}
         for at, key in enumerate(keys):
             if key not in solved:
@@ -211,10 +209,9 @@ def compute_lb_set(problem: Problem) -> LbSet:
             x_batch.setflags(write=False)
             # C @ x per LP; the stacked matmul computes each as `c_float @ x` does
             y_batch = np.matmul(c_float, x_batch[:, :, None])[:, :, 0]
-            for key, value, x, y in zip(todo, values.tolist(), x_batch, y_batch.tolist()):
-                solved[key] = (value, x, tuple(y))
+            solved.update(zip(todo, zip(values.tolist(), x_batch, map(tuple, y_batch.tolist()))))
             probe_ws.append(batch)
-        return [solved[key] for key in keys]
+        return list(map(solved.__getitem__, keys))
 
     # points in the order they were found: y as float tuples, x, w
     ys: list[tuple] = []
@@ -252,14 +249,15 @@ def compute_lb_set(problem: Problem) -> LbSet:
             break
         hull_values = (nodes @ weights.T).min(axis=0)
         results = solve(weights)
-        values = np.array([value for value, _, _ in results])
+        values = np.array(list(map(itemgetter(0), results)))
         improving = hull_values - values > _FACET_REL_TOL * np.maximum(1.0, np.abs(hull_values))
         new_points = []
+        w_rows = weights.tolist()
         for at in np.flatnonzero(improving).tolist():
             _, x, y = results[at]
             if not index.near(y):
                 index.add(y)
-                new_points.append((y, x, tuple(weights[at].tolist())))
+                new_points.append((y, x, tuple(w_rows[at])))
         if not new_points:
             break
         new_points.sort(key=itemgetter(0))
@@ -274,5 +272,5 @@ def compute_lb_set(problem: Problem) -> LbSet:
     kept = sorted(np.flatnonzero(~dropped).tolist(), key=ys.__getitem__)
     points = [LbPoint._exact(xs[i], ys[i], ws[i]) for i in kept]
     probes = list(zip(map(tuple, np.concatenate(probe_ws).tolist()),
-                      (v for v, _, _ in solved.values())))
+                      map(itemgetter(0), solved.values())))
     return LbSet(points=points, lp_count=len(solved), probes=probes)

@@ -93,20 +93,27 @@ class RelaxationSolver:
         item = take & (a > 0)
         # items first, by cost per unit weight with ties by index; the rest at +inf
         ratio = np.divide(cs, a, out=np.full(cs.shape, np.inf), where=item)
-        order = np.argsort(ratio, axis=1, kind="stable")
+        # a row of distinct ratios has one sorted order, which the faster
+        # unstable sort finds as well; equal ratios need the stable sort
+        ordered = np.sort(ratio, axis=1)
+        ties = (ordered[:, 1:] == ordered[:, :-1]).any()
+        order = np.argsort(ratio, axis=1, kind="stable" if ties else None)
         filled = np.cumsum(a[order], axis=1)
         items = item.sum(axis=1)
         whole = np.minimum((filled <= capacity).sum(axis=1), items)
+        # flat position in cs of each entry in sorted order
+        k, n = cs.shape
+        flat = (order + np.arange(0, k * n, n)[:, None]).ravel()
         # x in sorted order: zero-weight items taken, whole items, one fractional
-        xs = np.take_along_axis(take & (a == 0), order, axis=1).astype(np.float64)
-        xs[np.arange(cs.shape[1]) < whole[:, None]] = 1.0
+        xs = (take & (a == 0)).ravel()[flat].astype(np.float64).reshape(k, n)
+        xs[np.arange(n) < whole[:, None]] = 1.0
         rows = np.flatnonzero(whole < items)
         at = whole[rows]
         room = capacity - np.where(at > 0, filled[rows, at - 1], 0)
         xs[rows, at] = room / a[order[rows, at]]
-        x = np.empty_like(xs)
-        np.put_along_axis(x, order, xs, axis=1)
-        return x
+        x = np.empty(k * n)
+        x[flat] = xs.ravel()
+        return x.reshape(k, n)
 
     def _assignment(self, c: np.ndarray) -> np.ndarray:
         # imported here, not at start-up; `run` and `cli` load it before their timers

@@ -36,6 +36,7 @@ MAX_ENUM_ASSIGNMENT_TASKS = 8
 
 _LOW_BITS = 18          # the binary oracle's block: ids sharing their high bits
 _SCREEN_HEAD = 64
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _first_nondominated(pts: np.ndarray) -> np.ndarray:
@@ -51,8 +52,16 @@ def _first_nondominated(pts: np.ndarray) -> np.ndarray:
     is taken from what is left.
     """
     sums = pts.sum(axis=1)
+    k = sums.shape[0]
     if pts.dtype.kind == "f":      # a rounded sum can tie a row with one it dominates
         order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], sums))
+    elif (sums.dtype == np.int64 and k
+          and (max(-int(sums.min()), int(sums.max())) + 1) * k <= _INT64_MAX):
+        # sum * k + position is unique, so any sort gives the stable order;
+        # built in place, as a fresh array per call costs peak memory
+        sums *= k
+        sums += np.arange(k)
+        order = np.argsort(sums)
     else:
         order = np.argsort(sums, kind="stable")
     alive = order                  # positions still undecided, in screen order
@@ -104,14 +113,20 @@ def filter_nondominated(points) -> np.ndarray:
     return pts[_first_nondominated(pts)]
 
 
-def filter_nondominated_solutions(solutions) -> list:
+def filter_nondominated_solutions(solutions, points=None) -> list:
     """Nondominated subset of solutions (anything with a `y` tuple, such as
     `Solution`s or IR rows); among solutions sharing an objective point the
-    first-discovered one is kept.  Output sorted by objective."""
-    solutions = list(solutions)
-    ys = np.fromiter(itertools.chain.from_iterable([s.y for s in solutions]), dtype=np.int64,
-                     count=P_OBJECTIVES * len(solutions)).reshape(-1, P_OBJECTIVES)
-    return [solutions[i] for i in _first_nondominated(ys).tolist()]
+    first-discovered one is kept.  Output sorted by objective.
+
+    points, when given, is the (k, 3) int64 array of the solutions' y in
+    order; it is read instead of the `y` attributes, and solutions is then
+    only indexed at the kept positions."""
+    if points is None:
+        solutions = list(solutions)
+        points = np.fromiter(itertools.chain.from_iterable([s.y for s in solutions]),
+                             dtype=np.int64, count=P_OBJECTIVES * len(solutions))
+        points = points.reshape(-1, P_OBJECTIVES)
+    return [solutions[i] for i in _first_nondominated(points).tolist()]
 
 
 @dataclass(frozen=True)

@@ -171,14 +171,50 @@ class Problem:
                      for sense, rhs in zip(self.row_sense, self.b.tolist()))
 
     @cached_property
+    def packed_rows(self) -> tuple:
+        """The row sums A.x packed into one Python int, built once per problem:
+        (columns, offset, add_lo, add_hi, guards).
+
+        Row i owns a field of w_i = span_i.bit_length() bits, span_i the
+        distance between the least and the greatest A_i.x over 0/1 vectors,
+        with a guard bit above it.  The field holds A_i.x minus that least
+        value, so it lies in [0, span_i] and never borrows from or carries
+        into its neighbours.  s = offset + sum of columns[j] over x_j = 1 is
+        the packed sum of x, and flipping x_j adds or subtracts columns[j].
+        x meets every row exactly when
+
+            (s + add_lo) & guards == guards and (add_hi - s) & guards == guards
+
+        add_lo holds 2^w_i - l_i and add_hi holds 2^w_i + u_i per field, where
+        [l_i, u_i] are the row's bounds in field units, clamped to
+        [0, span_i + 1] and [-1, span_i]: an open side always passes, and a
+        row that no 0/1 vector can meet always fails."""
+        columns = [0] * self.n
+        offset = add_lo = add_hi = guards = 0
+        shift = 0
+        for row, (lo, hi) in zip(self.A.tolist(), self.row_bounds):
+            least = sum(a for a in row if a < 0)
+            span = sum(a for a in row if a > 0) - least
+            width = span.bit_length()
+            low = 0 if lo == -math.inf else min(max(lo - least, 0), span + 1)
+            high = span if hi == math.inf else min(max(hi - least, -1), span)
+            columns = [c + (a << shift) for c, a in zip(columns, row)]
+            offset += -least << shift
+            add_lo += ((1 << width) - low) << shift
+            add_hi += ((1 << width) + high) << shift
+            guards += 1 << (shift + width)
+            shift += width + 1
+        return columns, offset, add_lo, add_hi, guards
+
+    @cached_property
     def flip_moves(self) -> tuple:
-        """(A rows, moves) as Python ints, built once per problem; moves[v][j]
-        is the (objective, row) displacement of flipping x_j away from the
-        value v."""
-        cols = list(zip(self.C.T.tolist(), self.A.T.tolist()))
-        up = [(tuple(c), tuple(a)) for c, a in cols]
-        down = [(tuple(-v for v in c), tuple(-v for v in a)) for c, a in cols]
-        return self.A.tolist(), (up, down)
+        """Per-column moves as Python ints, built once per problem:
+        moves[v][j] is (dy, ds), the objective displacement and the
+        `packed_rows` displacement of flipping x_j away from the value v."""
+        columns = self.packed_rows[0]
+        up = [(tuple(c), d) for c, d in zip(self.C.T.tolist(), columns)]
+        down = [(tuple(-v for v in c), -d) for c, d in up]
+        return up, down
 
     @cached_property
     def flip_dominators(self) -> tuple:

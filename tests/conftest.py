@@ -243,7 +243,7 @@ def naive_improved_nd(obj_s_i, nd):
 def naive_rows_hold(problem, x) -> bool:
     """Whether lo <= A_i.x <= hi holds for every row i, one row at a time,
     with (lo, hi) read off the row's sense (an open side is infinite): the
-    oracle of the walk's and rounding's test over `Problem.row_bounds`."""
+    oracle of the walk's and rounding's packed test, `Problem.packed_rows`."""
     inf = float("inf")
     for row, sense, rhs in zip(problem.A.tolist(), problem.row_sense, problem.b.tolist()):
         lhs = sum(a * int(v) for a, v in zip(row, x))
@@ -285,8 +285,8 @@ def naive_select_pair(ir, rule, rng):
         g = rng.randint(k - 1)
         if g >= i:
             g += 1
-        return ir.rows[i], ir.rows[g]
-    xs = np.array([list(row.key()) for row in ir.rows], dtype=np.int8)
+        return ir[i], ir[g]
+    xs = np.array([list(row.key()) for row in ir], dtype=np.int8)
     sims = np.array([similarity(xs[i], row) for row in xs])
     if rule == "sim":
         sims[i] = -1
@@ -294,7 +294,7 @@ def naive_select_pair(ir, rule, rng):
     else:
         sims[i] = xs.shape[1] + 1
         g = int(np.argmin(sims))
-    return ir.rows[i], ir.rows[g]
+    return ir[i], ir[g]
 
 
 def _nondominated_rows(y):

@@ -1,3 +1,4 @@
+import gc
 from unittest import mock
 
 import numpy as np
@@ -39,20 +40,20 @@ def _ints(lo, hi, size):
 def test_round_down_floors(p_matrix_problem):
     lb = _lbset_from(p_matrix_problem, [[1, 0.6, 1, 0]])
     ir = round_down(lb, p_matrix_problem)
-    assert list(ir.rows[0].key()) == [1, 0, 1, 0]
+    assert list(ir[0].key()) == [1, 0, 1, 0]
 
 
 def test_round_down_keeps_near_integral(p_matrix_problem):
     lb = _lbset_from(p_matrix_problem, [[1 - 1e-9, 0, 0, 1]])
     ir = round_down(lb, p_matrix_problem)
-    assert list(ir.rows[0].key()) == [1, 0, 0, 1]
+    assert list(ir[0].key()) == [1, 0, 0, 1]
 
 
 def test_round_down_assignment_passthrough():
     p = tribip.generate_assignment(3, seed=1)
     lb = tribip.compute_lb_set(p)
     ir = round_down(lb, p)
-    for row, pt in zip(ir.rows, lb.points):
+    for row, pt in zip(ir, lb.points):
         assert row.key() == np.round(pt.x).astype(np.int8).tobytes()
 
 
@@ -63,7 +64,7 @@ def test_round_down_feasibility_preserved():
         lb = tribip.compute_lb_set(p)
         ir = round_down(lb, p)
         assert ir.dropped_infeasible == 0
-        for row in ir.rows:
+        for row in ir:
             assert tribip.is_feasible(p, list(row.key()))
 
 
@@ -105,6 +106,21 @@ def _rounding_cases(draw):
     return problem, _lbset_from(problem, xs)
 
 
+def _wide_rounding_case():
+    """Rows with coefficients of 2**40 and more, whose packed sums take over
+    63 bits and so are taken over Python ints.  x = (1, 0, 1) meets row 0 at
+    its bound, the reachable maximum, (1, 1, 0) row 1 at its bound, and
+    (0, 1, 0) row 0 at its reachable minimum; (1, 0, 0) fails row 1."""
+    problem = tribip.general_problem(
+        objectives=[[1, -2, 3], [0, 5, -1], [2, 2, 2]], senses=("min", "max", "min"),
+        a=[[2 ** 40, -(2 ** 41), 3], [-(2 ** 40), 1, 2 ** 42]], row_sense=("<=", ">="),
+        b=[2 ** 40 + 3, 1 - 2 ** 40])
+    xs = [[1, 1, 0.5], [0, 1, 1], [1, 0, 1], [1, 0.5, 0], [1, 1, 0], [0, 1, 0], [0, 0, 0],
+          [1 - 1e-9, 0.3, 1]]
+    return problem, _lbset_from(problem, xs)
+
+
+@example(case=_wide_rounding_case())
 @settings(max_examples=300, deadline=None)
 @given(case=_rounding_cases())
 def test_round_down_matches_pointwise_rounding(case):
@@ -116,7 +132,7 @@ def test_round_down_matches_pointwise_rounding(case):
                 ir = rounding(lb, problem)
             except NoRoundedSolutionError:
                 ir = None
-        outcomes.append((None if ir is None else (ir.rows, ir.dropped_infeasible),
+        outcomes.append((None if ir is None else (list(ir), ir.dropped_infeasible),
                          warning.call_args_list))
     assert outcomes[0] == outcomes[1]
 
@@ -312,7 +328,7 @@ def test_walk_reproduces_worked_path(p_matrix_problem):
                               collect_visits=True)
     assert [tuple(v) for v in visits] == [(1, 0, 1, 0), (1, 1, 1, 0), (1, 1, 0, 0)]
     # the two intermediates are new and feasible, the endpoint was known
-    assert [list(row.key()) for row in ir.rows[2:]] == [[1, 0, 1, 0], [1, 1, 1, 0]]
+    assert [list(row.key()) for row in list(ir)[2:]] == [[1, 0, 1, 0], [1, 1, 1, 0]]
 
 
 def test_walk_identical_pair_no_steps(p_matrix_problem):
@@ -341,7 +357,7 @@ def test_walk_zero_capacity_archives_nothing():
 def test_pair_already_recorded_exits_immediately(p_matrix_problem):
     ir = _ir_from(p_matrix_problem, [[0, 0, 1, 0], [1, 1, 0, 0]])
     archives = PrArchives()
-    s_i, s_g = ir.rows
+    s_i, s_g = ir
     archives.ig_pairs.add((s_i.key(), s_g.key()))
     visits = path_relink_walk(p_matrix_problem, s_i, s_g, ir, archives,
                               Xoshiro256StarStar(0), 1.0, collect_visits=True)
@@ -362,13 +378,13 @@ def test_candx_members_feasible_and_new(p_matrix_problem):
     past the start rows: each is feasible, new and carries its own y."""
     rng = Xoshiro256StarStar(5)
     ir = _ir_from(p_matrix_problem, [[0, 0, 1, 0], [1, 1, 0, 0], [0, 1, 0, 1]])
-    ir0_keys = {row.key() for row in ir.rows}
+    ir0_keys = {row.key() for row in ir}
     archives = PrArchives()
     config = PrConfig(variant="PRrand", seed=5)
     for _ in range(30):
         path_relink_once(ir, archives, config, rng, p_matrix_problem)
     assert len(ir) > 3
-    for row in ir.rows[3:]:
+    for row in list(ir)[3:]:
         x = list(row.key())
         assert tribip.is_feasible(p_matrix_problem, x)
         assert row.y == tribip.evaluate(p_matrix_problem, x)
@@ -420,7 +436,7 @@ def test_walk_kernel_matches_reference_walk(problem, data, variant, prob, seed, 
     def snapshot(side):
         _, ir, archives, rng, visits = side
         # the IR rows past the starts are the walks' new feasible points
-        return (visits, ir.rows, set(archives.ig_pairs), next_outputs(rng))
+        return (visits, list(ir), set(archives.ig_pairs), next_outputs(rng))
 
     for _ in range(iterations):
         for walk, ir, archives, rng, visits in sides:
@@ -463,7 +479,7 @@ def test_walk_kernel_equal_displacements_match_reference_walk(variant, prob):
         for walk, ir, archives, walk_rng, visits in sides:
             with mock.patch.object(heuristic, "path_relink_walk", _recording(walk, visits)):
                 path_relink_once(ir, archives, config, walk_rng, problem)
-    got, want = [(visits, ir.rows, archives.ig_pairs,
+    got, want = [(visits, list(ir), archives.ig_pairs,
                   next_outputs(r)) for _, ir, archives, r, visits in sides]
     assert got == want
 
@@ -484,6 +500,29 @@ def test_recorded_pairs_start_at_ir_keys(problem, data, variant, seed, iteration
     for _ in range(iterations):
         path_relink_once(ir, archives, config, rng, problem)
         assert all(key_i in ir for key_i, _ in archives.ig_pairs)
+
+
+def test_walk_appends_rows_without_tracked_objects():
+    """A walk appends its new IR rows flat: with the collector off,
+    gc.get_count()[0], the net count of new objects the collector tracks,
+    grows by less than the number of rows the walk appends."""
+    n = 40
+    problem = tribip.knapsack_problem([[3] * n, [5] * n, [7] * n], [1] * n, n)
+    s_i = tribip.Solution(np.zeros(n, dtype=np.int8), (0, 0, 0), True)
+    s_g = tribip.make_solution(problem, np.ones(n, dtype=np.int8))
+    ir, archives, rng = _ir_from(problem, [s_i.x, s_g.x]), PrArchives(), Xoshiro256StarStar(3)
+    problem.flip_moves, problem.packed_rows          # cached before counting
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        path_relink_walk(problem, s_i, s_g, ir, archives, rng, 0.0)
+        grown = gc.get_count()[0] - before
+    finally:
+        if enabled:
+            gc.enable()
+    appended = len(ir) - 2
+    assert appended >= 20 and grown < appended
 
 
 def test_move_tables_cached_per_problem():
@@ -510,7 +549,7 @@ def test_move_tables_cached_per_problem():
             for problem, walk, ir, archives, walk_rng, visits in pair:
                 with mock.patch.object(heuristic, "path_relink_walk", _recording(walk, visits)):
                     path_relink_once(ir, archives, config, walk_rng, problem)
-            side, ref = [(visits, ir.rows, archives.ig_pairs,
+            side, ref = [(visits, list(ir), archives.ig_pairs,
                           next_outputs(rng_))
                          for _, _, ir, archives, rng_, visits in pair]
             assert side == ref
@@ -532,11 +571,11 @@ def test_walk_from_rows_matches_walk_from_solutions(problem, data, prob, seed):
     outcomes = []
     for as_rows in (False, True):
         ir, rng = _ir_from(problem, starts), Xoshiro256StarStar(seed)
-        pair = (ir.rows[i], ir.rows[g]) if as_rows else \
+        pair = (ir[i], ir[g]) if as_rows else \
             (tribip.make_solution(problem, starts[i]), tribip.make_solution(problem, starts[g]))
         visits = path_relink_walk(problem, *pair, ir, PrArchives(), rng, prob,
                                   collect_visits=True)
-        outcomes.append(([v.tobytes() for v in visits], list(ir.rows),
+        outcomes.append(([v.tobytes() for v in visits], list(ir),
                          next_outputs(rng)))
     assert outcomes[0] == outcomes[1]
 
@@ -545,10 +584,19 @@ def test_ir_rows_and_provenance(p_matrix_problem):
     sol = tribip.make_solution(p_matrix_problem, [1, 0, 1, 0])
     ir = IrSet()
     assert ir.add(sol) and not ir.add(IrRow((sol.key(), sol.y)))
-    row, = ir.rows
+    row, = ir
     assert type(row) is IrRow and row == (sol.key(), sol.y)
     assert (row.key(), row.y) == (sol.key(), sol.y)
     assert sol.key() in ir and len(ir) == 1
+
+
+def test_ir_add_rejects_point_of_other_length():
+    """Rows are stored three y entries each, so a point of another length
+    is refused before it can shift the rows after it."""
+    ir = IrSet()
+    with pytest.raises(tribip.DimensionError):
+        ir.add(IrRow((b"\x01\x00", (1, 2))))
+    assert len(ir) == 0 and len(ir.ys) == 0
 
 
 def _y_points(size):
@@ -563,7 +611,7 @@ def test_filter_over_rows_matches_filter_over_solutions(data, n):
     x whether it reads IR rows or the equivalent Solutions."""
     if data is None:        # repeated and dominated points from distinct x, and no input
         xs, ys = [(0, 0), (1, 0), (0, 1), (1, 1)], [(1, 2, 0), (1, 2, 0), (0, 2, 1), (1, 2, 1)]
-        assert tribip.filter_nondominated_solutions(IrSet().rows) == []
+        assert tribip.filter_nondominated_solutions(IrSet()) == []
     else:
         xs = data.draw(st.lists(st.tuples(*[st.integers(0, 1)] * n), unique=True,
                                 max_size=min(2 ** n, 40)))
@@ -596,7 +644,7 @@ def test_solve_from_lb_calls_each_layer_by_module_name(variant):
     assert spies["path_relink_walk"].call_count == report.pr_iterations
     assert spies["filter_nondominated_solutions"].call_count == 1
     rows, = spies["filter_nondominated_solutions"].call_args.args
-    assert len(rows) > report.ir_size and all(type(row) is IrRow for row in rows)
+    assert len(rows) > report.ir_size and type(rows) is IrSet
     front_ref, _ = tribip.solve_from_lb(problem, lb, config)
     assert [(s.key(), s.y) for s in front] == [(s.key(), s.y) for s in front_ref]
     assert all(type(s) is tribip.Solution for s in front)
@@ -608,7 +656,7 @@ def test_ir_x_matrix_grows_with_adds():
     for bits in rng.integers(0, 2, size=(40, 9)):
         ir.add(tribip.Solution(bits, (0, 0, 0), True))
         xs = ir._x_buffer()[:len(ir)]
-        assert np.array_equal(xs, np.array([list(row.key()) for row in ir.rows], dtype=np.int8))
+        assert np.array_equal(xs, np.array([list(row.key()) for row in ir], dtype=np.int8))
 
 
 def test_ir_x_matrix_fills_rows_added_since_last_call():
@@ -618,7 +666,7 @@ def test_ir_x_matrix_fills_rows_added_since_last_call():
     for step, bits in enumerate(rng.integers(0, 2, size=(120, 11))):
         ir.add(tribip.Solution(bits, (0, 0, 0), True))
         if step % 7 == 3 or step == 0:
-            views.append((ir._x_buffer()[:len(ir)], [row.key() for row in ir.rows]))
+            views.append((ir._x_buffer()[:len(ir)], [row.key() for row in ir]))
     for view, keys in views:              # earlier views keep their rows, later adds do not show
         assert [row.tobytes() for row in view] == keys
 
@@ -709,6 +757,17 @@ def test_config_validation():
         PrConfig(best_move_prob=1.5)
     with pytest.raises(ValidationError):
         PrConfig(iteration_multiplier=-1)
+
+
+@pytest.mark.parametrize("value", [2.5, "3", None, 3.0])
+def test_config_rejects_non_integer_iteration_multiplier(value):
+    with pytest.raises(ValidationError, match="iteration_multiplier"):
+        PrConfig(iteration_multiplier=value)
+
+
+def test_config_takes_integer_like_iteration_multiplier():
+    config = PrConfig(iteration_multiplier=np.int64(3))
+    assert type(config.iteration_multiplier) is int and config.iteration_multiplier == 3
 
 
 def test_run_general_kind():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import tribip
 from tribip import (DimensionError, ParseError, TribipError, ValidationError,
-                    evaluate, heuristic, is_feasible)
+                    evaluate, is_feasible)
 
 from conftest import brute_force_front, naive_rows_hold, naive_write_front
 
@@ -275,19 +275,35 @@ def _rows_only(a, row_sense, b):
 @example(problem=_rows_only([[2, 2], [0, 0]], ("=", ">="), [1, 0]))    # no 0/1 vector fits row 0
 @example(problem=_rows_only([[3, -2, 0], [-1, -1, 4]], ("<=", ">="), [3, -2]))   # bounds at max, min
 def test_row_bounds_test_matches_row_by_row_check(problem):
-    """The row test of the walk and the rounding, `_within` over
-    `Problem.row_bounds`, agrees with the row-by-row check on every 0/1
-    vector, and flipping x_j changes the row sums by exactly the row half of
-    flip_moves[1][x_j][j]."""
-    a_rows, moves = problem.flip_moves
+    """The packed row test of the walk and the rounding agrees with the
+    row-by-row check on every 0/1 vector.  The packed sum holds, in the
+    field below each guard bit, the row's left-hand side minus its least
+    reachable value, and flipping x_j by the packed displacement
+    flip_moves[x_j][j][1] moves every field by the row-by-row difference."""
+    columns, offset, add_lo, add_hi, guards = problem.packed_rows
+    moves = problem.flip_moves
+    rows = problem.A.tolist()
+    least = [sum(a for a in row if a < 0) for row in rows]
+    marks = [at for at in range(guards.bit_length()) if guards >> at & 1]
+    assert len(marks) == problem.m
+    starts = [0] + [at + 1 for at in marks[:-1]]
+
+    def fields(s):
+        assert s & guards == 0
+        return [s >> lo & ((1 << (hi - lo)) - 1) for lo, hi in zip(starts, marks)]
+
+    def row_fields(bits):
+        return [sum(a * v for a, v in zip(row, bits)) - low for row, low in zip(rows, least)]
+
     for bits in itertools.product((0, 1), repeat=problem.n):
-        lhs = [sum(a * v for a, v in zip(row, bits)) for row in a_rows]
-        assert heuristic._within(lhs, problem.row_bounds) == naive_rows_hold(problem, bits)
+        s = offset + sum(c for c, v in zip(columns, bits) if v)
+        assert fields(s) == row_fields(bits)
+        assert ((s + add_lo) & guards == guards and (add_hi - s) & guards == guards) == \
+            naive_rows_hold(problem, bits)
         for j, v in enumerate(bits):
             flipped = list(bits)
             flipped[j] ^= 1
-            assert [sum(a * u for a, u in zip(row, flipped)) for row in a_rows] == \
-                [s + d for s, d in zip(lhs, moves[v][j][1])]
+            assert fields(s + moves[v][j][1]) == row_fields(flipped)
 
 
 def test_problem_immutable(p_matrix_problem):
