@@ -15,7 +15,9 @@ Each run also counts, through `gc.callbacks`, the generation-2 collections
 that start during each `tribip.run` call.  Per checkout it prints how many
 fell inside RD runs and inside PI runs, and how many of the failing ratios
 had one inside their RD run, so that an outlier can be put down to the
-collector or, failing that, to the host.
+collector or, failing that, to the host.  The progress lines on stderr
+give each ratio with its RD and PI times, so that an outlier shows as a
+slow RD run or a fast PI run.
 
     python3 scripts/criterion10.py PARENT_CHECKOUT CHANGE_CHECKOUT --runs 10
 """
@@ -112,7 +114,8 @@ def main(argv=None) -> int:
     for run, checkout in alternate(args.checkouts, args.runs):
         rows = run_once(checkout)
         times[checkout].append(rows)
-        ratios = ", ".join(f"{100 * rd / pi:.2f}%" + " (gen-2 in RD)" * (rd_gen2 > 0)
+        ratios = ", ".join(f"{100 * rd / pi:.2f}% (RD {1e3 * rd:.1f} ms, PI {pi:.3f} s"
+                           + ", gen-2 in RD" * (rd_gen2 > 0) + ")"
                            for rd, pi, rd_gen2, _ in rows)
         print(f"run {run}: {checkout}: {ratios}", file=sys.stderr)
     for checkout in args.checkouts:

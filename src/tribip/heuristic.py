@@ -236,14 +236,10 @@ def round_down(lb: LbSet, problem: Problem) -> IrSet:
     xs = (lb_x >= 1.0 - INT_TOL).astype(np.int8)
     keys = xs.view(f"V{problem.n}").ravel().tolist()      # x.tobytes() of each row
     ys = (xs.astype(np.int64) @ problem.C.T).tolist()
-    # the walk's packed row sums: one int64 product when they fit (exact even
-    # if a partial sum wraps), else a sum of Python ints per vector
+    # the walk's packed row sums and row test
     columns, offset, add_lo, add_hi, guards = problem.packed_rows
-    if guards.bit_length() < 63:
-        packed = (offset + xs.astype(np.int64) @ np.array(columns, dtype=np.int64)).tolist()
-    else:
-        packed = [offset + sum(compress(columns, key)) for key in keys]
-    for key, y, s in zip(keys, ys, packed):
+    for key, y in zip(keys, ys):
+        s = offset + sum(compress(columns, key))
         if (s + add_lo) & guards == guards and (add_hi - s) & guards == guards:
             ir._add(key, y)
         else:

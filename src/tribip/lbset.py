@@ -12,10 +12,13 @@ repeat until no probe improves the hull.  Facets with mixed-sign normals
 are skipped: only nonnegative weights are valid scalarisations.
 
 Every facet weight of a round is known before any of them is solved, so
-the round's uncached weights go to the LP oracle in one call (for knapsacks
-one greedy pass over all their cost rows) and enter the cache in round
-order; `lp_count` and `probes` are those of solving them one by one.  One
-vectorised comparison per round finds the improving probes.  An improving
+the round's new weights (those not probed in an earlier round) go to the LP
+oracle in one call (for knapsacks one greedy pass over all their cost rows)
+in round order; `lp_count` and `probes` are those of solving them one by
+one.  One vectorised comparison per round finds the improving probes among
+the new weights.  A weight probed in an earlier round cannot improve: its
+point is on the hull or near a kept point, or it was not below a hull
+that has only come down since.  An improving
 probe's point is accepted unless a known point lies within POINT_TOL of it;
 that test reads the known points kept in order of their first coordinate,
 in a window around the candidate's.  At the end, points
@@ -115,7 +118,10 @@ def _lower_facet_weights(nodes: np.ndarray) -> np.ndarray:
     deduplicated and lexicographically sorted (rows of the result)."""
     spatial = _load_scipy()            # bound before the try: the except clause reads it
     try:
-        hull = spatial.ConvexHull(nodes)
+        # Q5 skips Qhull's last pass, which tests every point against the
+        # finished hull to widen its outer planes; facets and equations are
+        # the same without it
+        hull = spatial.ConvexHull(nodes, qhull_options="Q5")
     except spatial.QhullError:
         hull = spatial.ConvexHull(nodes, qhull_options="QJ")   # joggle degenerate input
     normals = hull.equations[:, :3]
@@ -190,44 +196,48 @@ def compute_lb_set(problem: Problem) -> LbSet:
     """
     solver = RelaxationSolver(problem)
     c_float = problem.C.astype(np.float64)
-    # every LP solved, in order: rounded weight -> (value, x, y), and the weights
-    solved: dict[bytes, tuple] = {}
+    # every LP solved: its rounded weight, and per batch the weights and values
+    solved: set[bytes] = set()
     probe_ws: list[np.ndarray] = []
+    probe_values: list[np.ndarray] = []
     key_size = np.dtype(np.float64).itemsize * problem.p      # bytes of one rounded weight
 
-    def solve(ws: np.ndarray) -> list[tuple]:
-        """(value, x, y) of every row of ws; the uncached ones are solved in
-        one call and cached in row order."""
-        keys = np.round(ws, 12).view(f"V{key_size}").ravel().tolist()
-        todo: dict[bytes, int] = {}
-        for at, key in enumerate(keys):
+    def solve(ws: np.ndarray):
+        """The rows of ws whose rounded weight no earlier call solved (first
+        occurrences), solved in one call: their indices, weights, LP values,
+        vertices (rows of a read-only array) and objective points."""
+        rows = []
+        for at, key in enumerate(np.round(ws, 12).view(f"V{key_size}").ravel().tolist()):
             if key not in solved:
-                todo.setdefault(key, at)
-        if todo:
-            batch = ws[list(todo.values())]
-            values, x_batch = solver.solve_weighted_many(batch)
-            x_batch.setflags(write=False)
-            # C @ x per LP; the stacked matmul computes each as `c_float @ x` does
-            y_batch = np.matmul(c_float, x_batch[:, :, None])[:, :, 0]
-            solved.update(zip(todo, zip(values.tolist(), x_batch, map(tuple, y_batch.tolist()))))
-            probe_ws.append(batch)
-        return list(map(solved.__getitem__, keys))
+                solved.add(key)
+                rows.append(at)
+        batch = ws[rows]
+        values, x_batch = solver.solve_weighted_many(batch)
+        x_batch.setflags(write=False)
+        # C @ x per LP; the stacked matmul computes each as `c_float @ x` does
+        y_batch = np.matmul(c_float, x_batch[:, :, None])[:, :, 0]
+        probe_ws.append(batch)
+        probe_values.append(values)
+        return rows, batch, values, x_batch, y_batch
 
-    # points in the order they were found: y as float tuples, x, w
-    ys: list[tuple] = []
-    xs: list[np.ndarray] = []
-    ws: list[tuple] = []
     index = _NearIndex(POINT_TOL)
+
+    def take(picks: np.ndarray, batch, x_batch, y_batch) -> list[tuple]:
+        """(y, x, w) of each picked solved row whose y lies near no known
+        point, which makes it known; y and w as tuples of floats."""
+        found = []
+        for at, y, w in zip(picks.tolist(), map(tuple, y_batch[picks].tolist()),
+                            map(tuple, batch[picks].tolist())):
+            if not index.near(y):
+                index.add(y)
+                found.append((y, x_batch[at], w))
+        return found
 
     seeds = np.full((problem.p, problem.p), SEED_EPSILON)
     np.fill_diagonal(seeds, 1.0)
     seeds = seeds / seeds.sum(axis=1, keepdims=True)
-    for w, (value, x, y) in zip(seeds.tolist(), solve(seeds)):
-        if not index.near(y):
-            index.add(y)
-            ys.append(y)
-            xs.append(x)
-            ws.append(tuple(w))
+    rows, batch, _, x_batch, y_batch = solve(seeds)
+    found = take(np.arange(len(rows)), batch, x_batch, y_batch)     # in the order found
 
     # anchors: one per objective, high above the ideal corner along that
     # objective's axis.  They stand in for the recession directions of the
@@ -238,7 +248,7 @@ def compute_lb_set(problem: Problem) -> LbSet:
     upper = np.maximum(c_float, 0.0).sum(axis=1)
     lower = -np.maximum(-c_float, 0.0).sum(axis=1)
     reach = _ANCHOR_SCALE * (upper - lower + 1.0)
-    y_arr = np.array(ys)                   # rows of ys
+    y_arr = np.array([y for y, _, _ in found])
     anchors = np.repeat(y_arr.min(axis=0, keepdims=True) - 1.0, problem.p, axis=0)
     np.fill_diagonal(anchors, upper + reach)
 
@@ -247,30 +257,23 @@ def compute_lb_set(problem: Problem) -> LbSet:
         weights = _lower_facet_weights(nodes)
         if weights.shape[0] == 0:
             break
-        hull_values = (nodes @ weights.T).min(axis=0)
-        results = solve(weights)
-        values = np.array(list(map(itemgetter(0), results)))
+        # only the new weights can improve (module docstring)
+        rows, batch, values, x_batch, y_batch = solve(weights)
+        if not rows:
+            break
+        hull_values = (nodes @ weights.T).min(axis=0)[rows]
         improving = hull_values - values > _FACET_REL_TOL * np.maximum(1.0, np.abs(hull_values))
-        new_points = []
-        w_rows = weights.tolist()
-        for at in np.flatnonzero(improving).tolist():
-            _, x, y = results[at]
-            if not index.near(y):
-                index.add(y)
-                new_points.append((y, x, tuple(w_rows[at])))
+        new_points = take(np.flatnonzero(improving), batch, x_batch, y_batch)
         if not new_points:
             break
         new_points.sort(key=itemgetter(0))
-        for y, x, w in new_points:
-            ys.append(y)
-            xs.append(x)
-            ws.append(w)
+        found += new_points
         y_arr = np.concatenate([y_arr, [y for y, _, _ in new_points]])
 
     # keep strictly nondominated, distinct points, sorted for determinism
     dropped = _tolerant_dropped(y_arr, POINT_TOL)
-    kept = sorted(np.flatnonzero(~dropped).tolist(), key=ys.__getitem__)
-    points = [LbPoint._exact(xs[i], ys[i], ws[i]) for i in kept]
+    kept = sorted(map(found.__getitem__, np.flatnonzero(~dropped).tolist()), key=itemgetter(0))
+    points = [LbPoint._exact(x, y, w) for y, x, w in kept]
     probes = list(zip(map(tuple, np.concatenate(probe_ws).tolist()),
-                      map(itemgetter(0), solved.values())))
+                      np.concatenate(probe_values).tolist()))
     return LbSet(points=points, lp_count=len(solved), probes=probes)

@@ -93,11 +93,7 @@ class RelaxationSolver:
         item = take & (a > 0)
         # items first, by cost per unit weight with ties by index; the rest at +inf
         ratio = np.divide(cs, a, out=np.full(cs.shape, np.inf), where=item)
-        # a row of distinct ratios has one sorted order, which the faster
-        # unstable sort finds as well; equal ratios need the stable sort
-        ordered = np.sort(ratio, axis=1)
-        ties = (ordered[:, 1:] == ordered[:, :-1]).any()
-        order = np.argsort(ratio, axis=1, kind="stable" if ties else None)
+        order = np.argsort(ratio, axis=1, kind="stable")
         filled = np.cumsum(a[order], axis=1)
         items = item.sum(axis=1)
         whole = np.minimum((filled <= capacity).sum(axis=1), items)

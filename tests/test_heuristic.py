@@ -108,7 +108,7 @@ def _rounding_cases(draw):
 
 def _wide_rounding_case():
     """Rows with coefficients of 2**40 and more, whose packed sums take over
-    63 bits and so are taken over Python ints.  x = (1, 0, 1) meets row 0 at
+    63 bits, past what an int64 holds.  x = (1, 0, 1) meets row 0 at
     its bound, the reachable maximum, (1, 1, 0) row 1 at its bound, and
     (0, 1, 0) row 0 at its reachable minimum; (1, 0, 0) fails row 1."""
     problem = tribip.general_problem(
