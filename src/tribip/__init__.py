@@ -13,7 +13,7 @@ from .model import (P_OBJECTIVES, FrontData, Problem, Solution, assignment_probl
                     evaluate, general_problem, generate_assignment, generate_knapsack,
                     is_feasible, knapsack_problem, make_solution, read_front,
                     read_instance, write_front, write_instance)
-from .lp import LpSolveResult, RelaxationSolver
+from .lp import RelaxationSolver
 from .lbset import LbPoint, LbSet, compute_lb_set
 from .metrics import (ReferenceFront, exact_front, exact_front_solutions, filter_nondominated,
                       filter_nondominated_solutions, hv_percent, hypervolume, hypervolume_mc,
@@ -31,7 +31,7 @@ __all__ = [
     "generate_assignment", "generate_knapsack",
     "evaluate", "is_feasible", "make_solution",
     "read_instance", "write_instance", "read_front", "write_front",
-    "LpSolveResult", "RelaxationSolver",
+    "RelaxationSolver",
     "LbPoint", "LbSet", "compute_lb_set",
     "ReferenceFront", "filter_nondominated", "filter_nondominated_solutions",
     "normalize", "hypervolume", "hypervolume_mc", "exact_front", "exact_front_solutions",

@@ -10,7 +10,8 @@ enumerates its LB set once, and every run (seed) of that instance starts
 from the same set.  The runs go one after another.  A row's `time_sec` is
 the instance's LB enumeration time plus the run's own `solve_from_lb` time,
 the same span `run()` reports.  A failure to read an instance or to
-enumerate its LB set fails that instance's runs only.
+enumerate its LB set, or a --ref-front of another kind or n than the
+instance, fails that instance's runs only.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import time
 from pathlib import Path
 
 from . import model
-from .errors import ParseError, TribipError
+from .errors import ParseError, TribipError, ValidationError
 # `run` stays in this namespace for perfbench/tracing.py, which wraps cli.run
 from .heuristic import VARIANTS, PrConfig, run, solve_from_lb
 from .lbset import _load_scipy, compute_lb_set
@@ -38,9 +39,10 @@ CSV_FIELDS = ["instance", "kind", "n", "variant", "seed", "y_count",
               "time_sec", "lp_count", "hv", "hv_pct", "raw_hv", "front_file"]
 
 
-def _load_reference(path) -> ReferenceFront:
+def _load_reference(path) -> tuple[ReferenceFront, tuple[str, int]]:
+    """The reference front of a front file, with the (kind, n) it was written for."""
     front = model.read_front(path)
-    return ReferenceFront.from_points(front.min_points())
+    return ReferenceFront.from_points(front.min_points()), (front.kind, front.n)
 
 
 def cmd_generate(args) -> int:
@@ -58,10 +60,15 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _prepare(instance_path: Path, args):
-    """Read one instance, enumerate its LB set for all of its runs and, with
+def _prepare(instance_path: Path, args, ref_for: tuple[str, int] | None):
+    """Read one instance, check that it has the (kind, n) ref_for of the
+    --ref-front, enumerate its LB set for all of its runs and, with
     --lb-front, write that set; returns (problem, lb, enumeration seconds)."""
     problem = model.read_instance(instance_path)
+    if ref_for is not None and ref_for != (problem.kind, problem.n):
+        kind, n = ref_for
+        raise ValidationError(f"reference front {args.ref_front} is for {kind} n={n}, "
+                              f"the instance is {problem.kind} n={problem.n}")
     _load_scipy(problem.kind)
     t0 = time.perf_counter()
     lb = compute_lb_set(problem)
@@ -137,13 +144,13 @@ def cmd_solve(args) -> int:
     if args.report_csv:
         csv_path = Path(args.report_csv)
         new_file = _needs_header(csv_path)
-    ref = _load_reference(args.ref_front) if args.ref_front else None
+    ref, ref_for = _load_reference(args.ref_front) if args.ref_front else (None, None)
     seeds = range(args.seed, args.seed + args.runs)
     rows = []
     failures = []          # (instance, error), one per failed run
     for inst in map(Path, args.instances):
         try:
-            problem, lb, lb_sec = _prepare(inst, args)
+            problem, lb, lb_sec = _prepare(inst, args, ref_for)
         except (TribipError, OSError) as exc:
             failures += [(inst, exc)] * len(seeds)
             continue
@@ -213,7 +220,7 @@ def cmd_report(args) -> int:
             if instance not in refs:
                 ref_path = ref_dir / f"{instance}.ref.txt"
                 if ref_path.is_file():
-                    refs[instance] = _load_reference(ref_path)
+                    refs[instance] = _load_reference(ref_path)[0]
                 else:
                     print(f"warning: no reference front {ref_path}; hv left blank for "
                           f"instance {instance}", file=sys.stderr)
@@ -309,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--best-prob", type=_probability, default=0.7)
     s.add_argument("--force-pr", action="store_true",
                    help="run path relinking on assignment instances too")
-    s.add_argument("--ref-front", help="reference front file for HV and HV%%")
+    s.add_argument("--ref-front", help="reference front file for HV and HV%%; an instance "
+                                       "of another kind or n than the front fails")
     s.add_argument("--ref-point", type=_parse_ref_point,
                    help="raw-HV reference point y1,y2,y3 (minimisation form)")
     out = s.add_mutually_exclusive_group()

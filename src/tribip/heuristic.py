@@ -419,7 +419,7 @@ def solve_from_lb(problem: Problem, lb: LbSet, config: PrConfig | None = None):
     # only the rows that reach the front become Solutions
     points = np.frombuffer(ir.ys, np.int64).reshape(-1, P_OBJECTIVES)
     kept = filter_nondominated_solutions(ir, points=points)
-    front = [Solution(np.frombuffer(row.key(), dtype=np.int8), row.y, True) for row in kept]
+    front = [Solution(np.frombuffer(row.key(), dtype=np.int8), row.y) for row in kept]
 
     report = RunReport(
         variant=config.variant,

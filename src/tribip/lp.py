@@ -1,7 +1,11 @@
 """Weighted-sum LP oracles over the [0,1] relaxation, one per problem kind.
 
 Each minimises (w^T C).x subject to the problem's rows and 0 <= x <= 1 and
-returns an optimal vertex of the relaxed polytope, the same one for the same w:
+finds an optimal vertex of the relaxed polytope, the same one for the same w.
+`RelaxationSolver.solve_weighted` returns one LP's (value, x) and
+`solve_weighted_many` the values and vertices of many; both raise
+InfeasibleProblemError when the relaxation has no feasible point.  Every
+non-knapsack LP goes through `solve_weighted`.
 
 * ``knapsack``: Dantzig's greedy ("Discrete-variable extremum problems",
   1957): items of negative cost by cost per unit weight, ties by index, at
@@ -14,23 +18,12 @@ returns an optimal vertex of the relaxed polytope, the same one for the same w:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, InfeasibleProblemError, TribipError, ValidationError
 from .model import KIND_ASSIGNMENT, KIND_KNAPSACK, Problem
 
 INT_TOL = 1e-6
-
-
-@dataclass
-class LpSolveResult:
-    """Outcome of one scalar LP solve."""
-
-    status: str                      # optimal | infeasible
-    x: np.ndarray | None             # structural values in [0,1], basic solution
-    value: float | None
 
 
 class RelaxationSolver:
@@ -40,8 +33,9 @@ class RelaxationSolver:
         self.problem = problem
         self._c_float = problem.C.astype(np.float64)
 
-    def solve_weighted(self, w) -> LpSolveResult:
-        """Minimise (w^T C) . x over the relaxation, w a nonnegative weight vector."""
+    def solve_weighted(self, w) -> tuple[float, np.ndarray]:
+        """Optimal value and vertex x of min (w^T C) . x over the relaxation,
+        w a nonnegative weight vector."""
         w = np.asarray(w, dtype=np.float64)
         if w.shape != (self.problem.p,):
             raise DimensionError(f"weight vector must have length {self.problem.p}")
@@ -53,24 +47,19 @@ class RelaxationSolver:
             x = self._assignment(c)
         else:
             x = self._general(c)
-            if x is None:
-                return LpSolveResult("infeasible", None, None)
-        return LpSolveResult("optimal", x, float(c @ x))
+        return float(c @ x), x
 
     def solve_weighted_many(self, ws) -> tuple[np.ndarray, np.ndarray]:
         """Optimal values and vertices (rows) of `solve_weighted` for every
         weight vector in ws, in order; knapsack LPs are solved together by
-        one greedy pass over all their cost rows.  Raises
-        InfeasibleProblemError when the relaxation has no feasible point."""
+        one greedy pass over all their cost rows."""
         ws = np.asarray(ws, dtype=np.float64)
         if ws.ndim != 2 or ws.shape[1] != self.problem.p:
             raise DimensionError(f"weight vectors must have length {self.problem.p}")
         if self.problem.kind != KIND_KNAPSACK:
-            results = [self.solve_weighted(w) for w in ws]
-            if any(res.status == "infeasible" for res in results):
-                raise InfeasibleProblemError("LP relaxation is infeasible")
-            return (np.array([res.value for res in results]),
-                    np.array([res.x for res in results]).reshape(-1, self.problem.n))
+            solved = [self.solve_weighted(w) for w in ws]
+            return (np.array([value for value, _ in solved]),
+                    np.array([x for _, x in solved]).reshape(-1, self.problem.n))
         cs = self._costs(ws)
         xs = self._knapsack(cs)
         return np.matmul(cs[:, None, :], xs[:, :, None])[:, 0, 0], xs   # c @ x per row
@@ -122,7 +111,7 @@ class RelaxationSolver:
         x[agents * t + tasks] = 1.0
         return x
 
-    def _general(self, c: np.ndarray) -> np.ndarray | None:
+    def _general(self, c: np.ndarray) -> np.ndarray:
         # imported here, not at start-up; `run` and `cli` load it before their timers
         # (lbset._load_scipy), so this is a cache hit there
         from scipy.optimize import linprog
@@ -134,7 +123,7 @@ class RelaxationSolver:
         res = linprog(c, A_ub=(flip[:, None] * p.A)[ub], b_ub=(flip * p.b)[ub],
                       A_eq=p.A[eq], b_eq=p.b[eq], bounds=(0, 1), method="highs-ds")
         if res.status == 2:
-            return None
+            raise InfeasibleProblemError("LP relaxation is infeasible")
         if res.status != 0:
             raise TribipError(f"LP solve failed: {res.message}")
         return np.clip(res.x, 0.0, 1.0) + 0.0      # + 0.0 turns -0.0 into 0.0

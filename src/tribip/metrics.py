@@ -144,11 +144,9 @@ class ReferenceFront:
         front = filter_nondominated(points)
         if front.shape[0] == 0:
             raise ValidationError("reference front needs at least one point")
-        return cls(
-            points=front,
-            y_min=tuple(int(v) for v in front.min(axis=0)),
-            y_max=tuple(int(v) for v in front.max(axis=0)),
-        )
+        # tolist keeps the points' own number type: ints for an integer front
+        return cls(points=front, y_min=tuple(front.min(axis=0).tolist()),
+                   y_max=tuple(front.max(axis=0).tolist()))
 
 
 def normalize(points, ref: ReferenceFront) -> np.ndarray:
@@ -316,18 +314,14 @@ def exact_front(problem: Problem) -> ReferenceFront:
     points, _ = _enumerate_front(problem)
     if points.shape[0] == 0:
         raise ValidationError("problem has no feasible solution, no reference front")
-    return ReferenceFront(
-        points=points,
-        y_min=tuple(int(v) for v in points.min(axis=0)),
-        y_max=tuple(int(v) for v in points.max(axis=0)),
-    )
+    return ReferenceFront.from_points(points)
 
 
 def exact_front_solutions(problem: Problem) -> list[Solution]:
     """The exact front with one representative solution per point (the
     first-discovered one in enumeration order)."""
     points, xs = _enumerate_front(problem)
-    return [Solution(xs[i], tuple(int(v) for v in points[i]), True)
+    return [Solution(xs[i], tuple(int(v) for v in points[i]))
             for i in range(points.shape[0])]
 
 

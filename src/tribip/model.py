@@ -47,11 +47,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _as_int_matrix(values, rows, cols, what) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int64)
-    if arr.shape != (rows, cols):
-        raise DimensionError(f"{what} must have shape ({rows}, {cols}), got {arr.shape}")
-    return arr
+def _sense_signs(senses) -> np.ndarray:
+    """+1 for each min objective, -1 for each max one (native = sign * internal)."""
+    return np.array([1 if s == "min" else -1 for s in senses], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -232,7 +230,7 @@ class Problem:
 
     def sense_signs(self) -> np.ndarray:
         """+1 for min rows, -1 for max rows (native = sign * internal)."""
-        return np.array([1 if s == "min" else -1 for s in self.original_sense], dtype=np.int64)
+        return _sense_signs(self.original_sense)
 
     def native_objectives(self) -> np.ndarray:
         """Objective matrix in the ingested senses (profits positive again)."""
@@ -245,7 +243,6 @@ class Solution:
 
     x: np.ndarray
     y: tuple[int, int, int]
-    feasible: bool
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.int8)
@@ -273,22 +270,13 @@ def evaluate(problem: Problem, x) -> tuple[int, int, int]:
 
 
 def is_feasible(problem: Problem, x) -> bool:
-    """Exact integer check of all constraint rows under their senses."""
-    arr = _check_binary(problem, x)
-    lhs = problem.A @ arr
-    for i, sense in enumerate(problem.row_sense):
-        v, rhs = int(lhs[i]), int(problem.b[i])
-        if sense == "<=" and v > rhs:
-            return False
-        if sense == ">=" and v < rhs:
-            return False
-        if sense == "=" and v != rhs:
-            return False
-    return True
+    """Exact integer check lo <= A_i.x <= hi of every row over `Problem.row_bounds`."""
+    lhs = problem.A @ _check_binary(problem, x)
+    return all(lo <= v <= hi for v, (lo, hi) in zip(lhs.tolist(), problem.row_bounds))
 
 
 def make_solution(problem: Problem, x) -> Solution:
-    return Solution(np.asarray(x, dtype=np.int8), evaluate(problem, x), is_feasible(problem, x))
+    return Solution(np.asarray(x, dtype=np.int8), evaluate(problem, x))
 
 
 def knapsack_problem(profits, weights, capacity) -> Problem:
@@ -347,10 +335,9 @@ def general_problem(objectives, senses, a, row_sense, b) -> Problem:
         raise ValidationError(f"need {P_OBJECTIVES} objective rows and senses")
     if any(s not in OBJ_SENSES for s in senses):
         raise ValidationError(f"objective senses must be in {OBJ_SENSES}")
-    signs = np.array([1 if s == "min" else -1 for s in senses], dtype=np.int64)
     return Problem(
         kind=KIND_GENERAL,
-        C=signs[:, None] * obj,
+        C=_sense_signs(senses)[:, None] * obj,
         A=np.asarray(a, dtype=np.int64),
         b=np.asarray(b, dtype=np.int64),
         row_sense=tuple(row_sense),
@@ -408,6 +395,11 @@ class _LineReader:
             raise ParseError(self.path, no, f"expected '{key}', got '{parts[0]}'")
         return parts[1:]
 
+    def section(self, key: str) -> None:
+        """A `key` line that opens a block of rows and takes no values."""
+        if self.keyword(key):
+            raise ParseError(self.path, self.pos, f"{key} keyword takes no values")
+
     def choices(self, key: str, count: int, allowed) -> list[str]:
         """The values of a `key` line: exactly count of them, each in allowed."""
         vals = self.keyword(key)
@@ -433,14 +425,30 @@ class _LineReader:
             raise ParseError(self.path, no, f"{what}: not an integer: {exc}") from None
 
 
+def _read_header(path: Path, magic: str) -> tuple[_LineReader, str, int, list[str]]:
+    """Open a tribip file and read its header: the magic line, then kind, n,
+    p and sense.  Returns the reader, positioned after the sense line, with
+    kind, n and the objective senses."""
+    rd = _LineReader(path, path.read_text())
+    no, line = rd.next("file magic")
+    if line != magic:
+        raise ParseError(path, no, f"unrecognised magic line {line!r}")
+    kind, = rd.choices("kind", 1, KINDS)
+    n = rd.ints("n", 1)[0]
+    p = rd.ints("p", 1)[0]
+    if p != P_OBJECTIVES:
+        raise ValidationError(f"{path}: this artifact fixes p = {P_OBJECTIVES}, file declares p = {p}")
+    return rd, kind, n, rd.choices("sense", P_OBJECTIVES, OBJ_SENSES)
+
+
+def _header_lines(magic: str, problem: Problem) -> list[str]:
+    """The header lines `_read_header` reads, for `problem`."""
+    return [magic, f"kind {problem.kind}", f"n {problem.n}", f"p {problem.p}",
+            "sense " + " ".join(problem.original_sense)]
+
+
 def write_instance(problem: Problem, path) -> None:
-    lines = [
-        INSTANCE_MAGIC,
-        f"kind {problem.kind}",
-        f"n {problem.n}",
-        f"p {problem.p}",
-        "sense " + " ".join(problem.original_sense),
-    ]
+    lines = _header_lines(INSTANCE_MAGIC, problem)
     if problem.kind == KIND_ASSIGNMENT:
         lines.append(f"tasks {problem.tasks}")
     lines.append("objectives")
@@ -464,31 +472,18 @@ def read_instance(path) -> Problem:
     """Parse an instance file; malformed content raises ParseError with the
     offending line, semantic violations raise ValidationError."""
     path = Path(path)
-    rd = _LineReader(path, path.read_text())
-    no, magic = rd.next("file magic")
-    if magic != INSTANCE_MAGIC:
-        raise ParseError(path, no, f"unrecognised magic line {magic!r}")
-    kind, = rd.choices("kind", 1, KINDS)
-    n = rd.ints("n", 1)[0]
-    p = rd.ints("p", 1)[0]
-    if p != P_OBJECTIVES:
-        raise ValidationError(f"{path}: this artifact fixes p = {P_OBJECTIVES}, file declares p = {p}")
-    senses = rd.choices("sense", P_OBJECTIVES, OBJ_SENSES)
+    rd, kind, n, senses = _read_header(path, INSTANCE_MAGIC)
     tasks = None
     if kind == KIND_ASSIGNMENT:
         tasks = rd.ints("tasks", 1)[0]
-    kw = rd.keyword("objectives")
-    if kw:
-        raise ParseError(path, rd.pos, "objectives keyword takes no values")
+    rd.section("objectives")
     obj = [rd.int_row(f"objective row {k + 1}", n) for k in range(P_OBJECTIVES)]
     obj = np.array(obj, dtype=np.int64)
 
     if kind == KIND_KNAPSACK:
         if senses != ["max"] * P_OBJECTIVES:
             raise ValidationError(f"{path}: knapsack objectives must all be max")
-        kw = rd.keyword("weights")
-        if kw:
-            raise ParseError(path, rd.pos, "weights keyword takes no values")
+        rd.section("weights")
         weights = rd.int_row("weights row", n)
         capacity = rd.ints("capacity", 1)[0]
         return knapsack_problem(obj, weights, capacity)
@@ -502,9 +497,7 @@ def read_instance(path) -> Problem:
 
     m = rd.ints("m", 1)[0]
     row_sense = rd.choices("rowsense", m, ROW_SENSES)
-    kw = rd.keyword("A")
-    if kw:
-        raise ParseError(path, rd.pos, "A keyword takes no values")
+    rd.section("A")
     a = [rd.int_row(f"constraint row {i + 1}", n) for i in range(m)]
     b = rd.ints("b", m)
     return general_problem(obj, senses, a, tuple(row_sense), b)
@@ -525,9 +518,8 @@ class FrontData:
 
     def min_points(self) -> np.ndarray:
         """Objective points converted to minimisation form."""
-        signs = np.array([1 if s == "min" else -1 for s in self.sense])
         ys = np.array([rec[1] for rec in self.records], dtype=np.float64).reshape(-1, P_OBJECTIVES)
-        pts = signs[None, :] * ys
+        pts = _sense_signs(self.sense)[None, :] * ys
         if np.allclose(pts, np.round(pts)):
             return np.round(pts).astype(np.int64)
         return pts
@@ -578,34 +570,15 @@ def write_front(path, problem: Problem, entries: Iterable) -> None:
             else:
                 xs = "~" + ",".join(_format_number(v) for v in xa)
         records.append(xs + " " + " ".join(_format_number(v) for v in y_native))
-    lines = [
-        FRONT_MAGIC,
-        f"kind {problem.kind}",
-        f"n {problem.n}",
-        f"p {problem.p}",
-        "sense " + " ".join(problem.original_sense),
-        f"count {len(records)}",
-        "solutions",
-    ]
+    lines = _header_lines(FRONT_MAGIC, problem) + [f"count {len(records)}", "solutions"]
     Path(path).write_text("\n".join(lines + records) + "\n")
 
 
 def read_front(path) -> FrontData:
     path = Path(path)
-    rd = _LineReader(path, path.read_text())
-    no, magic = rd.next("file magic")
-    if magic != FRONT_MAGIC:
-        raise ParseError(path, no, f"unrecognised magic line {magic!r}")
-    kind, = rd.choices("kind", 1, KINDS)
-    n = rd.ints("n", 1)[0]
-    p = rd.ints("p", 1)[0]
-    if p != P_OBJECTIVES:
-        raise ValidationError(f"{path}: this artifact fixes p = {P_OBJECTIVES}, file declares p = {p}")
-    sense = tuple(rd.choices("sense", P_OBJECTIVES, OBJ_SENSES))
+    rd, kind, n, sense = _read_header(path, FRONT_MAGIC)
     count = rd.ints("count", 1)[0]
-    kw = rd.keyword("solutions")
-    if kw:
-        raise ParseError(path, rd.pos, "solutions keyword takes no values")
+    rd.section("solutions")
     records = []
     for _ in range(count):
         no, line = rd.next("solution record")
@@ -624,4 +597,4 @@ def read_front(path) -> FrontData:
         if len(x) != n:
             raise ParseError(path, no, f"solution vector length {len(x)} != n={n}")
         records.append((x, y))
-    return FrontData(kind=kind, n=n, sense=sense, records=tuple(records))
+    return FrontData(kind=kind, n=n, sense=tuple(sense), records=tuple(records))

@@ -161,8 +161,8 @@ def highs_lp_value(problem, w):
 
 
 def solve_weighted_lp(problem, w):
-    """One weighted-sum LP over the relaxation of `problem`, through a fresh
-    `RelaxationSolver`."""
+    """(value, x) of one weighted-sum LP over the relaxation of `problem`,
+    through a fresh `RelaxationSolver`."""
     return tribip.RelaxationSolver(problem).solve_weighted(w)
 
 
@@ -255,17 +255,17 @@ def naive_rows_hold(problem, x) -> bool:
 
 
 def naive_round_down(lb, problem):
-    """Reference round-down: one LB point at a time, checked by
-    `tribip.is_feasible`, with the IR order, drop count and warning of
+    """Reference round-down: one LB point at a time, checked row by row by
+    `naive_rows_hold`, with the IR order, drop count and warning of
     `tribip.round_down`."""
     ir = tribip.IrSet()
     for point in lb.points:
         x = (np.asarray(point.x) >= 1.0 - INT_TOL).astype(np.int8)
         y = tuple(int(v) for v in problem.C @ x.astype(np.int64))
-        if not tribip.is_feasible(problem, x):
+        if not naive_rows_hold(problem, x):
             ir.dropped_infeasible += 1
             continue
-        ir.add(tribip.Solution(x, y, True))
+        ir.add(tribip.Solution(x, y))
     if ir.dropped_infeasible:
         tribip.heuristic.log.warning("round_down dropped %d infeasible rounded solutions",
                                      ir.dropped_infeasible)
@@ -368,7 +368,7 @@ def naive_path_relink_walk(problem, s_i, s_g, ir, archives, rng, best_move_prob,
         if state.feasible():
             key_new = state.x.tobytes()
             if key_new not in ir:
-                ir.add(tribip.Solution(state.x.copy(), tuple(int(v) for v in state.y), True))
+                ir.add(tribip.Solution(state.x.copy(), tuple(int(v) for v in state.y)))
     return visits
 
 

@@ -278,6 +278,31 @@ def test_solve_failure_fails_only_its_instance(tmp_path, capsys, runs, bad_kind)
         (good.stem, str(seed)) for seed in range(runs)]
 
 
+def test_solve_ref_front_of_another_kind_or_n_fails_its_instance(tmp_path, capsys):
+    """--ref-front scores only instances of the front's kind and n; every
+    run of any other instance fails with a FAILED line and exit code 1."""
+    inst = tmp_path / "inst"
+    inst.mkdir()
+    same, other_n, other_kind = inst / "k6.txt", inst / "k7.txt", inst / "a3.txt"
+    tribip.write_instance(tribip.generate_knapsack(6, seed=1), same)
+    tribip.write_instance(tribip.generate_knapsack(7, seed=2), other_n)
+    tribip.write_instance(tribip.generate_assignment(3, seed=3), other_kind)
+    ref = tmp_path / "k6.ref.txt"
+    assert main(["oracle", str(same), "--out", str(ref)]) == 0
+    csv_path = tmp_path / "runs.csv"
+    capsys.readouterr()
+    rc = main(["solve", str(other_kind), str(same), str(other_n), "--variant", "RD",
+               "--runs", "2", "--ref-front", str(ref), "--report-csv", str(csv_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count(f"FAILED {other_kind}: reference front {ref} is for knapsack n=6") == 2
+    assert err.count(f"FAILED {other_n}: reference front {ref} is for knapsack n=6") == 2
+    assert str(same) not in err
+    rows = _rows(csv_path)
+    assert [(r["instance"], r["seed"]) for r in rows] == [("k6", "0"), ("k6", "1")]
+    assert all(0.0 < float(r["hv_pct"]) <= 100.0 for r in rows)
+
+
 def test_report_ref_dir_fills_missing_hv(tmp_path):
     main(["generate", "--kind", "knapsack", "--n", "8", "--count", "1",
           "--seed", "9", "--out-dir", str(tmp_path)])
@@ -656,6 +681,8 @@ def test_tracer_wraps_names_the_cli_path_uses(tmp_path, monkeypatch):
     tracing = importlib.import_module("tracing")
     inst = tmp_path / "k.txt"
     tribip.write_instance(tribip.generate_knapsack(8, seed=1), inst)
+    assignment = tmp_path / "a.txt"
+    tribip.write_instance(tribip.generate_assignment(3, seed=1), assignment)
     ref = tmp_path / "ref.txt"
     originals = (cli.main, cli.run, tribip.heuristic.round_down, tribip.model.read_front)
     tracer = tracing.Tracer()
@@ -663,8 +690,12 @@ def test_tracer_wraps_names_the_cli_path_uses(tmp_path, monkeypatch):
         assert cli.main(["oracle", str(inst), "--out", str(ref)]) == 0
         assert cli.main(["solve", str(inst), "--variant", "PI", "--ref-front", str(ref),
                          "--report-csv", str(tmp_path / "runs.csv")]) == 0
+        # an assignment's LPs go one by one through the wrapped solve_weighted
+        assert cli.main(["solve", str(assignment), "--variant", "RD",
+                         "--report-csv", str(tmp_path / "runs.csv")]) == 0
     assert (cli.main, cli.run, tribip.heuristic.round_down, tribip.model.read_front) == originals
-    got = tracer.layer_metrics(instances=1)
+    got = tracer.layer_metrics(instances=2)
+    assert got["lp.solves"] > 0
     assert got["lbset.calls_per_instance"] == 1 and got["lbset.points"] > 0
     assert got["heuristic.walks"] > 0 and got["heuristic.steps"] > 0
     assert got["heuristic.ir_end"] > got["heuristic.ir_start"] > 0

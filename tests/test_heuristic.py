@@ -211,7 +211,7 @@ def test_select_pair_matches_full_scan(ops):
     ir = IrSet()
     for op, arg in ops:
         if op == "add":
-            ir.add(tribip.Solution(np.array(arg, dtype=np.int8), (0, 0, 0), True))
+            ir.add(tribip.Solution(np.array(arg, dtype=np.int8), (0, 0, 0)))
             continue
         if len(ir) < 2:
             continue
@@ -345,8 +345,7 @@ def test_walk_zero_capacity_archives_nothing():
     p = tribip.knapsack_problem([[4, 2, 3], [5, 3, 1], [6, 4, 2]], [1, 1, 1], 0)
     s_i = tribip.make_solution(p, [0, 0, 0])
     # an infeasible guiding solution still guides the walk
-    s_g = tribip.Solution(np.array([1, 1, 0], dtype=np.int8),
-                          tribip.evaluate(p, [1, 1, 0]), False)
+    s_g = tribip.Solution(np.array([1, 1, 0], dtype=np.int8), tribip.evaluate(p, [1, 1, 0]))
     ir = IrSet()
     ir.add(s_i)
     archives = PrArchives()
@@ -508,7 +507,7 @@ def test_walk_appends_rows_without_tracked_objects():
     grows by less than the number of rows the walk appends."""
     n = 40
     problem = tribip.knapsack_problem([[3] * n, [5] * n, [7] * n], [1] * n, n)
-    s_i = tribip.Solution(np.zeros(n, dtype=np.int8), (0, 0, 0), True)
+    s_i = tribip.Solution(np.zeros(n, dtype=np.int8), (0, 0, 0))
     s_g = tribip.make_solution(problem, np.ones(n, dtype=np.int8))
     ir, archives, rng = _ir_from(problem, [s_i.x, s_g.x]), PrArchives(), Xoshiro256StarStar(3)
     problem.flip_moves, problem.packed_rows          # cached before counting
@@ -617,7 +616,7 @@ def test_filter_over_rows_matches_filter_over_solutions(data, n):
                                 max_size=min(2 ** n, 40)))
         ys = data.draw(_y_points(len(xs)))
     rows = [IrRow((np.array(x, dtype=np.int8).tobytes(), y)) for x, y in zip(xs, ys)]
-    solutions = [tribip.Solution(np.array(x, dtype=np.int8), y, True) for x, y in zip(xs, ys)]
+    solutions = [tribip.Solution(np.array(x, dtype=np.int8), y) for x, y in zip(xs, ys)]
     from_rows = tribip.filter_nondominated_solutions(rows)
     from_solutions = tribip.filter_nondominated_solutions(solutions)
     assert [(r.key(), r.y) for r in from_rows] == [(s.key(), s.y) for s in from_solutions]
@@ -654,7 +653,7 @@ def test_ir_x_matrix_grows_with_adds():
     rng = np.random.default_rng(3)
     ir = IrSet()
     for bits in rng.integers(0, 2, size=(40, 9)):
-        ir.add(tribip.Solution(bits, (0, 0, 0), True))
+        ir.add(tribip.Solution(bits, (0, 0, 0)))
         xs = ir._x_buffer()[:len(ir)]
         assert np.array_equal(xs, np.array([list(row.key()) for row in ir], dtype=np.int8))
 
@@ -664,7 +663,7 @@ def test_ir_x_matrix_fills_rows_added_since_last_call():
     ir = IrSet()
     views = []
     for step, bits in enumerate(rng.integers(0, 2, size=(120, 11))):
-        ir.add(tribip.Solution(bits, (0, 0, 0), True))
+        ir.add(tribip.Solution(bits, (0, 0, 0)))
         if step % 7 == 3 or step == 0:
             views.append((ir._x_buffer()[:len(ir)], [row.key() for row in ir]))
     for view, keys in views:              # earlier views keep their rows, later adds do not show

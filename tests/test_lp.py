@@ -18,17 +18,15 @@ def test_hand_lp():
     # two items, profits cols (10,1,1) and (1,10,1), unit weights, W=1:
     # w=(1,0,0) minimises -10*x1 - 1*x2 subject to x1+x2 <= 1
     p = tribip.knapsack_problem([[10, 1], [1, 10], [1, 1]], [1, 1], 1)
-    res = solve_weighted_lp(p, [1, 0, 0])
-    assert res.status == "optimal"
-    assert np.allclose(res.x, [1.0, 0.0])
-    assert res.value == pytest.approx(-10.0, abs=1e-9)
+    value, x = solve_weighted_lp(p, [1, 0, 0])
+    assert np.allclose(x, [1.0, 0.0])
+    assert value == pytest.approx(-10.0, abs=1e-9)
 
 
 def test_zero_objective():
     p = tribip.knapsack_problem([[0, 0], [0, 0], [0, 0]], [1, 1], 1)
-    res = solve_weighted_lp(p, [1, 1, 1])
-    assert res.status == "optimal"
-    assert res.value == pytest.approx(0.0, abs=1e-12)
+    value, _ = solve_weighted_lp(p, [1, 1, 1])
+    assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_assignment_lp_integral():
@@ -36,17 +34,16 @@ def test_assignment_lp_integral():
     for tasks in (2, 3, 4):
         p = tribip.generate_assignment(tasks, seed=tasks)
         for w in ([1, 0, 0], [0.2, 0.3, 0.5], [1, 1, 1]):
-            res = solve_weighted_lp(p, w)
-            assert res.status == "optimal"
-            assert is_integral(res.x, tol=1e-6)
+            _, x = solve_weighted_lp(p, w)
+            assert is_integral(x, tol=1e-6)
 
 
 def test_deterministic_resolve():
     p = tribip.generate_knapsack(12, seed=9)
-    a = solve_weighted_lp(p, [0.5, 0.3, 0.2])
-    b = solve_weighted_lp(p, [0.5, 0.3, 0.2])
-    assert a.value == b.value
-    assert np.array_equal(a.x, b.x)
+    a_value, a_x = solve_weighted_lp(p, [0.5, 0.3, 0.2])
+    b_value, b_x = solve_weighted_lp(p, [0.5, 0.3, 0.2])
+    assert a_value == b_value
+    assert np.array_equal(a_x, b_x)
 
 
 def test_lower_bound_property():
@@ -58,9 +55,9 @@ def test_lower_bound_property():
         c_float = p.C.astype(float)
         for _ in range(5):
             w = rng.dirichlet([1, 1, 1])
-            res = solve_weighted_lp(p, w)
+            value, _ = solve_weighted_lp(p, w)
             best_int = min(float(w @ np.array(y)) for _, y in feasible)
-            assert res.value <= best_int + 1e-6
+            assert value <= best_int + 1e-6
 
 
 def test_infeasible_relaxation():
@@ -72,8 +69,8 @@ def test_infeasible_relaxation():
         row_sense=(">=",),
         b=[3],
     )
-    res = solve_weighted_lp(p, [1, 1, 1])
-    assert res.status == "infeasible"
+    with pytest.raises(tribip.InfeasibleProblemError):
+        solve_weighted_lp(p, [1, 1, 1])
 
 
 def test_equality_rows_phase1():
@@ -85,10 +82,9 @@ def test_equality_rows_phase1():
         row_sense=("=",),
         b=[1],
     )
-    res = solve_weighted_lp(p, [1, 1, 1])
-    assert res.status == "optimal"
-    assert np.allclose(res.x, [1.0, 0.0])
-    assert res.value == pytest.approx(6.0, abs=1e-9)
+    value, x = solve_weighted_lp(p, [1, 1, 1])
+    assert np.allclose(x, [1.0, 0.0])
+    assert value == pytest.approx(6.0, abs=1e-9)
 
 
 def test_ge_rows():
@@ -100,9 +96,8 @@ def test_ge_rows():
         row_sense=(">=",),
         b=[1],
     )
-    res = solve_weighted_lp(p, [1, 1, 1])
-    assert res.status == "optimal"
-    assert np.allclose(res.x, [1.0, 0.0])
+    _, x = solve_weighted_lp(p, [1, 1, 1])
+    assert np.allclose(x, [1.0, 0.0])
 
 
 def test_basic_solution_is_vertex():
@@ -111,9 +106,20 @@ def test_basic_solution_is_vertex():
     for seed in range(5):
         p = tribip.generate_knapsack(15, seed=seed)
         w = rng.dirichlet([1, 1, 1])
-        res = solve_weighted_lp(p, w)
-        frac = np.sum(np.abs(res.x - np.round(res.x)) > 1e-7)
+        _, x = solve_weighted_lp(p, w)
+        frac = np.sum(np.abs(x - np.round(x)) > 1e-7)
         assert frac <= 1
+
+
+@pytest.mark.parametrize("problem", [tribip.generate_knapsack(5, seed=0),
+                                     tribip.generate_assignment(3, seed=0),
+                                     tribip.general_problem([[1, 2], [2, 1], [1, 1]], ("min",) * 3,
+                                                            [[1, 1]], ("<=",), [1])],
+                         ids=lambda p: p.kind)
+def test_solve_weighted_many_takes_an_empty_batch(problem):
+    values, xs = RelaxationSolver(problem).solve_weighted_many(np.zeros((0, 3)))
+    assert values.shape == (0,) and values.dtype == np.float64
+    assert xs.shape == (0, problem.n)
 
 
 def test_weight_validation():
@@ -136,14 +142,13 @@ def _fractional(x):
 
 
 def _assert_matches_highs(p, w):
-    res = RelaxationSolver(p).solve_weighted(w)
+    value, x = RelaxationSolver(p).solve_weighted(w)
     want = highs_lp_value(p, w)
     tol = 1e-9 * max(1.0, abs(want))
-    assert res.status == "optimal"
-    assert res.value == pytest.approx(want, rel=0, abs=tol)
-    assert res.value == pytest.approx(float(np.asarray(w) @ p.C @ res.x), rel=0, abs=tol)
-    assert np.all((res.x >= 0) & (res.x <= 1))
-    return res
+    assert value == pytest.approx(want, rel=0, abs=tol)
+    assert value == pytest.approx(float(np.asarray(w) @ p.C @ x), rel=0, abs=tol)
+    assert np.all((x >= 0) & (x <= 1))
+    return x
 
 
 KNAPSACK_EDGE_CASES = {
@@ -159,18 +164,18 @@ def test_knapsack_greedy_matches_highs(n):
     for seed in range(3):
         p = tribip.generate_knapsack(n, seed=seed)
         for w in _oracle_weights(seed):
-            res = _assert_matches_highs(p, w)
-            assert _fractional(res.x) <= 1
-            assert float(p.weights @ res.x) <= p.capacity + 1e-9
+            x = _assert_matches_highs(p, w)
+            assert _fractional(x) <= 1
+            assert float(p.weights @ x) <= p.capacity + 1e-9
 
 
 @pytest.mark.parametrize("case", sorted(KNAPSACK_EDGE_CASES))
 def test_knapsack_edge_cases_match_highs(case):
     p = KNAPSACK_EDGE_CASES[case]
     for w in _oracle_weights(0):
-        res = _assert_matches_highs(p, w)
-        assert _fractional(res.x) <= 1
-        assert float(p.weights @ res.x) <= p.capacity
+        x = _assert_matches_highs(p, w)
+        assert _fractional(x) <= 1
+        assert float(p.weights @ x) <= p.capacity
 
 
 @st.composite
@@ -208,9 +213,8 @@ def test_knapsack_batch_matches_per_lp_greedy(case):
     for w, value, x_batch in zip(ws, values.tolist(), xs):
         c = np.asarray(w, dtype=np.float64) @ c_float
         x = naive_knapsack(p, c)
-        single = solver.solve_weighted(w)
-        assert single.status == "optimal"
-        for got_x, got_value in ((x_batch, value), (single.x, single.value)):
+        single_value, single_x = solver.solve_weighted(w)
+        for got_x, got_value in ((x_batch, value), (single_x, single_value)):
             assert got_x.tobytes() == x.tobytes()
             assert got_value == float(c @ x)
             assert (c_float @ got_x).tobytes() == (c_float @ x).tobytes()
@@ -221,9 +225,9 @@ def test_assignment_lsap_matches_highs(tasks):
     p = tribip.generate_assignment(tasks, seed=tasks)
     t = p.tasks
     for w in _oracle_weights(tasks):
-        res = _assert_matches_highs(p, w)
-        assert is_integral(res.x, tol=0.0)
-        grid = res.x.reshape(t, t)
+        x = _assert_matches_highs(p, w)
+        assert is_integral(x, tol=0.0)
+        grid = x.reshape(t, t)
         assert np.array_equal(grid.sum(axis=0), np.ones(t))
         assert np.array_equal(grid.sum(axis=1), np.ones(t))
 
@@ -242,8 +246,8 @@ def test_general_rows_match_highs():
             a=a, row_sense=("<=", ">=", "=", "<="),
             b=[lhs[0] + 3, lhs[1] - 2, lhs[2], lhs[3]])
         for w in _oracle_weights(int(x0.sum())):
-            res = _assert_matches_highs(p, w)
-            row = p.A @ res.x
+            x = _assert_matches_highs(p, w)
+            row = p.A @ x
             assert row[0] <= p.b[0] + 1e-7 and row[3] <= p.b[3] + 1e-7
             assert row[1] >= p.b[1] - 1e-7
             assert row[2] == pytest.approx(p.b[2], abs=1e-7)

@@ -1,4 +1,5 @@
 import hashlib
+import logging
 from unittest import mock
 
 import numpy as np
@@ -108,7 +109,7 @@ def test_filter_dedupe_matches_np_unique(points, dtype):
 @given(points=_points, data=st.data())
 def test_filter_solutions_keeps_first_discovered(points, data):
     order = data.draw(st.permutations(range(len(points))))
-    sols = [tribip.Solution(np.array([i % 2, i // 2 % 2], dtype=np.int8), points[i], True)
+    sols = [tribip.Solution(np.array([i % 2, i // 2 % 2], dtype=np.int8), points[i])
             for i in order]
     first = {}
     for sol in sols:
@@ -146,6 +147,21 @@ def test_normalize_keeps_below_zero():
     ref = ReferenceFront.from_points([(0, 0, 10), (10, 10, 0)])
     out = normalize([(-5, 0, 0)], ref)
     assert out[0, 0] == pytest.approx(-0.5)
+
+
+def test_reference_front_bounds_keep_fractional_values(caplog):
+    """A front with fractional points (an LB-set export read as a reference
+    front) is bounded by its own extremes, so its points normalise into
+    [0, 1] without a warning; an integer front keeps int bounds."""
+    ref = ReferenceFront.from_points([[-10.5, 0, 0], [0, -10.5, 0], [0, 0, -10.5]])
+    assert ref.y_min == (-10.5, -10.5, -10.5) and ref.y_max == (0.0, 0.0, 0.0)
+    with caplog.at_level(logging.WARNING, logger="tribip"):
+        assert normalize(ref.points, ref).min() == 0.0
+        assert hv_percent(ref.points, ref) == 100.0
+    assert not caplog.records
+    whole = ReferenceFront.from_points([(0, 0, 10), (10, 10, 0)])
+    assert [type(v) for v in whole.y_min + whole.y_max] == [int] * 6
+    assert whole.y_min == (0, 0, 0) and whole.y_max == (10, 10, 10)
 
 
 def test_normalize_degenerate_reference():
@@ -268,7 +284,7 @@ def test_exact_front_solutions_consistent():
     assert [s.y for s in sols] == [tuple(r) for r in ref.points.tolist()]
     for s in sols:
         assert tribip.evaluate(p, s.x) == s.y
-        assert s.feasible
+        assert tribip.is_feasible(p, s.x)
 
 
 _GENERAL = tribip.general_problem(

@@ -213,7 +213,7 @@ def _front_case(draw):
     float_y = st.tuples(*[st.floats(-1e4, 1e4) | _objective.map(float)] * 3)
     near = st.floats(-1e-9, 1e-9)
     solution = st.builds(
-        lambda x, y: tribip.Solution(np.array(x, dtype=np.int8), y, True),
+        lambda x, y: tribip.Solution(np.array(x, dtype=np.int8), y),
         bits | st.lists(st.integers(-2, 3), min_size=n, max_size=n), int_y)
     integral = st.tuples(
         st.builds(lambda x, d: np.array(x, dtype=np.float64) + np.array(d),
@@ -275,8 +275,8 @@ def _rows_only(a, row_sense, b):
 @example(problem=_rows_only([[2, 2], [0, 0]], ("=", ">="), [1, 0]))    # no 0/1 vector fits row 0
 @example(problem=_rows_only([[3, -2, 0], [-1, -1, 4]], ("<=", ">="), [3, -2]))   # bounds at max, min
 def test_row_bounds_test_matches_row_by_row_check(problem):
-    """The packed row test of the walk and the rounding agrees with the
-    row-by-row check on every 0/1 vector.  The packed sum holds, in the
+    """The packed row test of the walk and the rounding, and `is_feasible`,
+    agree with the row-by-row check on every 0/1 vector.  The packed sum holds, in the
     field below each guard bit, the row's left-hand side minus its least
     reachable value, and flipping x_j by the packed displacement
     flip_moves[x_j][j][1] moves every field by the row-by-row difference."""
@@ -300,6 +300,7 @@ def test_row_bounds_test_matches_row_by_row_check(problem):
         assert fields(s) == row_fields(bits)
         assert ((s + add_lo) & guards == guards and (add_hi - s) & guards == guards) == \
             naive_rows_hold(problem, bits)
+        assert tribip.is_feasible(problem, bits) == naive_rows_hold(problem, bits)
         for j, v in enumerate(bits):
             flipped = list(bits)
             flipped[j] ^= 1
