@@ -9,7 +9,10 @@ the first checkout leading on even runs and the last on odd ones, so that
 host drift reaches every side alike.  Prints, per checkout, the median,
 quartiles and maximum of its ratios, the medians of RD and PI time, and
 how many runs would fail the criterion: a run fails when one of its ratios
-is 10% or more, or one of its RD times is 1 s or more.
+is 10% or more, or one of its RD times is 1 s or more.  It also prints,
+per instance seed, the median headroom 0.1 x PI - RD in ms over the runs:
+how many milliseconds RD may grow on that instance before its ratio
+reaches 10%.
 
 Each run also counts, through `gc.callbacks`, the generation-2 collections
 that start during each `tribip.run` call.  Per checkout it prints how many
@@ -72,12 +75,16 @@ def fails(times: list[tuple]) -> bool:
 
 def summary(runs: list[list[tuple]]) -> str:
     times = [row for rows in runs for row in rows]
+    headroom = ", ".join(
+        f"{1e3 * statistics.median(0.1 * pi - rd for rd, pi, *_ in instance):.1f}"
+        for instance in zip(*runs))
     ratios = [100 * rd / pi for rd, pi, *_ in times]
     q1, median, q3 = statistics.quantiles(ratios, n=4)
     failing = [row for row in times if fails([row])]
     return (f"ratio median {median:.2f}% (quartiles {q1:.2f}-{q3:.2f}, max {max(ratios):.2f}, "
             f"{len(ratios)} ratios); RD median {1e3 * statistics.median(t[0] for t in times):.1f} ms, "
             f"PI median {statistics.median(t[1] for t in times):.3f} s; "
+            f"headroom 0.1 x PI - RD median per instance {headroom} ms; "
             f"{sum(map(fails, runs))} of {len(runs)} runs fail; "
             f"gen-2 collections inside RD runs {sum(t[2] for t in times)}, "
             f"inside PI runs {sum(t[3] for t in times)}; "

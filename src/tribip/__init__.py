@@ -14,7 +14,7 @@ from .model import (P_OBJECTIVES, FrontData, Problem, Solution, assignment_probl
                     is_feasible, knapsack_problem, make_solution, read_front,
                     read_instance, write_front, write_instance)
 from .lp import RelaxationSolver
-from .lbset import LbPoint, LbSet, compute_lb_set
+from .lbset import LbSet, compute_lb_set
 from .metrics import (ReferenceFront, exact_front, exact_front_solutions, filter_nondominated,
                       filter_nondominated_solutions, hv_percent, hypervolume, hypervolume_mc,
                       normalize)
@@ -32,7 +32,7 @@ __all__ = [
     "evaluate", "is_feasible", "make_solution",
     "read_instance", "write_instance", "read_front", "write_front",
     "RelaxationSolver",
-    "LbPoint", "LbSet", "compute_lb_set",
+    "LbSet", "compute_lb_set",
     "ReferenceFront", "filter_nondominated", "filter_nondominated_solutions",
     "normalize", "hypervolume", "hypervolume_mc", "exact_front", "exact_front_solutions",
     "hv_percent",

@@ -11,7 +11,11 @@ from the same set.  The runs go one after another.  A row's `time_sec` is
 the instance's LB enumeration time plus the run's own `solve_from_lb` time,
 the same span `run()` reports.  A failure to read an instance or to
 enumerate its LB set, or a --ref-front of another kind or n than the
-instance, fails that instance's runs only.
+instance, fails that instance's runs only.  --lb-front writes the LB set's
+vertices and objective points (`LbSet.x` and `LbSet.points`) row by row.
+
+`solve --ref-front` and `report --ref-dir` score a front with the same
+helper, `_scores`: hv and hv_pct, both 0 for an empty front.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ def _prepare(instance_path: Path, args, ref_for: tuple[str, int] | None):
     lb = compute_lb_set(problem)
     lb_sec = time.perf_counter() - t0
     if args.lb_front:
-        model.write_front(args.lb_front, problem, [(p.x, p.y) for p in lb.points])
+        model.write_front(args.lb_front, problem, zip(lb.x, lb.points))
     return problem, lb, lb_sec
 
 
@@ -89,9 +93,7 @@ def _solve_one(instance_path: Path, problem, lb, lb_sec: float, seed: int, args,
 
     hv = hv_pct = raw_hv = None
     if ref is not None:
-        pts = [s.y for s in front]
-        hv = hypervolume(normalize(pts, ref)) if pts else 0.0
-        hv_pct = hv_percent(pts, ref)
+        hv, hv_pct = _scores([s.y for s in front], ref)
     elif args.ref_point is not None:
         pts = [s.y for s in front]
         raw_hv = hypervolume(pts, args.ref_point) if pts else 0.0
@@ -105,6 +107,15 @@ def _solve_one(instance_path: Path, problem, lb, lb_sec: float, seed: int, args,
     if front_file:
         model.write_front(front_file, problem, front)
     return _report_row(instance_path.stem, problem, report, front_file, hv, hv_pct, raw_hv)
+
+
+def _scores(points, ref: ReferenceFront) -> tuple[float, float]:
+    """(hv, hv_pct) of a front's points (minimisation form) against ref,
+    (0.0, 0.0) for an empty front.  hypervolume and hv_percent are looked up
+    in this module, where perfbench/tracing.py wraps them."""
+    if not len(points):
+        return 0.0, 0.0
+    return hypervolume(normalize(points, ref)), hv_percent(points, ref)
 
 
 def _report_row(instance, problem, report, front_file, hv, hv_pct, raw_hv) -> dict:
@@ -228,10 +239,8 @@ def cmd_report(args) -> int:
             ref = refs[instance]
             if ref is None:
                 continue
-            pts = model.read_front(row["front_file"]).min_points()
-            if len(pts):
-                row["hv"] = f"{hypervolume(normalize(pts, ref)):.6f}"
-                row["hv_pct"] = f"{hv_percent(pts, ref):.4f}"
+            hv, hv_pct = _scores(model.read_front(row["front_file"]).min_points(), ref)
+            row["hv"], row["hv_pct"] = f"{hv:.6f}", f"{hv_pct:.4f}"
 
     groups: dict[tuple, list[dict]] = {}
     for row in rows:

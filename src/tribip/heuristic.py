@@ -225,15 +225,15 @@ class RunReport:
 
 
 def round_down(lb: LbSet, problem: Problem) -> IrSet:
-    """Round every LB solution down to a binary vector and keep the feasible ones.
+    """Round every LB vertex (the rows of `lb.x`, in order) down to a binary
+    vector and keep the feasible ones.
 
     Components within INT_TOL of 1 stay 1, everything else drops to 0
     (integral components are preserved, fractional ones floored).  Infeasible
     results are dropped with a warning count, duplicates are merged.
     """
     ir = IrSet()
-    lb_x = np.array([point.x for point in lb.points], dtype=np.float64).reshape(-1, problem.n)
-    xs = (lb_x >= 1.0 - INT_TOL).astype(np.int8)
+    xs = (lb.x >= 1.0 - INT_TOL).astype(np.int8)
     keys = xs.view(f"V{problem.n}").ravel().tolist()      # x.tobytes() of each row
     ys = (xs.astype(np.int64) @ problem.C.T).tolist()
     # the walk's packed row sums and row test

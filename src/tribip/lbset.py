@@ -21,13 +21,16 @@ point is on the hull or near a kept point, or it was not below a hull
 that has only come down since.  An improving
 probe's point is accepted unless a known point lies within POINT_TOL of it;
 that test reads the known points kept in order of their first coordinate,
-in a window around the candidate's.  At the end, points
-are kept if no other point dominates them by more than POINT_TOL and no
-earlier point lies within POINT_TOL: a pairwise test that every
-coordinate difference of a pair is at most POINT_TOL, run one block of
-points at a time so that its memory stays linear in the number of points,
-and then, on the few pairs that pass it, a test of the smallest difference
-and of the order.
+in a window around the candidate's.  So no two accepted points lie within
+POINT_TOL of each other, and at the end a point is kept unless another
+dominates it by more than POINT_TOL: a pairwise test that every coordinate
+difference of a pair is at most POINT_TOL, run one block of points at a
+time so that its memory stays linear in the number of points, and then,
+on the few pairs that pass it, a test of the smallest difference.
+
+The accepted points, vertices and weights are rows gathered from each
+round's LP batch through the accepted indices; each round's rows, and at
+the end the kept rows, are ordered lexicographically on the point.
 
 Termination is guaranteed: the relaxed polytope has finitely many vertices,
 every round adds at least one of them or stops, and probed weights are
@@ -38,8 +41,7 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from operator import itemgetter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,43 +57,24 @@ _FILTER_BLOCK = 1 << 16   # pairs per block of the final filter
 
 
 @dataclass(frozen=True)
-class LbPoint:
-    """One extreme supported point: fractional solution, objective point,
-    and the weight vector it is optimal for."""
-
-    x: np.ndarray
-    y: tuple[float, float, float]
-    w: tuple[float, float, float]
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        x.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", tuple(map(float, self.y)))
-        object.__setattr__(self, "w", tuple(map(float, self.w)))
-
-    @classmethod
-    def _exact(cls, x: np.ndarray, y: tuple, w: tuple) -> "LbPoint":
-        """A point from a read-only float64 x and tuples of floats y and w,
-        taken as they are."""
-        point = object.__new__(cls)
-        vars(point).update(x=x, y=y, w=w)
-        return point
-
-
-@dataclass
 class LbSet:
-    """Lower bound set plus instrumentation.
+    """Lower bound set plus instrumentation, as read-only float64 arrays
+    (one set serves many runs).
 
-    points are pairwise nondominated and pairwise distinct (within
-    POINT_TOL); lp_count is the number of weighted-sum LPs actually solved;
-    probes records every (weight, optimal value) pair the enumeration used,
-    in the order they were solved.
+    Row i of points (k, p) is an extreme supported point, in lexicographic
+    order; the points are pairwise nondominated and pairwise distinct
+    (within POINT_TOL).  Row i of x (k, n) is its vertex of the relaxation
+    and row i of w (k, p) the weight it is optimal for.  lp_count is the
+    number of weighted-sum LPs solved, and probes (lp_count, p + 1) holds
+    one row (weight..., optimal value) per LP, in the order they were
+    solved.
     """
 
-    points: list[LbPoint]
+    points: np.ndarray
+    x: np.ndarray
+    w: np.ndarray
     lp_count: int
-    probes: list[tuple[tuple[float, float, float], float]] = field(default_factory=list)
+    probes: np.ndarray
 
     def __len__(self):
         return len(self.points)
@@ -135,14 +118,13 @@ def _lower_facet_weights(nodes: np.ndarray) -> np.ndarray:
 
 def _tolerant_dropped(y: np.ndarray, point_tol: float) -> np.ndarray:
     """Mask of the rows of y that another row dominates by more than
-    point_tol, or that lie within point_tol of an earlier row (in every
-    coordinate).
+    point_tol.
 
     Row j drops row i when every coordinate difference d_c = y_jc - y_ic is
-    at most point_tol, and either one of them is below -point_tol or
-    j < i.  The first condition is taken over three 2-D difference planes,
-    one block of rows against all rows at a time, so memory stays linear
-    in the row count; the few pairs that meet it take the second."""
+    at most point_tol and one of them is below -point_tol.  The first
+    condition is taken over three 2-D difference planes, one block of rows
+    against all rows at a time, so memory stays linear in the row count;
+    the few pairs that meet it take the second."""
     k = y.shape[0]
     dropped = np.zeros(k, dtype=bool)
     step = max(1, _FILTER_BLOCK // k)
@@ -153,8 +135,7 @@ def _tolerant_dropped(y: np.ndarray, point_tol: float) -> np.ndarray:
         near &= y[:, None, 2] - block[None, :, 2] <= point_tol
         j, i = np.nonzero(near)
         i += lo
-        drops = (y[j] - y[i] < -point_tol).any(axis=1) | (j < i)
-        dropped[i[drops]] = True
+        dropped[i[(y[j] - y[i] < -point_tol).any(axis=1)]] = True
     return dropped
 
 
@@ -188,6 +169,12 @@ class _NearIndex:
         self.rows.insert(at, y)
 
 
+def _lex_order(y: np.ndarray) -> np.ndarray:
+    """The stable order of the rows of y sorted lexicographically, first
+    coordinate first."""
+    return np.lexsort(y.T[::-1])
+
+
 def compute_lb_set(problem: Problem) -> LbSet:
     """Enumerate the extreme supported nondominated points of the relaxation.
 
@@ -196,16 +183,15 @@ def compute_lb_set(problem: Problem) -> LbSet:
     """
     solver = RelaxationSolver(problem)
     c_float = problem.C.astype(np.float64)
-    # every LP solved: its rounded weight, and per batch the weights and values
+    # every LP solved: its rounded weight, and per batch its (weight, value) rows
     solved: set[bytes] = set()
-    probe_ws: list[np.ndarray] = []
-    probe_values: list[np.ndarray] = []
+    probes: list[np.ndarray] = []
     key_size = np.dtype(np.float64).itemsize * problem.p      # bytes of one rounded weight
 
     def solve(ws: np.ndarray):
         """The rows of ws whose rounded weight no earlier call solved (first
         occurrences), solved in one call: their indices, weights, LP values,
-        vertices (rows of a read-only array) and objective points."""
+        vertices and objective points."""
         rows = []
         for at, key in enumerate(np.round(ws, 12).view(f"V{key_size}").ravel().tolist()):
             if key not in solved:
@@ -213,31 +199,34 @@ def compute_lb_set(problem: Problem) -> LbSet:
                 rows.append(at)
         batch = ws[rows]
         values, x_batch = solver.solve_weighted_many(batch)
-        x_batch.setflags(write=False)
         # C @ x per LP; the stacked matmul computes each as `c_float @ x` does
         y_batch = np.matmul(c_float, x_batch[:, :, None])[:, :, 0]
-        probe_ws.append(batch)
-        probe_values.append(values)
+        probes.append(np.column_stack((batch, values)))
         return rows, batch, values, x_batch, y_batch
 
     index = _NearIndex(POINT_TOL)
+    # the accepted rows of every batch, in the order of y_arr
+    xs: list[np.ndarray] = []
+    ws: list[np.ndarray] = []
 
-    def take(picks: np.ndarray, batch, x_batch, y_batch) -> list[tuple]:
-        """(y, x, w) of each picked solved row whose y lies near no known
-        point, which makes it known; y and w as tuples of floats."""
-        found = []
-        for at, y, w in zip(picks.tolist(), map(tuple, y_batch[picks].tolist()),
-                            map(tuple, batch[picks].tolist())):
+    def accept(picks: np.ndarray, y_batch: np.ndarray) -> np.ndarray:
+        """The picked rows whose y lies near no known point, in pick order;
+        each becomes known as it is accepted."""
+        accepted = []
+        for at, y in zip(picks.tolist(), map(tuple, y_batch[picks].tolist())):
             if not index.near(y):
                 index.add(y)
-                found.append((y, x_batch[at], w))
-        return found
+                accepted.append(at)
+        return np.array(accepted, dtype=np.intp)
 
     seeds = np.full((problem.p, problem.p), SEED_EPSILON)
     np.fill_diagonal(seeds, 1.0)
     seeds = seeds / seeds.sum(axis=1, keepdims=True)
     rows, batch, _, x_batch, y_batch = solve(seeds)
-    found = take(np.arange(len(rows)), batch, x_batch, y_batch)     # in the order found
+    accepted = accept(np.arange(len(rows)), y_batch)          # in the order found
+    y_arr = y_batch[accepted]
+    xs.append(x_batch[accepted])
+    ws.append(batch[accepted])
 
     # anchors: one per objective, high above the ideal corner along that
     # objective's axis.  They stand in for the recession directions of the
@@ -248,7 +237,6 @@ def compute_lb_set(problem: Problem) -> LbSet:
     upper = np.maximum(c_float, 0.0).sum(axis=1)
     lower = -np.maximum(-c_float, 0.0).sum(axis=1)
     reach = _ANCHOR_SCALE * (upper - lower + 1.0)
-    y_arr = np.array([y for y, _, _ in found])
     anchors = np.repeat(y_arr.min(axis=0, keepdims=True) - 1.0, problem.p, axis=0)
     np.fill_diagonal(anchors, upper + reach)
 
@@ -263,17 +251,19 @@ def compute_lb_set(problem: Problem) -> LbSet:
             break
         hull_values = (nodes @ weights.T).min(axis=0)[rows]
         improving = hull_values - values > _FACET_REL_TOL * np.maximum(1.0, np.abs(hull_values))
-        new_points = take(np.flatnonzero(improving), batch, x_batch, y_batch)
-        if not new_points:
+        accepted = accept(np.flatnonzero(improving), y_batch)
+        if not accepted.size:
             break
-        new_points.sort(key=itemgetter(0))
-        found += new_points
-        y_arr = np.concatenate([y_arr, [y for y, _, _ in new_points]])
+        accepted = accepted[_lex_order(y_batch[accepted])]
+        y_arr = np.concatenate([y_arr, y_batch[accepted]])
+        xs.append(x_batch[accepted])
+        ws.append(batch[accepted])
 
-    # keep strictly nondominated, distinct points, sorted for determinism
-    dropped = _tolerant_dropped(y_arr, POINT_TOL)
-    kept = sorted(map(found.__getitem__, np.flatnonzero(~dropped).tolist()), key=itemgetter(0))
-    points = [LbPoint._exact(x, y, w) for y, x, w in kept]
-    probes = list(zip(map(tuple, np.concatenate(probe_ws).tolist()),
-                      np.concatenate(probe_values).tolist()))
-    return LbSet(points=points, lp_count=len(solved), probes=probes)
+    # keep the nondominated points, sorted for determinism
+    kept = np.flatnonzero(~_tolerant_dropped(y_arr, POINT_TOL))
+    kept = kept[_lex_order(y_arr[kept])]
+    lb = LbSet(points=y_arr[kept], x=np.concatenate(xs)[kept], w=np.concatenate(ws)[kept],
+               lp_count=len(solved), probes=np.concatenate(probes))
+    for array in (lb.points, lb.x, lb.w, lb.probes):
+        array.setflags(write=False)
+    return lb

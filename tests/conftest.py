@@ -195,12 +195,10 @@ def naive_knapsack(problem, c):
 def naive_tolerant_dropped(y, point_tol):
     """Rows of y dropped by the LB set's final filter, from the full
     |y| x |y| x 3 difference tensor: dominated by another row by more than
-    point_tol, or within point_tol of an earlier row in every coordinate."""
+    point_tol."""
     diff = y[:, None, :] - y[None, :, :]                  # diff[j, i] = y_j - y_i
     dominates = (diff <= point_tol).all(axis=2) & (diff < -point_tol).any(axis=2)
-    duplicate = (np.abs(diff) <= point_tol).all(axis=2)
-    earlier = np.triu(np.ones(len(y), dtype=bool), k=1)  # earlier[j, i]: j < i
-    return dominates.any(axis=0) | (duplicate & earlier).any(axis=0)
+    return dominates.any(axis=0)
 
 
 def naive_near(points, y, point_tol) -> bool:
@@ -255,12 +253,12 @@ def naive_rows_hold(problem, x) -> bool:
 
 
 def naive_round_down(lb, problem):
-    """Reference round-down: one LB point at a time, checked row by row by
+    """Reference round-down: one LB vertex at a time, checked row by row by
     `naive_rows_hold`, with the IR order, drop count and warning of
     `tribip.round_down`."""
     ir = tribip.IrSet()
-    for point in lb.points:
-        x = (np.asarray(point.x) >= 1.0 - INT_TOL).astype(np.int8)
+    for lb_x in lb.x:
+        x = (lb_x >= 1.0 - INT_TOL).astype(np.int8)
         y = tuple(int(v) for v in problem.C @ x.astype(np.int64))
         if not naive_rows_hold(problem, x):
             ir.dropped_infeasible += 1

@@ -45,8 +45,7 @@ def test_criterion_02_moap_integrality():
     for i, tasks in enumerate(sizes):
         p = tribip.generate_assignment(tasks, seed=100 + i)
         lb = tribip.compute_lb_set(p)
-        for pt in lb.points:
-            x = np.asarray(pt.x)
+        for x in lb.x:
             worst = max(worst, float(np.max(np.abs(x - np.round(x)))))
     _verdict(2, "MOAP integrality", worst <= 1e-6,
              f"max deviation from {{0,1}} over 10 instances: {worst:.2e}")
@@ -59,7 +58,7 @@ def test_criterion_03_moap_quality():
         p = tribip.generate_assignment(5, seed=seed)
         lb = tribip.compute_lb_set(p)
         pts = tribip.filter_nondominated(
-            [tuple(int(round(v)) for v in pt.y) for pt in lb.points])
+            [tuple(int(round(v)) for v in y) for y in lb.points.tolist()])
         ref = tribip.exact_front(p)
         values.append(tribip.hv_percent(pts, ref))
     elapsed = time.perf_counter() - t0
@@ -138,7 +137,7 @@ def test_criterion_08_lp_lower_bound_property():
         bits = ((ids[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & 1).astype(np.int8)
         feas = bits @ p.weights <= p.capacity
         ys = bits[feas].astype(np.int64) @ p.C.T.astype(np.int64)
-        for w, value in lb.probes:
+        for *w, value in lb.probes.tolist():
             best_int = float(np.min(ys @ np.asarray(w)))
             worst_violation = max(worst_violation, value - best_int)
     _verdict(8, "LP lower-bound property", worst_violation <= 1e-6,

@@ -323,6 +323,28 @@ def test_report_ref_dir_fills_missing_hv(tmp_path):
     assert 0.0 < float(agg["mean_hv_pct"]) <= 100.0
 
 
+def test_report_ref_dir_scores_an_empty_front_zero(tmp_path):
+    """A blank hv_pct whose front file holds no solution is scored 0, as
+    `solve --ref-front` scores an empty front, and enters the mean."""
+    main(["generate", "--kind", "knapsack", "--n", "8", "--count", "1",
+          "--seed", "9", "--out-dir", str(tmp_path)])
+    inst = next(tmp_path.glob("*.txt"))
+    refs = tmp_path / "refs"
+    refs.mkdir()
+    main(["oracle", str(inst), "--out", str(refs / f"{inst.stem}.ref.txt")])
+    csv_path = tmp_path / "runs.csv"
+    main(["solve", str(inst), "--variant", "RD", "--report-csv", str(csv_path),
+          "--out-dir", str(tmp_path / "fronts")])
+    row = _rows(csv_path)[0]
+    assert row["hv_pct"] == ""
+    tribip.write_front(row["front_file"], tribip.read_instance(inst), [])
+    assert "count 0" in Path(row["front_file"]).read_text().splitlines()
+    out = tmp_path / "agg.csv"
+    assert main(["report", str(csv_path), "--ref-dir", str(refs), "--out", str(out)]) == 0
+    agg = _rows(out)[0]
+    assert (agg["mean_hv"], agg["mean_hv_pct"]) == ("0.0000", "0.0000")
+
+
 @pytest.mark.parametrize("stray", ["k10.ref.txt", "k1.txt"])
 def test_report_ref_dir_matches_instance_name_exactly(tmp_path, stray):
     """Only <instance>.ref.txt is a reference: not another instance's front
@@ -376,7 +398,11 @@ def test_solve_lb_front_export(tmp_path):
     data = tribip.read_front(lb_path)
     p = tribip.read_instance(inst)
     lb = tribip.compute_lb_set(p)
-    assert len(data.records) == len(lb.points)
+    assert len(data.records) == len(lb)
+    signs = p.sense_signs()
+    for (x, y_native), lb_x, lb_y in zip(data.records, lb.x, lb.points):
+        assert x.tolist() == lb_x.tolist()
+        assert (signs * y_native).tolist() == lb_y.tolist()
 
 
 def test_solve_ref_point_raw_hv(tmp_path):

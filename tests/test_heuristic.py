@@ -11,17 +11,17 @@ from tribip import (InsufficientSolutionsError, IrRow, IrSet, NoRoundedSolutionE
                     PrArchives, PrConfig, ValidationError, Xoshiro256StarStar,
                     path_relink_once, path_relink_walk, round_down, run, select_pair)
 from tribip import heuristic
-from tribip.lbset import LbPoint, LbSet
+from tribip.lbset import LbSet
 
 from conftest import (dominates, naive_improved_nd, naive_path_relink_walk, naive_round_down,
                       naive_select_pair, next_outputs, similarity)
 
 
 def _lbset_from(problem, xs):
-    c_float = problem.C.astype(float)
-    points = [LbPoint(np.array(x, dtype=float), tuple(c_float @ np.array(x, dtype=float)),
-                      (1 / 3, 1 / 3, 1 / 3)) for x in xs]
-    return LbSet(points=points, lp_count=0)
+    x = np.array(xs, dtype=float).reshape(-1, problem.n)
+    points = x @ problem.C.astype(float).T
+    return LbSet(points=points, x=x, w=np.full_like(points, 1 / 3), lp_count=0,
+                 probes=np.empty((0, 4)))
 
 
 def _ir_from(problem, xs):
@@ -53,8 +53,8 @@ def test_round_down_assignment_passthrough():
     p = tribip.generate_assignment(3, seed=1)
     lb = tribip.compute_lb_set(p)
     ir = round_down(lb, p)
-    for row, pt in zip(ir, lb.points):
-        assert row.key() == np.round(pt.x).astype(np.int8).tobytes()
+    for row, x in zip(ir, lb.x):
+        assert row.key() == np.round(x).astype(np.int8).tobytes()
 
 
 def test_round_down_feasibility_preserved():
@@ -675,11 +675,11 @@ def test_ir_x_matrix_fills_rows_added_since_last_call():
 def _assert_front_is_snapped_lb(lb, front, report):
     """Without force_pr an assignment run's front is the filtered LB front:
     rounding keeps every integral LB vertex and no relinking runs."""
-    lb_pts = tribip.filter_nondominated([tuple(int(round(v)) for v in pt.y)
-                                         for pt in lb.points])
+    lb_pts = tribip.filter_nondominated([tuple(int(round(v)) for v in y)
+                                         for y in lb.points.tolist()])
     assert [s.y for s in front] == [tuple(r) for r in lb_pts.tolist()]
     assert report.pr_iterations == 0
-    assert report.ir_size == len({np.round(pt.x).astype(np.int8).tobytes() for pt in lb.points})
+    assert report.ir_size == len({np.round(x).astype(np.int8).tobytes() for x in lb.x})
 
 
 def test_run_rd_assignment_uses_lb_directly():

@@ -24,21 +24,21 @@ def test_symmetric_three_items():
     # single-item picks, so the LB set is exactly the three profit points
     p = tribip.knapsack_problem([[10, 1, 1], [1, 10, 1], [1, 1, 10]], [1, 1, 1], 1)
     lb = compute_lb_set(p)
-    assert [pt.y for pt in lb.points] == [
-        (-10.0, -1.0, -1.0), (-1.0, -10.0, -1.0), (-1.0, -1.0, -10.0)]
+    assert lb.points.tolist() == [
+        [-10.0, -1.0, -1.0], [-1.0, -10.0, -1.0], [-1.0, -1.0, -10.0]]
 
 
 def test_dominating_item_single_point():
     # item 1 beats item 2 in every objective and W admits one item
     p = tribip.knapsack_problem([[10, 1], [10, 1], [10, 1]], [1, 1], 1)
     lb = compute_lb_set(p)
-    assert [pt.y for pt in lb.points] == [(-10.0, -10.0, -10.0)]
+    assert lb.points.tolist() == [[-10.0, -10.0, -10.0]]
 
 
 def test_zero_capacity():
     p = tribip.knapsack_problem([[10, 1], [10, 1], [10, 1]], [1, 1], 0)
     lb = compute_lb_set(p)
-    assert [pt.y for pt in lb.points] == [(0.0, 0.0, 0.0)]
+    assert lb.points.tolist() == [[0.0, 0.0, 0.0]]
 
 
 def test_infeasible_relaxation_raises():
@@ -57,31 +57,28 @@ def test_deterministic():
     p = tribip.generate_knapsack(12, seed=3)
     a = compute_lb_set(p)
     b = compute_lb_set(p)
-    assert [pt.y for pt in a.points] == [pt.y for pt in b.points]
-    assert [pt.w for pt in a.points] == [pt.w for pt in b.points]
+    assert a.points.tolist() == b.points.tolist()
+    assert a.w.tolist() == b.w.tolist()
     assert a.lp_count == b.lp_count
 
 
 def test_points_pairwise_nondominated_and_distinct():
-    for seed in range(3):
-        p = tribip.generate_knapsack(10, seed=seed)
-        lb = compute_lb_set(p)
-        ys = [np.array(pt.y) for pt in lb.points]
-        for i, a in enumerate(ys):
-            for j, b in enumerate(ys):
-                if i == j:
-                    continue
-                assert np.max(np.abs(a - b)) > 1e-6
-                assert not (np.all(a <= b + 1e-6) and np.any(a < b - 1e-6))
+    # every pair (a, b) = (ys[i], ys[j]), i != j, of the golden-digest instances
+    for kind, size, seed in _LB_DIGESTS:
+        ys = compute_lb_set(_generate(kind, size, seed)).points
+        diff = ys[:, None, :] - ys[None, :, :]                 # diff[i, j] = a - b
+        pair = ~np.eye(len(ys), dtype=bool)
+        assert (np.abs(diff).max(axis=2) > 1e-6)[pair].all()
+        dominated = (diff <= 1e-6).all(axis=2) & (diff < -1e-6).any(axis=2)
+        assert not dominated[pair].any()
 
 
 def test_each_point_optimal_for_its_weight():
     for p in (tribip.generate_knapsack(10, seed=5), tribip.generate_assignment(6, seed=6)):
         lb = compute_lb_set(p)
-        for pt in lb.points:
-            want = highs_lp_value(p, pt.w)
-            w = np.array(pt.w)
-            assert float(w @ pt.y) == pytest.approx(want, abs=1e-9 * max(1, abs(want)))
+        for w, y in zip(lb.w, lb.points):
+            want = highs_lp_value(p, w)
+            assert float(w @ y) == pytest.approx(want, abs=1e-9 * max(1, abs(want)))
 
 
 def test_weighted_value_coverage():
@@ -90,8 +87,7 @@ def test_weighted_value_coverage():
     # supported point
     rng = np.random.default_rng(0)
     for p in CERTIFICATE_PROBLEMS:
-        lb = compute_lb_set(p)
-        ys = np.array([pt.y for pt in lb.points])
+        ys = compute_lb_set(p).points
         for w in [rng.dirichlet([1, 1, 1]) for _ in range(40)] + NEAR_AXIS_WEIGHTS:
             want = highs_lp_value(p, w)
             best = float(np.min(ys @ np.asarray(w)))
@@ -101,9 +97,8 @@ def test_weighted_value_coverage():
 def test_assignment_points_integral():
     for tasks in (3, 4, 5):
         p = tribip.generate_assignment(tasks, seed=tasks)
-        lb = compute_lb_set(p)
-        for pt in lb.points:
-            assert is_integral(pt.x, tol=1e-6)
+        for x in compute_lb_set(p).x:
+            assert is_integral(x, tol=1e-6)
 
 
 def test_point_y_is_c_times_x_bitwise():
@@ -111,8 +106,9 @@ def test_point_y_is_c_times_x_bitwise():
     # own x to the last bit, as one LP at a time computes it
     for p in (tribip.generate_knapsack(60, seed=1), tribip.generate_assignment(7, seed=2)):
         c_float = p.C.astype(np.float64)
-        for pt in compute_lb_set(p).points:
-            assert pt.y == tuple((c_float @ pt.x).tolist())
+        lb = compute_lb_set(p)
+        for x, y in zip(lb.x, lb.points):
+            assert y.tolist() == (c_float @ x).tolist()
 
 
 def test_lb_values_bound_integer_front():
@@ -120,9 +116,8 @@ def test_lb_values_bound_integer_front():
     p = tribip.generate_knapsack(8, seed=2)
     lb = compute_lb_set(p)
     ref = tribip.exact_front(p)
-    for pt in lb.points:
-        w = np.array(pt.w)
-        lp_val = float(w @ pt.y)
+    for w, y in zip(lb.w, lb.points):
+        lp_val = float(w @ y)
         int_val = float(np.min(ref.points @ w))
         assert lp_val <= int_val + 1e-6
 
@@ -131,13 +126,18 @@ def _lb_digest(lb) -> str:
     """sha256 over every point's x bytes, y and w, then lp_count, then every
     probe's weight and value, all as float64 bytes."""
     digest = hashlib.sha256()
-    for point in lb.points:
-        digest.update(point.x.tobytes())
-        digest.update(np.array(point.y + point.w, dtype=np.float64).tobytes())
+    for x, y, w in zip(lb.x, lb.points, lb.w):
+        digest.update(x.tobytes())
+        digest.update(np.concatenate([y, w]).tobytes())
     digest.update(b"lp_count %d" % lb.lp_count)
-    for w, value in lb.probes:
-        digest.update(np.array(w + (value,), dtype=np.float64).tobytes())
+    for probe in lb.probes:
+        digest.update(probe.tobytes())
     return digest.hexdigest()
+
+
+def _generate(kind, size, seed):
+    generate = tribip.generate_knapsack if kind == "knapsack" else tribip.generate_assignment
+    return generate(size, seed=seed)
 
 
 # recorded with numpy 2.4 on x86-64; an LP tie that resolves to another vertex,
@@ -161,22 +161,23 @@ _LB_DIGESTS = {
 def test_lb_set_matches_recorded_digest(kind, size, seed):
     """The LB points, lp_count and probes are bit for bit those recorded
     before the batched LP results, the vectorised improvement test and the
-    direct `LbPoint` construction; every point still holds a read-only
-    float64 x and float tuples y and w."""
-    generate = tribip.generate_knapsack if kind == "knapsack" else tribip.generate_assignment
-    lb = compute_lb_set(generate(size, seed=seed))
+    LB set as arrays; every array is float64 and read-only."""
+    lb = compute_lb_set(_generate(kind, size, seed))
     assert _lb_digest(lb) == _LB_DIGESTS[kind, size, seed]
-    for point in lb.points:
-        assert point.x.dtype == np.float64 and not point.x.flags.writeable
-        assert all(type(v) is float for v in point.y + point.w)
+    k, n = len(lb), lb.x.shape[1]
+    shapes = {"points": (k, 3), "x": (k, n), "w": (k, 3), "probes": (lb.lp_count, 4)}
+    for name, shape in shapes.items():
+        array = getattr(lb, name)
+        assert array.shape == shape and array.dtype == np.float64
+        assert not array.flags.writeable
 
 
 def test_probes_collected():
     p = tribip.generate_knapsack(6, seed=1)
     lb = compute_lb_set(p)
     assert len(lb.probes) == lb.lp_count
-    assert len(set(w for w, _ in lb.probes)) == lb.lp_count
-    assert all(len(w) == 3 for w, _ in lb.probes)
+    assert len(set(map(tuple, lb.probes[:, :3].tolist()))) == lb.lp_count
+    assert lb.probes.shape[1] == 3 + 1
 
 
 def test_lp_count_positive():
