@@ -18,7 +18,7 @@ from .lbset import LbSet, compute_lb_set
 from .metrics import (ReferenceFront, exact_front, exact_front_solutions, filter_nondominated,
                       filter_nondominated_solutions, hv_percent, hypervolume, hypervolume_mc,
                       normalize)
-from .heuristic import (VARIANTS, IrRow, IrSet, PrArchives, PrConfig, RunReport,
+from .heuristic import (VARIANTS, IrSet, PrArchives, PrConfig, RunReport,
                         path_relink_once, path_relink_walk, round_down, run, select_pair,
                         solve_from_lb)
 from .rng import Xoshiro256StarStar
@@ -36,7 +36,7 @@ __all__ = [
     "ReferenceFront", "filter_nondominated", "filter_nondominated_solutions",
     "normalize", "hypervolume", "hypervolume_mc", "exact_front", "exact_front_solutions",
     "hv_percent",
-    "VARIANTS", "PrConfig", "IrRow", "IrSet", "PrArchives", "RunReport",
+    "VARIANTS", "PrConfig", "IrSet", "PrArchives", "RunReport",
     "round_down", "select_pair",
     "path_relink_once", "path_relink_walk", "run", "solve_from_lb",
     "Xoshiro256StarStar",

@@ -58,8 +58,9 @@ A new feasible point goes into the IR set flat: its key onto `IrSet.keys`
 and its y onto the `array('q')` `IrSet.ys`.  So a step leaves behind no
 object that the garbage collector tracks, and the walks no longer trigger
 collections.
-`select_pair` builds an `IrRow` only for the pair it returns, and the final
-filter reads the points straight from `IrSet.ys`.
+`select_pair` builds a `Solution` only for the pair it returns, and the
+final filter reads the points straight from `IrSet.ys` and builds one only
+for each row it keeps: those rows are the front.
 
 Assignment instances go through the same rounding: their LB vertices are
 already 0/1, so rounding leaves them unchanged, and only path relinking is
@@ -73,12 +74,11 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import index, itemgetter, ne
+from operator import index, ne
 
 import numpy as np
 
-from .errors import (DimensionError, InsufficientSolutionsError, NoRoundedSolutionError,
-                     ValidationError)
+from .errors import InsufficientSolutionsError, NoRoundedSolutionError, ValidationError
 from .lbset import LbSet, _load_scipy, compute_lb_set
 from .lp import INT_TOL
 from .model import KIND_ASSIGNMENT, P_OBJECTIVES, Problem, Solution
@@ -124,20 +124,6 @@ class PrConfig:
             raise ValidationError("iteration_multiplier must be >= 0")
 
 
-class IrRow(tuple):
-    """One IR entry: the x vector's bytes and its objective point, as a
-    (key, y) tuple with `key()` and `.y` like a `Solution`.  `IrSet` stores
-    its rows flat and builds an `IrRow` only for a row that is read."""
-
-    __slots__ = ()
-
-    def key(self) -> bytes:
-        """x as int8 bytes, the same as `Solution.key()`."""
-        return self[0]
-
-    y = property(itemgetter(1))
-
-
 class IrSet:
     """Feasible integer solutions rounded from the LB set, then grown by path
     relinking; the x vectors are pairwise distinct.
@@ -145,7 +131,7 @@ class IrSet:
     Row k is `keys[k]`, its x as int8 bytes, and `ys[3k:3k + 3]`, its
     objective point, in discovery order.  Neither holds an object the
     garbage collector tracks, so growing the set triggers no collection.
-    Indexing and iteration give `IrRow`s.
+    Indexing and iteration give `Solution`s, built as they are read.
     """
 
     def __init__(self):
@@ -164,19 +150,16 @@ class IrSet:
     def __contains__(self, key: bytes):
         return key in self._index
 
-    def __getitem__(self, k: int) -> IrRow:
+    def __getitem__(self, k: int) -> Solution:
         ys = self.ys
-        return IrRow((self.keys[k], (ys[3 * k], ys[3 * k + 1], ys[3 * k + 2])))
+        return tuple.__new__(Solution, (self.keys[k], (ys[3 * k], ys[3 * k + 1], ys[3 * k + 2])))
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self.keys)))
 
-    def add(self, solution) -> bool:
-        """Add a `Solution` or `IrRow` unless its x vector is already present."""
-        if len(solution.y) != P_OBJECTIVES:
-            raise DimensionError(f"objective point must have {P_OBJECTIVES} entries, "
-                                 f"got {solution.y!r}")
-        return self._add(solution.key(), solution.y)
+    def add(self, solution: Solution) -> bool:
+        """Add a `Solution` unless its x vector is already present."""
+        return self._add(*solution)
 
     def _add(self, key: bytes, y) -> bool:
         if key in self._index:
@@ -251,7 +234,7 @@ def round_down(lb: LbSet, problem: Problem) -> IrSet:
     return ir
 
 
-def select_pair(ir: IrSet, rule: str, rng: Xoshiro256StarStar) -> tuple[IrRow, IrRow]:
+def select_pair(ir: IrSet, rule: str, rng: Xoshiro256StarStar) -> tuple[Solution, Solution]:
     """Pick (initiating, guiding) from the IR set.
 
     random: two distinct uniform picks.  sim/dif: uniform initiating pick,
@@ -311,10 +294,10 @@ def path_relink_walk(problem: Problem, s_i, s_g, ir: IrSet,
                      best_move_prob: float, collect_visits: bool = False):
     """Walk from the initiating to the guiding solution, one flip per step.
 
-    s_i and s_g are `IrRow`s or `Solution`s; the walk reads their keys and
-    s_i.y, which must be the objective point of s_i's key.  Feasible,
-    previously unseen intermediate solutions are appended to the IR set as
-    rows; infeasible intermediates keep walking but are never archived.  The
+    s_i and s_g are `Solution`s; the walk reads their keys and s_i.y, which
+    must be the objective point of s_i's key.  Feasible, previously unseen
+    intermediate solutions are appended to the IR set as rows; infeasible
+    intermediates keep walking but are never archived.  The
     walk stops when the current solution reaches the guiding one or the
     current (S_i, S_g) pair was already used.  Past the first step, the
     pair is looked up only when the current key is in the IR set, which
@@ -416,10 +399,8 @@ def solve_from_lb(problem: Problem, lb: LbSet, config: PrConfig | None = None):
             for _ in range(ir_size * config.iteration_multiplier):
                 path_relink_once(ir, archives, config, rng, problem)
                 pr_iterations += 1
-    # only the rows that reach the front become Solutions
     points = np.frombuffer(ir.ys, np.int64).reshape(-1, P_OBJECTIVES)
-    kept = filter_nondominated_solutions(ir, points=points)
-    front = [Solution(np.frombuffer(row.key(), dtype=np.int8), row.y) for row in kept]
+    front = filter_nondominated_solutions(ir, points=points)
 
     report = RunReport(
         variant=config.variant,

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import RelaxationSolver
-from .metrics import unique_rows
+from .metrics import _lex_order, unique_rows
 from .model import KIND_KNAPSACK, Problem
 
 SEED_EPSILON = 1e-4
@@ -167,12 +167,6 @@ class _NearIndex:
         at = bisect_right(self.firsts, y[0])
         self.firsts.insert(at, y[0])
         self.rows.insert(at, y)
-
-
-def _lex_order(y: np.ndarray) -> np.ndarray:
-    """The stable order of the rows of y sorted lexicographically, first
-    coordinate first."""
-    return np.lexsort(y.T[::-1])
 
 
 def compute_lb_set(problem: Problem) -> LbSet:

@@ -5,8 +5,8 @@ Three kernels carry the work, and all of them are exact (integer points
 compare exactly, floats compare bitwise):
 
 - `_first_nondominated` keeps the first occurrence of each nondominated row
-  by a forward screen in coordinate-sum order.  Both filters and both
-  oracles call it.
+  by a forward screen in coordinate-sum order, or in lexicographic order
+  where a sum could wrap.  Both filters and both oracles call it.
 - the binary oracle builds y and the row sums of every 0/1 vector by
   doubling over the low bits, then screens one block per value of the high
   bits into a running front.  Each point keeps its lowest id sum x_j 2^j.
@@ -39,31 +39,39 @@ _SCREEN_HEAD = 64
 _INT64_MAX = np.iinfo(np.int64).max
 
 
+def _lex_order(pts: np.ndarray) -> np.ndarray:
+    """The stable order of the rows of a 2-D array sorted lexicographically,
+    first coordinate first."""
+    return np.lexsort(pts.T[::-1])
+
+
 def _first_nondominated(pts: np.ndarray) -> np.ndarray:
     """Positions of the first occurrence of each nondominated row of a
     (k, 3) array, ordered lexicographically by row.
 
     Forward screen (the maxima problem of Kung, Luccio & Preparata, JACM
-    1975): rows are taken in ascending coordinate-sum order, stable, so a
-    row can only be weakly dominated by an earlier one.  The first
-    _SCREEN_HEAD rows still alive are resolved pairwise, where a row loses
-    to one that dominates it or to an equal one taken earlier; every later
-    row that a kept head row weakly dominates is dropped, and the next head
-    is taken from what is left.
+    1975): rows are taken in a stable order in which a row can only be
+    weakly dominated by an earlier one: ascending coordinate sum when the
+    sums are exact or rounded monotonically, lexicographic otherwise.  The
+    first _SCREEN_HEAD rows still alive are resolved pairwise, where a row
+    loses to one that dominates it or to an equal one taken earlier; every
+    later row that a kept head row weakly dominates is dropped, and the next
+    head is taken from what is left.
     """
-    sums = pts.sum(axis=1)
-    k = sums.shape[0]
+    k = pts.shape[0]
     if pts.dtype.kind == "f":      # a rounded sum can tie a row with one it dominates
-        order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], sums))
-    elif (sums.dtype == np.int64 and k
-          and (max(-int(sums.min()), int(sums.max())) + 1) * k <= _INT64_MAX):
-        # sum * k + position is unique, so any sort gives the stable order;
-        # built in place, as a fresh array per call costs peak memory
+        order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], pts.sum(axis=1)))
+    elif (pts.dtype.kind in "iu" and k
+          and (3 * max(-int(pts.min()), int(pts.max())) + 1) * k <= _INT64_MAX):
+        # no sum wraps and sum * k + position is unique, so any sort gives
+        # the stable order; built in place, as a fresh array per call costs
+        # peak memory
+        sums = pts.sum(axis=1, dtype=np.int64)
         sums *= k
         sums += np.arange(k)
         order = np.argsort(sums)
     else:
-        order = np.argsort(sums, kind="stable")
+        order = _lex_order(pts)
     alive = order                  # positions still undecided, in screen order
     rest = pts[order]              # their rows
     kept = [order[:0]]
@@ -77,8 +85,8 @@ def _first_nondominated(pts: np.ndarray) -> np.ndarray:
         keep = ~beaten.any(axis=1)
         kept.append(head_idx[keep])
         win = head[keep]
-        # the kept row of smallest sum goes first, alone: it drops most of
-        # a large rest for a fraction of the cost of all kept rows
+        # the kept row taken first goes first, alone: it drops most of a
+        # large rest for a fraction of the cost of all kept rows
         for grp in (win[:1], win[1:]):
             if grp.size and alive.size:
                 # dominated[r, i]: kept row i <= rest row r, one coordinate at a time
@@ -88,14 +96,14 @@ def _first_nondominated(pts: np.ndarray) -> np.ndarray:
                 live = ~dominated.any(axis=1)
                 alive, rest = alive[live], rest[live]
     idx = np.concatenate(kept)
-    return idx[np.lexsort(pts[idx].T[::-1])]
+    return idx[_lex_order(pts[idx])]
 
 
 def unique_rows(a: np.ndarray) -> np.ndarray:
     """The distinct rows of a 2-D array in lexicographic order, by a lexsort
     and a neighbour-difference check: ``np.unique(a, axis=0)`` for arrays
     without NaN or -0.0."""
-    a = a[np.lexsort(a.T[::-1])]
+    a = a[_lex_order(a)]
     first = np.ones(a.shape[0], dtype=bool)     # first of each run of equal rows
     first[1:] = (a[1:] != a[:-1]).any(axis=1)
     return a[first]
@@ -114,8 +122,8 @@ def filter_nondominated(points) -> np.ndarray:
 
 
 def filter_nondominated_solutions(solutions, points=None) -> list:
-    """Nondominated subset of solutions (anything with a `y` tuple, such as
-    `Solution`s or IR rows); among solutions sharing an objective point the
+    """Nondominated subset of solutions (`Solution`s, or an `IrSet`, whose
+    rows are `Solution`s); among solutions sharing an objective point the
     first-discovered one is kept.  Output sorted by objective.
 
     points, when given, is the (k, 3) int64 array of the solutions' y in
@@ -321,8 +329,7 @@ def exact_front_solutions(problem: Problem) -> list[Solution]:
     """The exact front with one representative solution per point (the
     first-discovered one in enumeration order)."""
     points, xs = _enumerate_front(problem)
-    return [Solution(xs[i], tuple(int(v) for v in points[i]))
-            for i in range(points.shape[0])]
+    return [Solution(x, y) for x, y in zip(xs, points.tolist())]
 
 
 HV_PERCENT_REF_POINT = (2.0, 2.0, 2.0)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -237,46 +238,65 @@ class Problem:
         return self.sense_signs()[:, None] * self.C
 
 
-@dataclass(frozen=True)
-class Solution:
-    """A binary assignment with its evaluated objective point (minimisation form)."""
-
-    x: np.ndarray
-    y: tuple[int, int, int]
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.int8)
-        object.__setattr__(self, "x", _frozen(x))
-        object.__setattr__(self, "y", tuple(int(v) for v in self.y))
-
-    def key(self) -> bytes:
-        return self.x.tobytes()
-
-
-def _check_binary(problem: Problem, x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.int64)
-    if arr.shape != (problem.n,):
-        raise DimensionError(f"solution vector must have length {problem.n}, got shape {arr.shape}")
+def _check_binary(x, n: int | None = None) -> np.ndarray:
+    """x as an int8 array, after checking that it is a 0/1 vector (of length
+    n when n is given).  The values are compared before any cast, so 0.7 and
+    300 are refused rather than truncated or wrapped."""
+    arr = np.asarray(x)
+    if arr.ndim != 1 or (n is not None and arr.shape[0] != n):
+        expected = "be 1-D" if n is None else f"have length {n}"
+        raise DimensionError(f"solution vector must {expected}, got shape {arr.shape}")
     if ((arr != 0) & (arr != 1)).any():
         raise ValidationError("solution vector must be binary")
-    return arr
+    return arr.astype(np.int8)
+
+
+class Solution(tuple):
+    """A binary solution with its objective point (minimisation form), as
+    the tuple (key, y) in which the IR set stores its rows: `key()` is x as
+    int8 bytes, `.y` three ints and `.x` a read-only int8 view of the key.
+
+    `Solution(x, y)` checks x and y once.  The IR set builds its rows with
+    ``tuple.__new__(Solution, (key, y))``, unchecked, as rounding and flips
+    only make 0/1 vectors.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x, y):
+        y = tuple(int(v) for v in y)
+        if len(y) != P_OBJECTIVES:
+            raise DimensionError(f"objective point must have {P_OBJECTIVES} entries, got {y!r}")
+        return tuple.__new__(cls, (_check_binary(x).tobytes(), y))
+
+    def __getnewargs__(self):
+        return self.x, self[1]
+
+    def key(self) -> bytes:
+        return self[0]
+
+    y = property(itemgetter(1))
+
+    @property
+    def x(self) -> np.ndarray:
+        return np.frombuffer(self[0], dtype=np.int8)
 
 
 def evaluate(problem: Problem, x) -> tuple[int, int, int]:
     """Objective point C.x of a binary vector, in minimisation form."""
-    arr = _check_binary(problem, x)
+    arr = _check_binary(x, problem.n)
     y = problem.C @ arr
     return tuple(int(v) for v in y)
 
 
 def is_feasible(problem: Problem, x) -> bool:
     """Exact integer check lo <= A_i.x <= hi of every row over `Problem.row_bounds`."""
-    lhs = problem.A @ _check_binary(problem, x)
+    lhs = problem.A @ _check_binary(x, problem.n)
     return all(lo <= v <= hi for v, (lo, hi) in zip(lhs.tolist(), problem.row_bounds))
 
 
 def make_solution(problem: Problem, x) -> Solution:
-    return Solution(np.asarray(x, dtype=np.int8), evaluate(problem, x))
+    return Solution(x, evaluate(problem, x))
 
 
 def knapsack_problem(profits, weights, capacity) -> Problem:
@@ -517,11 +537,12 @@ class FrontData:
     records: tuple
 
     def min_points(self) -> np.ndarray:
-        """Objective points converted to minimisation form."""
+        """Objective points converted to minimisation form: int64 when every
+        value is an integer in int64's range, float64 otherwise."""
         ys = np.array([rec[1] for rec in self.records], dtype=np.float64).reshape(-1, P_OBJECTIVES)
         pts = _sense_signs(self.sense)[None, :] * ys
-        if np.allclose(pts, np.round(pts)):
-            return np.round(pts).astype(np.int64)
+        if ((pts == np.round(pts)) & (np.abs(pts) < 2.0 ** 63)).all():
+            return pts.astype(np.int64)
         return pts
 
 
@@ -532,43 +553,32 @@ def _format_number(v) -> str:
     return repr(f)
 
 
-# byte 0 -> '0', byte 1 -> '1', any other byte -> 0xff, which marks x as not 0/1
-_BIT_DIGITS = bytes(b"01" + b"\xff" * 254)
-
-
-def _bit_string(x) -> str | None:
-    """The 0/1 digits of a one-byte integer array (a `Solution`'s int8 x)
-    holding only 0 and 1, in one pass over its bytes; None otherwise."""
-    if not (isinstance(x, np.ndarray) and x.dtype.itemsize == 1 and x.dtype.kind in "biu"):
-        return None
-    digits = x.tobytes().translate(_BIT_DIGITS)
-    return None if b"\xff" in digits else digits.decode("ascii")
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")      # a Solution's key -> its 0/1 digits
 
 
 def write_front(path, problem: Problem, entries: Iterable) -> None:
     """Write a front file.
 
     ``entries`` may be Solution objects or (x, y) pairs where y is in
-    minimisation form.  Integral vectors are written as 0/1 strings,
-    fractional ones (LB-set exports) are flagged with '~' and written as
-    comma-separated values.  Objective points are written in the original
-    senses.
+    minimisation form.  A Solution's x is written as the 0/1 digits of its
+    key.  A pair's integral x is written as digits too; a fractional one (an
+    LB-set export) is flagged with '~' and written as comma-separated values.
+    Objective points are written in the original senses.
     """
     signs = problem.sense_signs().tolist()
     records = []
     for entry in entries:
         if isinstance(entry, Solution):
-            x, y = entry.x, entry.y
+            key, y = entry
+            xs = key.translate(_BIT_DIGITS).decode("ascii")
         else:
             x, y = entry
-        y_native = [s * float(v) for s, v in zip(signs, y)]
-        xs = _bit_string(x)
-        if xs is None:
             xa = np.asarray(x, dtype=np.float64)
             if np.all(np.abs(xa - np.round(xa)) <= 1e-9):
                 xs = "".join(str(int(round(v))) for v in xa)
             else:
                 xs = "~" + ",".join(_format_number(v) for v in xa)
+        y_native = [s * float(v) for s, v in zip(signs, y)]
         records.append(xs + " " + " ".join(_format_number(v) for v in y_native))
     lines = _header_lines(FRONT_MAGIC, problem) + [f"count {len(records)}", "solutions"]
     Path(path).write_text("\n".join(lines + records) + "\n")

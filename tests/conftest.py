@@ -335,8 +335,8 @@ def naive_path_relink_walk(problem, s_i, s_g, ir, archives, rng, best_move_prob,
                            collect_visits=False):
     """Reference walk: rebuilds the whole neighbourhood, its dominance and its
     ranks from the current point at every step, with the same draw order and
-    the same IR updates as `tribip.path_relink_walk`; s_i and s_g are IR rows
-    or Solutions."""
+    the same IR updates as `tribip.path_relink_walk`; s_i and s_g are
+    Solutions."""
     visits = []
     key_g = s_g.key()
     x_g = np.frombuffer(key_g, dtype=np.int8)

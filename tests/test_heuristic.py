@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tribip
-from tribip import (InsufficientSolutionsError, IrRow, IrSet, NoRoundedSolutionError,
+from tribip import (InsufficientSolutionsError, IrSet, NoRoundedSolutionError,
                     PrArchives, PrConfig, ValidationError, Xoshiro256StarStar,
                     path_relink_once, path_relink_walk, round_down, run, select_pair)
 from tribip import heuristic
@@ -561,8 +561,9 @@ def test_move_tables_cached_per_problem():
 @given(problem=_relink_problems(), data=st.data(), prob=st.sampled_from((0.0, 0.7, 1.0)),
        seed=st.integers(0, 2**32))
 def test_walk_from_rows_matches_walk_from_solutions(problem, data, prob, seed):
-    """The walk reads only the two keys, so a Solution pair and the equal IR
-    row pair give the same visits, IR rows and RNG state."""
+    """The walk reads only the two keys, so a pair of checked Solutions and
+    the equal IR rows, built unchecked, give the same visits, IR rows and RNG
+    state."""
     n = problem.n
     starts = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
                                 min_size=2, max_size=5, unique_by=tuple))
@@ -579,13 +580,17 @@ def test_walk_from_rows_matches_walk_from_solutions(problem, data, prob, seed):
     assert outcomes[0] == outcomes[1]
 
 
+def _row(x, y):
+    """The IR set's unchecked `Solution` of x and y, as `IrSet` indexing builds it."""
+    return tuple.__new__(tribip.Solution, (np.array(x, dtype=np.int8).tobytes(), tuple(y)))
+
+
 def test_ir_rows_and_provenance(p_matrix_problem):
     sol = tribip.make_solution(p_matrix_problem, [1, 0, 1, 0])
     ir = IrSet()
-    assert ir.add(sol) and not ir.add(IrRow((sol.key(), sol.y)))
+    assert ir.add(sol) and not ir.add(_row([1, 0, 1, 0], sol.y))
     row, = ir
-    assert type(row) is IrRow and row == (sol.key(), sol.y)
-    assert (row.key(), row.y) == (sol.key(), sol.y)
+    assert type(row) is tribip.Solution and row == sol and hash(row) == hash(sol)
     assert sol.key() in ir and len(ir) == 1
 
 
@@ -594,7 +599,7 @@ def test_ir_add_rejects_point_of_other_length():
     is refused before it can shift the rows after it."""
     ir = IrSet()
     with pytest.raises(tribip.DimensionError):
-        ir.add(IrRow((b"\x01\x00", (1, 2))))
+        ir.add(tribip.Solution([1, 0], (1, 2)))
     assert len(ir) == 0 and len(ir.ys) == 0
 
 
@@ -607,7 +612,7 @@ def _y_points(size):
 @example(data=None, n=2)
 def test_filter_over_rows_matches_filter_over_solutions(data, n):
     """The final filter keeps the same points and the same first-discovered
-    x whether it reads IR rows or the equivalent Solutions."""
+    x whether it reads unchecked IR rows or the equal checked Solutions."""
     if data is None:        # repeated and dominated points from distinct x, and no input
         xs, ys = [(0, 0), (1, 0), (0, 1), (1, 1)], [(1, 2, 0), (1, 2, 0), (0, 2, 1), (1, 2, 1)]
         assert tribip.filter_nondominated_solutions(IrSet()) == []
@@ -615,8 +620,8 @@ def test_filter_over_rows_matches_filter_over_solutions(data, n):
         xs = data.draw(st.lists(st.tuples(*[st.integers(0, 1)] * n), unique=True,
                                 max_size=min(2 ** n, 40)))
         ys = data.draw(_y_points(len(xs)))
-    rows = [IrRow((np.array(x, dtype=np.int8).tobytes(), y)) for x, y in zip(xs, ys)]
-    solutions = [tribip.Solution(np.array(x, dtype=np.int8), y) for x, y in zip(xs, ys)]
+    rows = [_row(x, y) for x, y in zip(xs, ys)]
+    solutions = [tribip.Solution(x, y) for x, y in zip(xs, ys)]
     from_rows = tribip.filter_nondominated_solutions(rows)
     from_solutions = tribip.filter_nondominated_solutions(solutions)
     assert [(r.key(), r.y) for r in from_rows] == [(s.key(), s.y) for s in from_solutions]

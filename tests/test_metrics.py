@@ -73,6 +73,21 @@ def test_filter_matches_pairwise_oracle(points):
     assert [tuple(r) for r in filter_nondominated(pts).tolist()] == naive_filter(points)
 
 
+def test_filter_matches_pairwise_oracle_where_sums_wrap():
+    """Coordinates near +-2**62 make int64 coordinate sums wrap, and the
+    screen order must still put a dominating row first."""
+    rng = np.random.default_rng(9)
+    big = 2 ** 62
+    cases = [[(big, big, i) for i in range(_HEAD)] + [(big - 1, big - 1, 0)]]
+    for _ in range(60):
+        k = int(rng.integers(_HEAD + 1, 3 * _HEAD + 8))
+        pts = rng.choice([-big, big], size=(k, 3)) + rng.integers(-2, 3, size=(k, 3))
+        cases.append(pts.tolist())
+    for points in cases:
+        got = filter_nondominated(np.array(points, dtype=np.int64))
+        assert [tuple(r) for r in got.tolist()] == naive_filter(points)
+
+
 # a rounded float sum ties a row with the row that dominates it, and a full
 # head of mutually nondominated rows with that sum sits between the two
 _ROUNDED_TIE = ([(1e16, 1, 0)] + [(2 * i, 0, 1e16 - 2 * i) for i in range(1, _HEAD + 1)]

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -39,6 +41,45 @@ def test_evaluate_matches_cached_y():
             x = rng.integers(0, 2, p.n)
             sol = tribip.make_solution(p, x)
             assert sol.y == evaluate(p, x)
+
+
+def test_public_names_resolve_once():
+    names = tribip.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(tribip, name), name
+
+
+def test_solution_is_a_value():
+    a = tribip.Solution([1, 0, 1], (1, 2, 3))
+    b = tribip.Solution(np.array([1, 0, 1], dtype=np.int64), [1, 2, 3])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != tribip.Solution([1, 0, 0], (1, 2, 3))
+    for copied in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert type(copied) is tribip.Solution and copied == a
+
+
+def test_solution_x_is_a_read_only_int8_view_of_the_key(p_matrix_problem):
+    sol = tribip.make_solution(p_matrix_problem, [1, 0, 1, 0])
+    ir = tribip.IrSet()
+    ir.add(sol)
+    for s in (sol, ir[0]):
+        assert s.x.dtype == np.int8 and s.x.tolist() == [1, 0, 1, 0]
+        assert s.x.tobytes() == s.key() and s.y == (-7, -6, -8)
+        with pytest.raises(ValueError):
+            s.x[0] = 0
+
+
+@pytest.mark.parametrize("x, error", [([0, 300], ValidationError), ([0.7], ValidationError),
+                                      ([-1, 1], ValidationError), ([[1, 0]], DimensionError)])
+def test_solution_rejects_x_that_is_not_a_binary_vector(x, error):
+    with pytest.raises(error):
+        tribip.Solution(x, (1, 2, 3))
+
+
+def test_solution_rejects_point_of_other_length():
+    with pytest.raises(DimensionError):
+        tribip.Solution([1, 0], (1, 2))
 
 
 def test_is_feasible_knapsack():
@@ -194,15 +235,26 @@ def test_front_fractional_flag(tmp_path, p_matrix_problem):
     assert np.allclose(data.records[0][0], [0.5, 0, 1, 0])
 
 
+@pytest.mark.parametrize("y", [(-50000.25, -60000.5, -70000.75), (-1e20, -2.0, -3.0)])
+def test_front_min_points_stay_float_unless_int64(tmp_path, y):
+    """A front reads back as its float points when a value is fractional,
+    even within a relative 1e-5 of an integer, or lies beyond int64."""
+    path = tmp_path / "lb.txt"
+    problem = tribip.knapsack_problem([[1], [2], [3]], [1], 1)
+    tribip.write_front(path, problem, [(np.array([0.5]), y)])
+    pts = tribip.read_front(path).min_points()
+    assert pts.dtype == np.float64 and pts.tolist() == [list(y)]
+
+
 _objective = st.integers(-1000, 1000) | st.sampled_from([0, -(2 ** 60), 2 ** 60])
 
 
 @st.composite
 def _front_case(draw):
     """A general problem with mixed senses, and front entries of every kind
-    `write_front` takes: `Solution`s with int8 x (0/1, sometimes other
-    values), (x, y) pairs with integral float x (some within 1e-9 of an
-    integer) or one-byte integer x, and fractional LB exports."""
+    `write_front` takes: `Solution`s, (x, y) pairs with integral float x
+    (some within 1e-9 of an integer, some not 0/1) or one-byte integer x,
+    and fractional LB exports."""
     n = draw(st.integers(1, 12))
     senses = draw(st.lists(st.sampled_from(["min", "max"]), min_size=3, max_size=3))
     obj = draw(st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n),
@@ -212,9 +264,7 @@ def _front_case(draw):
     int_y = st.tuples(_objective, _objective, _objective)
     float_y = st.tuples(*[st.floats(-1e4, 1e4) | _objective.map(float)] * 3)
     near = st.floats(-1e-9, 1e-9)
-    solution = st.builds(
-        lambda x, y: tribip.Solution(np.array(x, dtype=np.int8), y),
-        bits | st.lists(st.integers(-2, 3), min_size=n, max_size=n), int_y)
+    solution = st.builds(tribip.Solution, bits, int_y)
     integral = st.tuples(
         st.builds(lambda x, d: np.array(x, dtype=np.float64) + np.array(d),
                   st.lists(st.integers(-1, 2), min_size=n, max_size=n),
