@@ -62,6 +62,15 @@ collections.
 final filter reads the points straight from `IrSet.ys` and builds one only
 for each row it keeps: those rows are the front.
 
+Guide search
+------------
+The sim/dif rules rank IR rows by Hamming distance d to the initiating
+row: the most similar guide is the nearest row and the most different the
+farthest.  Two rows agree in n - d positions, so this is the order of
+equal positions reversed, with the same ties.  `IrSet._words` keeps every
+key bit-packed, ceil(n/64) uint64 words per row, so a scan is one popcount
+of an XOR per word instead of a compare of n int8 entries.
+
 Assignment instances go through the same rounding: their LB vertices are
 already 0/1, so rounding leaves them unchanged, and only path relinking is
 skipped unless `force_pr` is set.
@@ -131,7 +140,9 @@ class IrSet:
     Row k is `keys[k]`, its x as int8 bytes, and `ys[3k:3k + 3]`, its
     objective point, in discovery order.  Neither holds an object the
     garbage collector tracks, so growing the set triggers no collection.
-    Indexing and iteration give `Solution`s, built as they are read.
+    Indexing and iteration give `Solution`s, built as they are read.  For
+    the sim/dif guide search the keys are also kept as packed words
+    (`_words`), filled lazily.
     """
 
     def __init__(self):
@@ -139,9 +150,9 @@ class IrSet:
         self.ys = array("q")
         self.dropped_infeasible = 0
         self._index: dict[bytes, int] = {}
-        self._x = np.empty((0, 0), dtype=np.int8)   # row k < _filled is keys[k]
+        self._w = np.zeros((0, 0), dtype="<u8")     # row k < _filled packs keys[k]
         self._filled = 0
-        # (initiating row, rule) -> (guide row, its similarity, rows scanned)
+        # (initiating row, rule) -> (guide row, its Hamming distance, rows scanned)
         self._guides: dict[tuple[int, str], tuple[int, int, int]] = {}
 
     def __len__(self):
@@ -169,21 +180,24 @@ class IrSet:
         self.ys.extend(y)
         return True
 
-    def _x_buffer(self) -> np.ndarray:
-        """The x buffer with rows 0 .. |IR|-1 filled from `keys` in IR order;
-        rows past |IR| are unused.  Rows added since the last call are filled
-        here."""
+    def _words(self) -> np.ndarray:
+        """The packed x buffer: row k holds keys[k] as W = ceil(n/64)
+        little-endian uint64 words, x_j at bit j % 64 of word j // 64, zero
+        past n.  Rows 0 .. |IR|-1 are filled, rows past |IR| are unused;
+        rows added since the last call are packed here, by one `packbits`."""
         k, filled = len(self.keys), self._filled
         if filled < k:
-            new = b"".join(self.keys[filled:k])
-            if k > len(self._x):
-                grown = np.empty((max(16, 2 * k), len(self.keys[0])), dtype=np.int8)
+            n = len(self.keys[0])
+            if k > len(self._w):
+                grown = np.zeros((max(16, 2 * k), -(-n // 64)), dtype="<u8")
                 if filled:
-                    grown[:filled] = self._x[:filled]
-                self._x = grown
-            self._x[filled:k] = np.frombuffer(new, dtype=np.int8).reshape(k - filled, -1)
+                    grown[:filled] = self._w[:filled]
+                self._w = grown
+            bits = np.frombuffer(b"".join(self.keys[filled:k]), dtype=np.uint8)
+            self._w.view(np.uint8)[filled:k, :-(-n // 8)] = np.packbits(
+                bits.reshape(k - filled, n), axis=1, bitorder="little")
             self._filled = k
-        return self._x
+        return self._w
 
 
 @dataclass
@@ -238,31 +252,38 @@ def select_pair(ir: IrSet, rule: str, rng: Xoshiro256StarStar) -> tuple[Solution
     """Pick (initiating, guiding) from the IR set.
 
     random: two distinct uniform picks.  sim/dif: uniform initiating pick,
-    then the most similar / most different guiding solution; ties go to the
+    then the guiding solution at the least / greatest Hamming distance, the
+    popcount of the XOR of the packed rows (`IrSet._words`); ties go to the
     lowest index.  IR only grows by appending, so the best guide of each
     (initiating row, rule) is kept on the IR set and compared only against
     the rows added since; a later row takes over only when strictly better.
+    An unknown rule is refused before any draw.
     """
     k = len(ir)
     if k < 2:
         raise InsufficientSolutionsError("path relinking needs at least two initial solutions")
-    i = rng.randint(k)
     if rule == "random":
+        i = rng.randint(k)
         g = rng.randint(k - 1)
         if g >= i:
             g += 1
         return ir[i], ir[g]
     if rule not in ("sim", "dif"):
         raise ValidationError(f"unknown selection rule {rule!r}")
+    i = rng.randint(k)
     g, best, scanned = ir._guides.get((i, rule), (-1, 0, 0))
     if scanned < k:
-        xs = ir._x_buffer()
-        sims = (xs[scanned:k] == xs[i]).sum(axis=1)
-        if i >= scanned:                    # row i is never its own guide
-            sims[i - scanned] = -1 if rule == "sim" else xs.shape[1] + 1
-        at = int(sims.argmax() if rule == "sim" else sims.argmin())
-        value = int(sims[at])
-        if g < 0 or (value > best if rule == "sim" else value < best):
+        ws = ir._words()
+        dist = np.bitwise_count(ws[scanned:k] ^ ws[i])
+        dist = dist.sum(axis=1) if dist.shape[1] > 1 else dist.ravel()
+        if rule == "sim":
+            if i >= scanned:                # row i is never its own guide
+                dist[i - scanned] = len(ir.keys[0]) + 1     # fits uint8 when W = 1
+            at = int(dist.argmin())
+        else:                               # row i is at distance 0, below every other row
+            at = int(dist.argmax())
+        value = int(dist[at])
+        if g < 0 or (value < best if rule == "sim" else value > best):
             g, best = scanned + at, value
         ir._guides[(i, rule)] = (g, best, k)
     return ir[i], ir[g]

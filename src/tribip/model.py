@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import index, itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -251,6 +251,22 @@ def _check_binary(x, n: int | None = None) -> np.ndarray:
     return arr.astype(np.int8)
 
 
+def _integral(v) -> int:
+    """An objective value as an int: ints, numpy ints and integral floats
+    pass, anything else is refused rather than truncated."""
+    try:
+        return index(v)
+    except TypeError:
+        pass
+    try:
+        as_int = int(v)
+    except (TypeError, ValueError, OverflowError):
+        as_int = None
+    if as_int is None or as_int != v:
+        raise ValidationError(f"objective values must be integers, got {v!r}")
+    return as_int
+
+
 class Solution(tuple):
     """A binary solution with its objective point (minimisation form), as
     the tuple (key, y) in which the IR set stores its rows: `key()` is x as
@@ -264,7 +280,7 @@ class Solution(tuple):
     __slots__ = ()
 
     def __new__(cls, x, y):
-        y = tuple(int(v) for v in y)
+        y = tuple(map(_integral, y))
         if len(y) != P_OBJECTIVES:
             raise DimensionError(f"objective point must have {P_OBJECTIVES} entries, got {y!r}")
         return tuple.__new__(cls, (_check_binary(x).tobytes(), y))

@@ -187,31 +187,55 @@ class _ScriptedRng:
         return self.at % k
 
 
-_TIES = [                # n = 4; every row is at similarity 3 from row 0 unless noted
+_TIES = [                # every row is at similarity n - 1 from row 0 unless noted
     ("add", (0, 0, 0, 0)), ("add", (1, 0, 0, 0)), ("add", (0, 1, 0, 0)),
     ("sim", 0), ("dif", 0),
     ("add", (0, 0, 1, 0)),                  # ties both cached guides from row 0
     ("sim", 0), ("dif", 0),
-    ("add", (1, 1, 0, 0)),                  # similarity 2: strictly better for dif
+    ("add", (1, 1, 0, 0)),                  # similarity n - 2: strictly better for dif
     ("sim", 0), ("dif", 0),
     ("add", (1, 1, 1, 1)), ("sim", 5), ("dif", 5),     # initiating row is the newest
     ("add", (0, 1, 1, 1)), ("sim", 5), ("dif", 5), ("sim", 1), ("dif", 6),
 ]
 
+# one byte, a byte and a bit, a word less a bit, one word, a word and a bit,
+# and three words
+_WIDTHS = (4, 9, 63, 64, 65, 130)
+
+
+def _scan_examples(test):
+    """The tie script at every width, with its rows at the low end of x and,
+    where only the last word tells them apart, at the high end."""
+    high = [("add_high", arg) if op == "add" else (op, arg) for op, arg in _TIES]
+    for n in _WIDTHS:
+        test = example(ops=_TIES, n=n)(example(ops=high, n=n)(test))
+    return test
+
 
 @settings(max_examples=300, deadline=None)
 @given(ops=st.lists(st.one_of(
-    st.tuples(st.just("add"), st.tuples(*[st.integers(0, 1)] * 4)),
+    st.tuples(st.sampled_from(("add", "add_high")),
+              st.lists(st.integers(0, 1), max_size=max(_WIDTHS))),
     st.tuples(st.sampled_from(("sim", "dif")), st.integers(0, 40)),
-    st.tuples(st.sampled_from(("sim", "dif")), st.just(-1))), max_size=60))
-@example(ops=_TIES)
-def test_select_pair_matches_full_scan(ops):
-    """Interleaved adds and sim/dif selections: the incremental guide search
-    returns the full scan's pair and makes the same draws."""
+    st.tuples(st.sampled_from(("sim", "dif")), st.just(-1))), max_size=60),
+    n=st.sampled_from(_WIDTHS))
+@_scan_examples
+def test_select_pair_matches_full_scan(ops, n):
+    """Interleaved adds and sim/dif selections at widths that pad the last
+    byte and word or span several words: the incremental guide search
+    returns the full scan's pair and makes the same draws.  An added row's
+    bits, cut to n, go at the low end of x ("add") or the high end
+    ("add_high"); the other entries are 0."""
     ir = IrSet()
     for op, arg in ops:
-        if op == "add":
-            ir.add(tribip.Solution(np.array(arg, dtype=np.int8), (0, 0, 0)))
+        if op in ("add", "add_high"):
+            x = np.zeros(n, dtype=np.int8)
+            bits = arg[:n]
+            if op == "add":
+                x[:len(bits)] = bits
+            else:
+                x[n - len(bits):] = bits
+            ir.add(tribip.Solution(x, (0, 0, 0)))
             continue
         if len(ir) < 2:
             continue
@@ -220,6 +244,14 @@ def test_select_pair_matches_full_scan(ops):
         r_i, r_g = naive_select_pair(ir, op, rng_ref)
         assert (s_i.key(), s_g.key()) == (r_i.key(), r_g.key())
         assert rng.draws == rng_ref.draws == [len(ir)]
+
+
+def test_select_pair_refuses_unknown_rule_before_drawing(p_matrix_problem):
+    ir = _ir_from(p_matrix_problem, [[0, 0, 1, 0], [1, 0, 1, 0]])
+    rng, untouched = Xoshiro256StarStar(5), Xoshiro256StarStar(5)
+    with pytest.raises(ValidationError):
+        select_pair(ir, "bogus", rng)
+    assert next_outputs(rng) == next_outputs(untouched)
 
 
 def test_similarity_counts_equal_positions():
@@ -654,25 +686,38 @@ def test_solve_from_lb_calls_each_layer_by_module_name(variant):
     assert all(type(s) is tribip.Solution for s in front)
 
 
-def test_ir_x_matrix_grows_with_adds():
+def _packed_rows_by_bit(keys):
+    """Reference word buffer of x vectors given as key bytes: x_j at bit
+    j % 64 of word j // 64, set one bit at a time on Python ints."""
+    rows = []
+    for key in keys:
+        words = [0] * -(-len(key) // 64)
+        for j, v in enumerate(key):
+            words[j // 64] |= v << (j % 64)
+        rows.append(words)
+    return np.array(rows, dtype=np.uint64)
+
+
+def test_ir_words_grow_with_adds():
     rng = np.random.default_rng(3)
-    ir = IrSet()
-    for bits in rng.integers(0, 2, size=(40, 9)):
-        ir.add(tribip.Solution(bits, (0, 0, 0)))
-        xs = ir._x_buffer()[:len(ir)]
-        assert np.array_equal(xs, np.array([list(row.key()) for row in ir], dtype=np.int8))
+    for n in (9, 64, 130):
+        ir = IrSet()
+        for bits in rng.integers(0, 2, size=(40, n)):
+            ir.add(tribip.Solution(bits, (0, 0, 0)))
+            ws = ir._words()[:len(ir)]
+            assert np.array_equal(ws, _packed_rows_by_bit(ir.keys))
 
 
-def test_ir_x_matrix_fills_rows_added_since_last_call():
+def test_ir_words_fill_rows_added_since_last_call():
     rng = np.random.default_rng(4)
     ir = IrSet()
     views = []
-    for step, bits in enumerate(rng.integers(0, 2, size=(120, 11))):
+    for step, bits in enumerate(rng.integers(0, 2, size=(120, 70))):
         ir.add(tribip.Solution(bits, (0, 0, 0)))
         if step % 7 == 3 or step == 0:
-            views.append((ir._x_buffer()[:len(ir)], [row.key() for row in ir]))
+            views.append((ir._words()[:len(ir)], list(ir.keys)))
     for view, keys in views:              # earlier views keep their rows, later adds do not show
-        assert [row.tobytes() for row in view] == keys
+        assert np.array_equal(view, _packed_rows_by_bit(keys))
 
 
 # -- run ----------------------------------------------------------------------

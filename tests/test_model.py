@@ -77,6 +77,18 @@ def test_solution_rejects_x_that_is_not_a_binary_vector(x, error):
         tribip.Solution(x, (1, 2, 3))
 
 
+@pytest.mark.parametrize("y", [(1.5, 2, 3), (1, 2, float("nan")), (1, float("inf"), 3),
+                               (1, 2, "3"), (np.float64(0.25), 2, 3)])
+def test_solution_rejects_a_point_that_is_not_integral(y):
+    with pytest.raises(ValidationError):
+        tribip.Solution([1, 0], y)
+
+
+def test_solution_takes_integral_floats_and_numpy_ints():
+    sol = tribip.Solution([1, 0], (2.0, np.int64(-3), np.float64(4.0)))
+    assert sol.y == (2, -3, 4) and all(type(v) is int for v in sol.y)
+
+
 def test_solution_rejects_point_of_other_length():
     with pytest.raises(DimensionError):
         tribip.Solution([1, 0], (1, 2))
