@@ -18,7 +18,9 @@ Every round's fronts are checked by the workload, and each front file must
 hash alike on both sides; a failed call, a failed check or a differing
 front stops the script with exit code 1.  At the end it prints the per-round
 CPU ratios CHANGE / PARENT: the median, how many rounds the change was
-faster, the minimum and the lower quartile.
+faster, the minimum and the lower quartile.  Then, one line per op label
+of the job list, the median CPU seconds of that op on each side and their
+ratio, so that a difference can be traced to the ops that carry it.
 """
 
 from __future__ import annotations
@@ -71,8 +73,8 @@ def load_side(checkout: Path, side: str, tmp: Path):
                 sys.modules[name] = module
 
 
-def run_round(workload) -> tuple[float, dict[str, str]]:
-    """One checked round: (CPU seconds of its calls, front hash per file).
+def run_round(workload) -> tuple[dict[str, float], dict[str, str]]:
+    """One checked round: (CPU seconds per op label, front hash per file).
     Exits on a failed call or check."""
     workload.prepare()
     ops = workload.run_round()
@@ -80,7 +82,7 @@ def run_round(workload) -> tuple[float, dict[str, str]]:
     failed = {op.label: [op.error] for op in ops if op.error is not None} | checked.errors
     if failed:
         sys.exit(f"paired: failed calls or checks: {failed}")
-    return sum(op.cpu for op in ops), checked.hashes
+    return {op.label: op.cpu for op in ops}, checked.hashes
 
 
 def summary(ratios: list[float]) -> str:
@@ -89,6 +91,17 @@ def summary(ratios: list[float]) -> str:
             f"median {statistics.median(ratios):.3f}, "
             f"change faster in {sum(r < 1.0 for r in ratios)} of {len(ratios)}, "
             f"min {min(ratios):.3f}, lower quartile {q1:.3f}")
+
+
+def per_op(rounds: dict[str, list[dict[str, float]]]) -> list[str]:
+    """Per op label: the median CPU seconds over the rounds on each side and
+    their ratio CHANGE / PARENT."""
+    lines = []
+    for label in rounds["parent"][0]:
+        parent, change = (statistics.median(r[label] for r in rounds[side]) for side in SIDES)
+        ratio = f"{change / parent:.3f}" if parent > 0 else "n/a"
+        lines.append(f"  {label}: parent {parent:.4f} s, change {change:.4f} s, ratio {ratio}")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -115,11 +128,13 @@ def main(argv=None) -> int:
                                                               tiny=False)
         for side in SIDES:                 # warm-up, untimed
             run_round(workloads[side])
-        ratios = []
+        ratios, rounds = [], {side: [] for side in SIDES}
         for r in range(args.rounds):
             cpu, hashes = {}, {}
             for side in SIDES if r % 2 == 0 else SIDES[::-1]:
-                cpu[side], hashes[side] = run_round(workloads[side])
+                ops, hashes[side] = run_round(workloads[side])
+                rounds[side].append(ops)
+                cpu[side] = sum(ops.values())
             if hashes["parent"] != hashes["change"]:
                 differ = sorted(name for name in hashes["parent"].keys() | hashes["change"].keys()
                                 if hashes["parent"].get(name) != hashes["change"].get(name))
@@ -128,6 +143,8 @@ def main(argv=None) -> int:
             print(f"round {r}: parent {cpu['parent']:.3f} s, change {cpu['change']:.3f} s, "
                   f"ratio {ratios[-1]:.3f}", file=sys.stderr)
     print(summary(ratios))
+    print("median CPU per op:")
+    print("\n".join(per_op(rounds)))
     return 0
 
 

@@ -19,7 +19,7 @@ from .metrics import (ReferenceFront, exact_front, exact_front_solutions, filter
                       filter_nondominated_solutions, hv_percent, hypervolume, hypervolume_mc,
                       normalize)
 from .heuristic import (VARIANTS, IrSet, PrArchives, PrConfig, RunReport,
-                        path_relink_once, path_relink_walk, round_down, run, select_pair,
+                        path_relink, path_relink_walk, round_down, run, select_pair,
                         solve_from_lb)
 from .rng import Xoshiro256StarStar
 
@@ -38,7 +38,7 @@ __all__ = [
     "hv_percent",
     "VARIANTS", "PrConfig", "IrSet", "PrArchives", "RunReport",
     "round_down", "select_pair",
-    "path_relink_once", "path_relink_walk", "run", "solve_from_lb",
+    "path_relink", "path_relink_walk", "run", "solve_from_lb",
     "Xoshiro256StarStar",
     "TribipError", "DimensionError", "ValidationError", "ParseError",
     "InfeasibleProblemError",

@@ -22,6 +22,15 @@ the random rule), then per step one coin draw, then one neighbour index draw
 when the step is random.  The coin is drawn even when its probability is
 zero so that all variants consume the stream identically per step.
 
+Relinking loop
+--------------
+`path_relink` runs the iterations on IR row indices: `select_pair` returns
+(initiating, guiding) rows, and a pair already in ig_pairs is skipped before
+any `Solution` is built or any walk entered.  Such a pair's walk would stop
+before its first draw, so the skip leaves the stream, the IR set and
+ig_pairs unchanged; an iteration counts whether it walks or not.  Only a
+walked pair is recorded, so each walk starts at a pair not recorded yet.
+
 Walk kernel
 -----------
 `path_relink_walk` is one loop for every relinking variant.  Its state comes
@@ -49,8 +58,8 @@ masks.  It rests on four facts:
   by the pairwise tournament of `_rank_winner`.  This equals ranking the
   float ratios while objective values stay below 2**52 in magnitude, where
   float64 division keeps distinct integers apart.
-* Every pair in ig_pairs starts at an IR key: `path_relink_once` records
-  only pairs that `select_pair` drew from the IR set, which only grows.  So
+* Every pair in ig_pairs starts at an IR key: `path_relink` records only
+  pairs of rows that `select_pair` drew from the IR set, which only grows.  So
   a step looks its key up in the IR index first; only an unseen key takes
   the packed row test, and only a known key is looked up in ig_pairs.
 
@@ -58,7 +67,7 @@ A new feasible point goes into the IR set flat: its key onto `IrSet.keys`
 and its y onto the `array('q')` `IrSet.ys`.  So a step leaves behind no
 object that the garbage collector tracks, and the walks no longer trigger
 collections.
-`select_pair` builds a `Solution` only for the pair it returns, and the
+`path_relink` builds a `Solution` only for each pair it walks, and the
 final filter reads the points straight from `IrSet.ys` and builds one only
 for each row it keeps: those rows are the front.
 
@@ -69,7 +78,8 @@ row: the most similar guide is the nearest row and the most different the
 farthest.  Two rows agree in n - d positions, so this is the order of
 equal positions reversed, with the same ties.  `IrSet._words` keeps every
 key bit-packed, ceil(n/64) uint64 words per row, so a scan is one popcount
-of an XOR per word instead of a compare of n int8 entries.
+of an XOR per word instead of a compare of n int8 entries, the per-word
+counts added into one vector.
 
 Assignment instances go through the same rounding: their LB vertices are
 already 0/1, so rounding leaves them unchanged, and only path relinking is
@@ -83,7 +93,7 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import index, ne
+from operator import index
 
 import numpy as np
 
@@ -248,16 +258,17 @@ def round_down(lb: LbSet, problem: Problem) -> IrSet:
     return ir
 
 
-def select_pair(ir: IrSet, rule: str, rng: Xoshiro256StarStar) -> tuple[Solution, Solution]:
-    """Pick (initiating, guiding) from the IR set.
+def select_pair(ir: IrSet, rule: str, rng: Xoshiro256StarStar) -> tuple[int, int]:
+    """Pick (initiating, guiding) rows of the IR set, as row indices.
 
     random: two distinct uniform picks.  sim/dif: uniform initiating pick,
-    then the guiding solution at the least / greatest Hamming distance, the
-    popcount of the XOR of the packed rows (`IrSet._words`); ties go to the
-    lowest index.  IR only grows by appending, so the best guide of each
-    (initiating row, rule) is kept on the IR set and compared only against
-    the rows added since; a later row takes over only when strictly better.
-    An unknown rule is refused before any draw.
+    then the guiding row at the least / greatest Hamming distance, the
+    popcount of the XOR of the packed rows (`IrSet._words`) summed word by
+    word; ties go to the lowest index.  IR only grows by appending, so the
+    best guide of each (initiating row, rule) is kept on the IR set and
+    compared only against the rows added since; a later row takes over only
+    when strictly better.  An unknown rule is refused before any draw.
+    Nothing is recorded here: `path_relink` records the pairs it walks.
     """
     k = len(ir)
     if k < 2:
@@ -267,18 +278,23 @@ def select_pair(ir: IrSet, rule: str, rng: Xoshiro256StarStar) -> tuple[Solution
         g = rng.randint(k - 1)
         if g >= i:
             g += 1
-        return ir[i], ir[g]
+        return i, g
     if rule not in ("sim", "dif"):
         raise ValidationError(f"unknown selection rule {rule!r}")
     i = rng.randint(k)
     g, best, scanned = ir._guides.get((i, rule), (-1, 0, 0))
     if scanned < k:
         ws = ir._words()
-        dist = np.bitwise_count(ws[scanned:k] ^ ws[i])
-        dist = dist.sum(axis=1) if dist.shape[1] > 1 else dist.ravel()
+        n = len(ir.keys[0])
+        dist = np.bitwise_count(ws[scanned:k, 0] ^ ws[i, 0])    # uint8, holds n + 1 when W = 1
+        if ws.shape[1] > 1:
+            # add the per-word counts in a dtype that holds n + 1: uint8 wraps at 256
+            dist = dist.astype(np.min_scalar_type(n + 1), copy=False)
+            for w in range(1, ws.shape[1]):
+                dist += np.bitwise_count(ws[scanned:k, w] ^ ws[i, w])
         if rule == "sim":
             if i >= scanned:                # row i is never its own guide
-                dist[i - scanned] = len(ir.keys[0]) + 1     # fits uint8 when W = 1
+                dist[i - scanned] = n + 1
             at = int(dist.argmin())
         else:                               # row i is at distance 0, below every other row
             at = int(dist.argmax())
@@ -286,7 +302,7 @@ def select_pair(ir: IrSet, rule: str, rng: Xoshiro256StarStar) -> tuple[Solution
         if g < 0 or (value < best if rule == "sim" else value > best):
             g, best = scanned + at, value
         ir._guides[(i, rule)] = (g, best, k)
-    return ir[i], ir[g]
+    return i, g
 
 
 def _rank_winner(keys) -> int:
@@ -323,7 +339,7 @@ def path_relink_walk(problem: Problem, s_i, s_g, ir: IrSet,
     current (S_i, S_g) pair was already used.  Past the first step, the
     pair is looked up only when the current key is in the IR set, which
     assumes that every pair in archives.ig_pairs starts at an IR key, as
-    `path_relink_once` keeps it.  Returns the list of visited vectors
+    `path_relink` keeps it.  Returns the list of visited vectors
     (read-only int8 arrays) when collect_visits is set.
     """
     key, key_g = s_i.key(), s_g.key()
@@ -332,11 +348,14 @@ def path_relink_walk(problem: Problem, s_i, s_g, ir: IrSet,
         return []
     moves = problem.flip_moves
     columns, offset, add_lo, add_hi, guards = problem.packed_rows
+    n = len(key)
     x = bytearray(key)
-    rest = list(compress(range(len(key)), map(ne, key, key_g)))   # ascending
+    # 0/1 bytes: the XOR of the keys read as ints is 1 at each byte that differs
+    differ = int.from_bytes(key, "little") ^ int.from_bytes(key_g, "little")
+    differ = differ.to_bytes(n, "little")
+    rest = list(compress(range(n), differ))     # ascending
     y0, y1, y2 = s_i.y
     packed = offset + sum(compress(columns, key))
-    n = len(key)
     masks = None        # dominator masks and displacements along rest, built on first use
     random, randint = rng.random, rng.randint
     known, keys, ys = ir._index, ir.keys, ir.ys     # new feasible points are appended here
@@ -385,18 +404,26 @@ def path_relink_walk(problem: Problem, s_i, s_g, ir: IrSet,
     return [np.frombuffer(v, dtype=np.int8) for v in visits]
 
 
-def path_relink_once(ir: IrSet, archives: PrArchives, config: PrConfig,
-                     rng: Xoshiro256StarStar, problem: Problem) -> None:
-    """One outer iteration: select a pair, walk it, record the pair.
+def path_relink(ir: IrSet, archives: PrArchives, config: PrConfig,
+                rng: Xoshiro256StarStar, problem: Problem, iterations: int) -> None:
+    """Outer relinking loop: per iteration, select a pair of IR rows, and
+    walk it and record it in ig_pairs unless it is recorded already.
 
-    A pair already recorded in ig_pairs exits immediately; the selected
-    (ordered) pair is recorded either way.
+    A recorded pair's walk would stop before its first draw, so skipping it
+    leaves the stream, the IR set and ig_pairs as walking it would.
+    `Solution`s are built only for the pairs walked.  `select_pair` and
+    `path_relink_walk` are looked up in the module namespace per call.
     """
     rule = _PAIR_RULE[config.variant]
     prob = config.best_move_prob if config.variant in _USES_BEST_MOVE else 0.0
-    s_i, s_g = select_pair(ir, rule, rng)
-    path_relink_walk(problem, s_i, s_g, ir, archives, rng, prob)
-    archives.ig_pairs.add((s_i.key(), s_g.key()))
+    pairs, keys = archives.ig_pairs, ir.keys
+    for _ in range(iterations):
+        i, g = select_pair(ir, rule, rng)
+        pair = (keys[i], keys[g])
+        if pair in pairs:
+            continue
+        path_relink_walk(problem, ir[i], ir[g], ir, archives, rng, prob)
+        pairs.add(pair)
 
 
 def solve_from_lb(problem: Problem, lb: LbSet, config: PrConfig | None = None):
@@ -416,10 +443,8 @@ def solve_from_lb(problem: Problem, lb: LbSet, config: PrConfig | None = None):
             log.warning("IR set has %d solution(s); path relinking skipped", ir_size)
         else:
             rng = Xoshiro256StarStar(config.seed)
-            archives = PrArchives()
-            for _ in range(ir_size * config.iteration_multiplier):
-                path_relink_once(ir, archives, config, rng, problem)
-                pr_iterations += 1
+            pr_iterations = ir_size * config.iteration_multiplier
+            path_relink(ir, PrArchives(), config, rng, problem, pr_iterations)
     points = np.frombuffer(ir.ys, np.int64).reshape(-1, P_OBJECTIVES)
     front = filter_nondominated_solutions(ir, points=points)
 

@@ -612,11 +612,15 @@ def read_front(path) -> FrontData:
         if len(parts) != 1 + P_OBJECTIVES:
             raise ParseError(path, no, f"record needs x plus {P_OBJECTIVES} objective values")
         xs = parts[0]
+        fractional = xs.startswith("~")
+        digits = xs.encode("ascii", "replace")
+        if not fractional and digits.translate(None, b"01"):
+            raise ParseError(path, no, f"solution vector {xs!r} is not a string of 0/1 digits")
         try:
-            if xs.startswith("~"):
+            if fractional:
                 x = np.array([float(t) for t in xs[1:].split(",")], dtype=np.float64)
             else:
-                x = np.array([int(c) for c in xs], dtype=np.int8)
+                x = np.frombuffer(digits, dtype=np.int8) - 48
             y = tuple(float(t) for t in parts[1:])
         except ValueError as exc:
             raise ParseError(path, no, f"bad solution record: {exc}") from None

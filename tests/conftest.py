@@ -274,7 +274,8 @@ def naive_round_down(lb, problem):
 
 def naive_select_pair(ir, rule, rng):
     """Reference pair selection: scans the whole IR matrix on every draw,
-    with the same draws and tie rule (lowest index) as `tribip.select_pair`."""
+    with the same draws and tie rule (lowest index) as `tribip.select_pair`;
+    returns (initiating, guiding) row indices."""
     k = len(ir)
     if k < 2:
         raise tribip.InsufficientSolutionsError("path relinking needs at least two initial solutions")
@@ -283,7 +284,7 @@ def naive_select_pair(ir, rule, rng):
         g = rng.randint(k - 1)
         if g >= i:
             g += 1
-        return ir[i], ir[g]
+        return i, g
     xs = np.array([list(row.key()) for row in ir], dtype=np.int8)
     sims = np.array([similarity(xs[i], row) for row in xs])
     if rule == "sim":
@@ -292,7 +293,26 @@ def naive_select_pair(ir, rule, rng):
     else:
         sims[i] = xs.shape[1] + 1
         g = int(np.argmin(sims))
-    return ir[i], ir[g]
+    return i, g
+
+
+# the paper's variants: PR* steps at random, PI* by best-move analysis
+NAIVE_PAIR_RULE = {"PRrand": "random", "PRsim": "sim", "PRdif": "dif",
+                   "PI": "random", "PIsim": "sim", "PIdif": "dif"}
+
+
+def naive_path_relink(ir, archives, config, rng, problem, iterations):
+    """Reference relinking loop: per iteration, select with
+    `naive_select_pair`, walk every pair with `naive_path_relink_walk` (the
+    walk of a pair already in ig_pairs stops before its first draw), then
+    record the pair, whether it was new or not."""
+    rule = NAIVE_PAIR_RULE[config.variant]
+    prob = config.best_move_prob if config.variant.startswith("PI") else 0.0
+    for _ in range(iterations):
+        i, g = naive_select_pair(ir, rule, rng)
+        s_i, s_g = ir[i], ir[g]
+        naive_path_relink_walk(problem, s_i, s_g, ir, archives, rng, prob)
+        archives.ig_pairs.add((s_i.key(), s_g.key()))
 
 
 def _nondominated_rows(y):

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 import tribip
 from tribip import (InsufficientSolutionsError, IrSet, NoRoundedSolutionError,
                     PrArchives, PrConfig, ValidationError, Xoshiro256StarStar,
-                    path_relink_once, path_relink_walk, round_down, run, select_pair)
+                    path_relink, path_relink_walk, round_down, run, select_pair)
 from tribip import heuristic
 from tribip.lbset import LbSet
 
-from conftest import (dominates, naive_improved_nd, naive_path_relink_walk, naive_round_down,
-                      naive_select_pair, next_outputs, similarity)
+from conftest import (dominates, naive_improved_nd, naive_path_relink, naive_path_relink_walk,
+                      naive_round_down, naive_select_pair, next_outputs, similarity)
 
 
 def _lbset_from(problem, xs):
@@ -146,9 +146,7 @@ def test_select_pair_sim(p_matrix_problem):
         def randint(self, n):
             return 0          # initiating = first solution
 
-    s_i, s_g = select_pair(ir, "sim", FixedRng())
-    assert list(s_i.key()) == [0, 0, 1, 0]
-    assert list(s_g.key()) == [1, 0, 1, 0]      # similarity 3 beats 1
+    assert select_pair(ir, "sim", FixedRng()) == (0, 1)     # similarity 3 beats 1
 
 
 def test_select_pair_dif(p_matrix_problem):
@@ -158,16 +156,15 @@ def test_select_pair_dif(p_matrix_problem):
         def randint(self, n):
             return 0
 
-    s_i, s_g = select_pair(ir, "dif", FixedRng())
-    assert list(s_g.key()) == [1, 1, 0, 0]      # similarity 1 is minimal
+    assert select_pair(ir, "dif", FixedRng()) == (0, 2)     # similarity 1 is minimal
 
 
 def test_select_pair_random_distinct(p_matrix_problem):
     ir = _ir_from(p_matrix_problem, [[0, 0, 1, 0], [1, 0, 1, 0], [1, 1, 0, 0]])
     rng = Xoshiro256StarStar(3)
     for _ in range(50):
-        s_i, s_g = select_pair(ir, "random", rng)
-        assert s_i.key() != s_g.key()
+        i, g = select_pair(ir, "random", rng)
+        assert i != g and 0 <= i < 3 and 0 <= g < 3
 
 
 def test_select_pair_needs_two(p_matrix_problem):
@@ -203,13 +200,23 @@ _TIES = [                # every row is at similarity n - 1 from row 0 unless no
 _WIDTHS = (4, 9, 63, 64, 65, 130)
 
 
+# n = 300: rows 0 and 1 are complements, at distance 300 > 255, and row 2 is
+# 100 from row 0 and 200 from row 1; a count that wraps at 256 reads 300 as
+# 44 and the sim sentinel 301 as 45, and picks row 1 or row i itself
+_FAR = [("add", ()), ("add", (1,) * 300), ("add", (1,) * 100),
+        ("sim", 0), ("dif", 0), ("sim", 1), ("dif", 1), ("sim", 2), ("dif", 2),
+        ("add", (0,) * 40 + (1,) * 260), ("sim", 0), ("dif", 0), ("sim", 1), ("dif", 1),
+        ("add_high", (1,) * 257), ("sim", 2), ("dif", 2), ("sim", 4), ("dif", 4)]
+
+
 def _scan_examples(test):
     """The tie script at every width, with its rows at the low end of x and,
-    where only the last word tells them apart, at the high end."""
+    where only the last word tells them apart, at the high end; and rows
+    more than 255 apart at n = 300."""
     high = [("add_high", arg) if op == "add" else (op, arg) for op, arg in _TIES]
     for n in _WIDTHS:
         test = example(ops=_TIES, n=n)(example(ops=high, n=n)(test))
-    return test
+    return example(ops=_FAR, n=300)(test)
 
 
 @settings(max_examples=300, deadline=None)
@@ -218,12 +225,13 @@ def _scan_examples(test):
               st.lists(st.integers(0, 1), max_size=max(_WIDTHS))),
     st.tuples(st.sampled_from(("sim", "dif")), st.integers(0, 40)),
     st.tuples(st.sampled_from(("sim", "dif")), st.just(-1))), max_size=60),
-    n=st.sampled_from(_WIDTHS))
+    n=st.sampled_from(_WIDTHS + (300,)))
 @_scan_examples
 def test_select_pair_matches_full_scan(ops, n):
     """Interleaved adds and sim/dif selections at widths that pad the last
-    byte and word or span several words: the incremental guide search
-    returns the full scan's pair and makes the same draws.  An added row's
+    byte and word or span several words, up to distances past 255: the
+    incremental guide search returns the full scan's pair and makes the
+    same draws.  An added row's
     bits, cut to n, go at the low end of x ("add") or the high end
     ("add_high"); the other entries are 0."""
     ir = IrSet()
@@ -240,9 +248,7 @@ def test_select_pair_matches_full_scan(ops, n):
         if len(ir) < 2:
             continue
         rng, rng_ref = _ScriptedRng(arg), _ScriptedRng(arg)
-        s_i, s_g = select_pair(ir, op, rng)
-        r_i, r_g = naive_select_pair(ir, op, rng_ref)
-        assert (s_i.key(), s_g.key()) == (r_i.key(), r_g.key())
+        assert select_pair(ir, op, rng) == naive_select_pair(ir, op, rng_ref)
         assert rng.draws == rng_ref.draws == [len(ir)]
 
 
@@ -396,11 +402,11 @@ def test_pair_already_recorded_exits_immediately(p_matrix_problem):
     assert len(ir) == 2
 
 
-def test_path_relink_once_records_pair(p_matrix_problem):
+def test_path_relink_records_pair(p_matrix_problem):
     ir = _ir_from(p_matrix_problem, [[0, 0, 1, 0], [1, 1, 0, 0]])
     archives = PrArchives()
     config = PrConfig(variant="PI", seed=0)
-    path_relink_once(ir, archives, config, Xoshiro256StarStar(0), p_matrix_problem)
+    path_relink(ir, archives, config, Xoshiro256StarStar(0), p_matrix_problem, 1)
     assert len(archives.ig_pairs) == 1
 
 
@@ -412,8 +418,7 @@ def test_candx_members_feasible_and_new(p_matrix_problem):
     ir0_keys = {row.key() for row in ir}
     archives = PrArchives()
     config = PrConfig(variant="PRrand", seed=5)
-    for _ in range(30):
-        path_relink_once(ir, archives, config, rng, p_matrix_problem)
+    path_relink(ir, archives, config, rng, p_matrix_problem, 30)
     assert len(ir) > 3
     for row in list(ir)[3:]:
         x = list(row.key())
@@ -472,7 +477,7 @@ def test_walk_kernel_matches_reference_walk(problem, data, variant, prob, seed, 
     for _ in range(iterations):
         for walk, ir, archives, rng, visits in sides:
             with mock.patch.object(heuristic, "path_relink_walk", _recording(walk, visits)):
-                path_relink_once(ir, archives, config, rng, problem)
+                path_relink(ir, archives, config, rng, problem, 1)
         assert snapshot(sides[0]) == snapshot(sides[1])
 
 
@@ -509,7 +514,7 @@ def test_walk_kernel_equal_displacements_match_reference_walk(variant, prob):
     for _ in range(80):
         for walk, ir, archives, walk_rng, visits in sides:
             with mock.patch.object(heuristic, "path_relink_walk", _recording(walk, visits)):
-                path_relink_once(ir, archives, config, walk_rng, problem)
+                path_relink(ir, archives, config, walk_rng, problem, 1)
     got, want = [(visits, list(ir), archives.ig_pairs,
                   next_outputs(r)) for _, ir, archives, r, visits in sides]
     assert got == want
@@ -520,7 +525,7 @@ def test_walk_kernel_equal_displacements_match_reference_walk(variant, prob):
        variant=st.sampled_from([v for v in tribip.VARIANTS if v != "RD"]),
        seed=st.integers(0, 2**32), iterations=st.integers(1, 60))
 def test_recorded_pairs_start_at_ir_keys(problem, data, variant, seed, iterations):
-    """Every pair that `path_relink_once` records starts at a key of the IR
+    """Every pair that `path_relink` records starts at a key of the IR
     set, which the walk relies on when it looks up only IR keys in
     ig_pairs."""
     n = problem.n
@@ -529,8 +534,59 @@ def test_recorded_pairs_start_at_ir_keys(problem, data, variant, seed, iteration
     ir, archives, rng = _ir_from(problem, starts), PrArchives(), Xoshiro256StarStar(seed)
     config = PrConfig(variant=variant, seed=seed)
     for _ in range(iterations):
-        path_relink_once(ir, archives, config, rng, problem)
+        path_relink(ir, archives, config, rng, problem, 1)
         assert all(key_i in ir for key_i, _ in archives.ig_pairs)
+
+
+@pytest.mark.parametrize("variant", ["PRrand", "PRsim", "PRdif", "PI", "PIsim", "PIdif"])
+@settings(max_examples=50, deadline=None)
+@given(problem=_relink_problems(), data=st.data(),
+       prob=st.sampled_from((0.0, 0.7, 1.0)), seed=st.integers(0, 2**32),
+       chunks=st.lists(st.integers(0, 30), min_size=1, max_size=4))
+def test_path_relink_matches_loop_that_walks_every_pair(variant, problem, data, prob, seed,
+                                                        chunks):
+    """Skipping recorded pairs changes nothing: over calls of a few
+    iterations each, `path_relink` leaves the IR rows, ig_pairs and the
+    stream as the reference loop that selects by full scan, walks every
+    pair with the reference walk and records it."""
+    n = problem.n
+    starts = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                                min_size=2, max_size=6, unique_by=tuple))
+    config = PrConfig(variant=variant, seed=seed, best_move_prob=prob)
+    sides = [(loop, _ir_from(problem, starts), PrArchives(), Xoshiro256StarStar(seed))
+             for loop in (path_relink, naive_path_relink)]
+    for iterations in chunks:
+        for loop, ir, archives, rng in sides:
+            loop(ir, archives, config, rng, problem, iterations)
+        got, want = [(list(ir), archives.ig_pairs, next_outputs(rng))
+                     for _, ir, archives, rng in sides]
+        assert got == want
+
+
+@pytest.mark.parametrize("variant", ["PRrand", "PRsim", "PRdif", "PI", "PIsim", "PIdif"])
+def test_no_walk_starts_at_a_recorded_pair(variant):
+    """The loop walks only pairs it has not recorded, and records each one
+    it walks, so the walks are as many as the recorded pairs; the sim rule
+    repeats its pairs, so there it walks fewer times than it iterates."""
+    problem = tribip.generate_knapsack(10, seed=2)
+    lb = tribip.compute_lb_set(problem)
+    ir = round_down(lb, problem)
+    archives, rng = PrArchives(), Xoshiro256StarStar(3)
+    starts = []
+
+    def walk(problem, s_i, s_g, ir, archives, rng, best_move_prob, collect_visits=False):
+        pair = (s_i.key(), s_g.key())
+        assert s_i.key() != s_g.key() and pair not in archives.ig_pairs
+        starts.append(pair)
+        return path_relink_walk(problem, s_i, s_g, ir, archives, rng, best_move_prob,
+                                collect_visits)
+
+    iterations = len(ir) * 5
+    with mock.patch.object(heuristic, "path_relink_walk", walk):
+        path_relink(ir, archives, PrConfig(variant=variant, seed=3), rng, problem, iterations)
+    assert len(starts) == len(set(starts)) == len(archives.ig_pairs) > 0
+    if variant.endswith("sim"):
+        assert len(starts) < iterations
 
 
 def test_walk_appends_rows_without_tracked_objects():
@@ -579,7 +635,7 @@ def test_move_tables_cached_per_problem():
         for pair in sides:
             for problem, walk, ir, archives, walk_rng, visits in pair:
                 with mock.patch.object(heuristic, "path_relink_walk", _recording(walk, visits)):
-                    path_relink_once(ir, archives, config, walk_rng, problem)
+                    path_relink(ir, archives, config, walk_rng, problem, 1)
             side, ref = [(visits, list(ir), archives.ig_pairs,
                           next_outputs(rng_))
                          for _, _, ir, archives, rng_, visits in pair]
@@ -665,9 +721,9 @@ def test_filter_over_rows_matches_filter_over_solutions(data, n):
 
 @pytest.mark.parametrize("variant", ["PI", "PRrand"])
 def test_solve_from_lb_calls_each_layer_by_module_name(variant):
-    """Pair selection and the walk run once per iteration and the final
-    filter once, each looked up in the heuristic module's namespace, where
-    wrappers that time the layers replace them."""
+    """Pair selection runs once per iteration, the walk once per distinct
+    pair walked and the final filter once, each looked up in the heuristic
+    module's namespace, where wrappers that time the layers replace them."""
     problem = tribip.generate_knapsack(10, seed=2)
     lb = tribip.compute_lb_set(problem)
     config = PrConfig(variant=variant, seed=3, iteration_multiplier=4)
@@ -677,7 +733,11 @@ def test_solve_from_lb_calls_each_layer_by_module_name(variant):
         front, report = tribip.solve_from_lb(problem, lb, config)
     assert report.pr_iterations == report.ir_size * 4 > 0
     assert spies["select_pair"].call_count == report.pr_iterations
-    assert spies["path_relink_walk"].call_count == report.pr_iterations
+    walks = spies["path_relink_walk"].call_args_list
+    archives = walks[0].args[4]
+    assert all(walk.args[4] is archives for walk in walks)
+    assert len(walks) == len({(w.args[1].key(), w.args[2].key()) for w in walks})
+    assert len(walks) == len(archives.ig_pairs) > 0
     assert spies["filter_nondominated_solutions"].call_count == 1
     rows, = spies["filter_nondominated_solutions"].call_args.args
     assert len(rows) > report.ir_size and type(rows) is IrSet

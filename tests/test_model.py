@@ -233,9 +233,27 @@ def test_front_roundtrip(tmp_path, p_matrix_problem):
     data = tribip.read_front(path)
     assert data.n == 4
     assert len(data.records) == 2
+    assert [x.tolist() for x, _ in data.records] == [[1, 0, 1, 0], [0, 1, 0, 1]]
+    assert all(x.dtype == np.int8 and x.flags.writeable for x, _ in data.records)
     # y stored in native (max) sense
     assert data.records[0][1] == (7.0, 6.0, 8.0)
     assert data.min_points().tolist() == [[-7, -6, -8], [-8, -11, -11]]
+
+
+# int() reads "2" and the Arabic-Indic digits; the others are not digits
+@pytest.mark.parametrize("digits", ["1200", "\u0661\u0660\u0661\u0660", "10-1", "1a01", "1.01"])
+def test_front_refuses_x_digits_other_than_0_1(tmp_path, p_matrix_problem, digits):
+    """A digit string is x itself, one 0/1 entry per character: any other
+    character is refused with the line of its record, not read as an entry."""
+    path = tmp_path / "front.txt"
+    solution = tribip.make_solution(p_matrix_problem, [1, 0, 1, 0])
+    tribip.write_front(path, p_matrix_problem, [solution])
+    text = path.read_text().replace("count 1", "count 2")
+    path.write_text(text + f"{digits} 7 6 8\n")
+    with pytest.raises(ParseError) as err:
+        tribip.read_front(path)
+    assert err.value.line_no == len(text.splitlines()) + 1
+    assert repr(digits) in str(err.value)
 
 
 def test_front_fractional_flag(tmp_path, p_matrix_problem):
