@@ -64,20 +64,22 @@ class LbSet:
     Row i of points (k, p) is an extreme supported point, in lexicographic
     order; the points are pairwise nondominated and pairwise distinct
     (within POINT_TOL).  Row i of x (k, n) is its vertex of the relaxation
-    and row i of w (k, p) the weight it is optimal for.  lp_count is the
-    number of weighted-sum LPs solved, and probes (lp_count, p + 1) holds
-    one row (weight..., optimal value) per LP, in the order they were
-    solved.
+    and row i of w (k, p) the weight it is optimal for.  probes (lp_count,
+    p + 1) holds one row (weight..., optimal value) per weighted-sum LP, in
+    the order they were solved, and lp_count is their number.
     """
 
     points: np.ndarray
     x: np.ndarray
     w: np.ndarray
-    lp_count: int
     probes: np.ndarray
 
     def __len__(self):
         return len(self.points)
+
+    @property
+    def lp_count(self) -> int:
+        return len(self.probes)
 
 
 @functools.cache
@@ -257,7 +259,7 @@ def compute_lb_set(problem: Problem) -> LbSet:
     kept = np.flatnonzero(~_tolerant_dropped(y_arr, POINT_TOL))
     kept = kept[_lex_order(y_arr[kept])]
     lb = LbSet(points=y_arr[kept], x=np.concatenate(xs)[kept], w=np.concatenate(ws)[kept],
-               lp_count=len(solved), probes=np.concatenate(probes))
+               probes=np.concatenate(probes))
     for array in (lb.points, lb.x, lb.w, lb.probes):
         array.setflags(write=False)
     return lb

@@ -5,8 +5,9 @@ Three kernels carry the work, and all of them are exact (integer points
 compare exactly, floats compare bitwise):
 
 - `_first_nondominated` keeps the first occurrence of each nondominated row
-  by a forward screen in coordinate-sum order, or in lexicographic order
-  where a sum could wrap.  Both filters and both oracles call it.
+  by a forward screen in coordinate-sum order: exact int64 sums where none
+  can wrap, float64 sums with a lexicographic tie-break otherwise.  Both
+  filters and both oracles call it.
 - the binary oracle builds y and the row sums of every 0/1 vector by
   doubling over the low bits, then screens one block per value of the high
   bits into a running front.  Each point keeps its lowest id sum x_j 2^j.
@@ -51,18 +52,18 @@ def _first_nondominated(pts: np.ndarray) -> np.ndarray:
 
     Forward screen (the maxima problem of Kung, Luccio & Preparata, JACM
     1975): rows are taken in a stable order in which a row can only be
-    weakly dominated by an earlier one: ascending coordinate sum when the
-    sums are exact or rounded monotonically, lexicographic otherwise.  The
+    weakly dominated by an earlier one: ascending coordinate sum, packed
+    with the position into one int64 where no sum can wrap, and otherwise
+    the float64 sum (int-to-float conversion and float addition are
+    monotone) with ties broken lexicographically.  The
     first _SCREEN_HEAD rows still alive are resolved pairwise, where a row
     loses to one that dominates it or to an equal one taken earlier; every
     later row that a kept head row weakly dominates is dropped, and the next
     head is taken from what is left.
     """
     k = pts.shape[0]
-    if pts.dtype.kind == "f":      # a rounded sum can tie a row with one it dominates
-        order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], pts.sum(axis=1)))
-    elif (pts.dtype.kind in "iu" and k
-          and (3 * max(-int(pts.min()), int(pts.max())) + 1) * k <= _INT64_MAX):
+    if (pts.dtype.kind in "iu" and k
+            and (3 * max(-int(pts.min()), int(pts.max())) + 1) * k <= _INT64_MAX):
         # no sum wraps and sum * k + position is unique, so any sort gives
         # the stable order; built in place, as a fresh array per call costs
         # peak memory
@@ -71,7 +72,9 @@ def _first_nondominated(pts: np.ndarray) -> np.ndarray:
         sums += np.arange(k)
         order = np.argsort(sums)
     else:
-        order = _lex_order(pts)
+        # float sums are monotone but may tie a row with one it dominates;
+        # the lexicographic tie-break then takes the dominating row first
+        order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], pts.sum(axis=1, dtype=np.float64)))
     alive = order                  # positions still undecided, in screen order
     rest = pts[order]              # their rows
     kept = [order[:0]]

@@ -416,13 +416,26 @@ class _LineReader:
         self.lines = text.splitlines()
         self.pos = 0
 
-    def next(self, what: str) -> tuple[int, str]:
+    def _advance(self) -> tuple[int, str] | None:
+        """The next line that is neither blank nor a comment, with its number."""
         while self.pos < len(self.lines):
             self.pos += 1
             line = self.lines[self.pos - 1].strip()
             if line and not line.startswith("#"):
                 return self.pos, line
-        raise ParseError(self.path, self.pos + 1, f"unexpected end of file, expected {what}")
+        return None
+
+    def next(self, what: str) -> tuple[int, str]:
+        found = self._advance()
+        if found is None:
+            raise ParseError(self.path, self.pos + 1, f"unexpected end of file, expected {what}")
+        return found
+
+    def end(self, what: str) -> None:
+        """Refuse any line left after the last one expected."""
+        found = self._advance()
+        if found is not None:
+            raise ParseError(self.path, found[0], f"unexpected line after {what}")
 
     def keyword(self, key: str) -> list[str]:
         no, line = self.next(f"'{key}' line")
@@ -545,7 +558,8 @@ def read_instance(path) -> Problem:
 
 @dataclass(frozen=True)
 class FrontData:
-    """Parsed front file: metadata plus (x, native y) records."""
+    """Parsed front file: metadata plus (x, native y) records.  A 0/1
+    record reads as (int8 x, int y), a '~' record as (float64 x, float y)."""
 
     kind: str
     n: int
@@ -554,12 +568,10 @@ class FrontData:
 
     def min_points(self) -> np.ndarray:
         """Objective points converted to minimisation form: int64 when every
-        value is an integer in int64's range, float64 otherwise."""
-        ys = np.array([rec[1] for rec in self.records], dtype=np.float64).reshape(-1, P_OBJECTIVES)
-        pts = _sense_signs(self.sense)[None, :] * ys
-        if ((pts == np.round(pts)) & (np.abs(pts) < 2.0 ** 63)).all():
-            return pts.astype(np.int64)
-        return pts
+        record is a 0/1 record (its x is int8), float64 otherwise."""
+        exact = all(rec[0].dtype == np.int8 for rec in self.records)
+        ys = np.array([rec[1] for rec in self.records], dtype=np.int64 if exact else np.float64)
+        return _sense_signs(self.sense)[None, :] * ys.reshape(-1, P_OBJECTIVES)
 
 
 def _format_number(v) -> str:
@@ -570,40 +582,51 @@ def _format_number(v) -> str:
 
 
 _BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")      # a Solution's key -> its 0/1 digits
+_EXACT_BOUND = 2 ** 63      # a 0/1 record's values lie below it in magnitude: int64 in either sense
 
 
 def write_front(path, problem: Problem, entries: Iterable) -> None:
     """Write a front file.
 
     ``entries`` may be Solution objects or (x, y) pairs where y is in
-    minimisation form.  A Solution's x is written as the 0/1 digits of its
-    key.  A pair's integral x is written as digits too; a fractional one (an
-    LB-set export) is flagged with '~' and written as comma-separated values.
-    Objective points are written in the original senses.
+    minimisation form; the entry type decides the record.  A Solution is
+    written as the 0/1 digits of its key and its y as exact integers.  A
+    pair (an LB-set export) is flagged with '~' and its x written as
+    comma-separated numbers, its y as numbers, integral values without a
+    fraction.  Objective points are written in the original senses.  An
+    entry whose x does not have length n is refused with DimensionError, a
+    Solution with a value of magnitude 2**63 or more with ValidationError.
     """
     signs = problem.sense_signs().tolist()
     records = []
     for entry in entries:
         if isinstance(entry, Solution):
             key, y = entry
-            xs = key.translate(_BIT_DIGITS).decode("ascii")
+            width, xs = len(key), key.translate(_BIT_DIGITS).decode("ascii")
+            ys = [str(s * v) for s, v in zip(signs, y)]
+            if max(map(abs, y)) >= _EXACT_BOUND:
+                raise ValidationError(f"objective point {y} does not fit int64")
         else:
             x, y = entry
-            xa = np.asarray(x, dtype=np.float64)
-            if np.all(np.abs(xa - np.round(xa)) <= 1e-9):
-                xs = "".join(str(int(round(v))) for v in xa)
-            else:
-                xs = "~" + ",".join(_format_number(v) for v in xa)
-        y_native = [s * float(v) for s, v in zip(signs, y)]
-        records.append(xs + " " + " ".join(_format_number(v) for v in y_native))
+            width, xs = len(x), "~" + ",".join(map(_format_number, x))
+            ys = [_format_number(s * float(v)) for s, v in zip(signs, y)]
+        if width != problem.n:
+            raise DimensionError(f"solution vector length {width} != n={problem.n}")
+        records.append(" ".join([xs, *ys]))
     lines = _header_lines(FRONT_MAGIC, problem) + [f"count {len(records)}", "solutions"]
     Path(path).write_text("\n".join(lines + records) + "\n")
 
 
 def read_front(path) -> FrontData:
+    """Parse a front file: exactly count records, each a 0/1 digit string x
+    with integer objective values below 2**63 in magnitude, or a '~' record
+    with numbers.  Malformed content raises ParseError with the offending
+    line."""
     path = Path(path)
     rd, kind, n, sense = _read_header(path, FRONT_MAGIC)
     count = rd.ints("count", 1)[0]
+    if count < 0:
+        raise ParseError(path, rd.pos, f"count must be nonnegative, got {count}")
     rd.section("solutions")
     records = []
     for _ in range(count):
@@ -619,12 +642,16 @@ def read_front(path) -> FrontData:
         try:
             if fractional:
                 x = np.array([float(t) for t in xs[1:].split(",")], dtype=np.float64)
+                y = tuple(float(t) for t in parts[1:])
             else:
                 x = np.frombuffer(digits, dtype=np.int8) - 48
-            y = tuple(float(t) for t in parts[1:])
+                y = tuple(int(t) for t in parts[1:])
         except ValueError as exc:
             raise ParseError(path, no, f"bad solution record: {exc}") from None
         if len(x) != n:
             raise ParseError(path, no, f"solution vector length {len(x)} != n={n}")
+        if not fractional and max(map(abs, y)) >= _EXACT_BOUND:
+            raise ParseError(path, no, "objective value does not fit int64")
         records.append((x, y))
+    rd.end(f"{count} solution records")
     return FrontData(kind=kind, n=n, sense=tuple(sense), records=tuple(records))

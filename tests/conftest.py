@@ -398,22 +398,21 @@ def _naive_format_number(v) -> str:
 
 
 def naive_write_front(path, problem, entries) -> None:
-    """Reference front writer: every entry through float casts, rounding and
-    per-element formatting, with the sense signs rebuilt per entry; the file
-    bytes of `tribip.write_front` must equal its."""
+    """Reference front writer: a `Solution` as its x one element at a time
+    and its y as exact integers, any other entry as a '~' record through
+    float casts and per-element formatting, with the sense signs rebuilt per
+    entry; the file bytes of `tribip.write_front` must equal its."""
     records = []
     for entry in entries:
+        signs = [int(s) for s in problem.sense_signs()]
         if isinstance(entry, tribip.Solution):
-            x, y = entry.x, entry.y
+            xs = "".join(str(int(v)) for v in entry.x)
+            ys = [str(s * int(v)) for s, v in zip(signs, entry.y)]
         else:
             x, y = entry
-        xa = np.asarray(x, dtype=np.float64)
-        y_native = [s * float(v) for s, v in zip(problem.sense_signs(), y)]
-        if np.all(np.abs(xa - np.round(xa)) <= 1e-9):
-            xs = "".join(str(int(round(v))) for v in xa)
-        else:
-            xs = "~" + ",".join(_naive_format_number(v) for v in xa)
-        records.append(xs + " " + " ".join(_naive_format_number(v) for v in y_native))
+            xs = "~" + ",".join(_naive_format_number(v) for v in np.asarray(x, dtype=np.float64))
+            ys = [_naive_format_number(s * float(v)) for s, v in zip(signs, y)]
+        records.append(xs + " " + " ".join(ys))
     lines = [
         tribip.model.FRONT_MAGIC,
         f"kind {problem.kind}",

@@ -235,9 +235,113 @@ def test_front_roundtrip(tmp_path, p_matrix_problem):
     assert len(data.records) == 2
     assert [x.tolist() for x, _ in data.records] == [[1, 0, 1, 0], [0, 1, 0, 1]]
     assert all(x.dtype == np.int8 and x.flags.writeable for x, _ in data.records)
-    # y stored in native (max) sense
-    assert data.records[0][1] == (7.0, 6.0, 8.0)
-    assert data.min_points().tolist() == [[-7, -6, -8], [-8, -11, -11]]
+    # y stored in native (max) sense, as exact integers
+    assert data.records[0][1] == (7, 6, 8)
+    assert all(type(v) is int for _, y in data.records for v in y)
+    pts = data.min_points()
+    assert pts.dtype == np.int64 and pts.tolist() == [[-7, -6, -8], [-8, -11, -11]]
+
+
+@st.composite
+def _exact_front(draw):
+    """A general problem with mixed senses and `Solution`s whose objective
+    values reach far beyond 2**53, where a float no longer holds every
+    integer."""
+    n = draw(st.integers(1, 8))
+    senses = draw(st.lists(st.sampled_from(["min", "max"]), min_size=3, max_size=3))
+    problem = tribip.general_problem([[1] * n] * 3, senses, [[1] * n], ("<=",), [n])
+    value = st.integers(-(2 ** 62), 2 ** 62) | st.sampled_from([2 ** 63 - 1, 1 - 2 ** 63])
+    solutions = st.builds(tribip.Solution, st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                          st.tuples(value, value, value))
+    return problem, draw(st.lists(solutions, max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_exact_front())
+@example(case=(tribip.general_problem([[1]] * 3, ["max", "min", "max"], [[1]], ("<=",), [1]),
+               [tribip.Solution([1], (2 ** 60 + 1, 3, -(2 ** 53 + 1)))]))
+def test_front_roundtrip_keeps_solution_y_exact(tmp_path_factory, case):
+    """`Solution`s read back with their x, their native y as exact ints, and
+    int64 minimisation points equal to their y."""
+    problem, solutions = case
+    path = tmp_path_factory.mktemp("front") / "front.txt"
+    tribip.write_front(path, problem, solutions)
+    data = tribip.read_front(path)
+    signs = problem.sense_signs().tolist()
+    assert [x.tolist() for x, _ in data.records] == [s.x.tolist() for s in solutions]
+    assert [y for _, y in data.records] == [tuple(g * v for g, v in zip(signs, s.y))
+                                             for s in solutions]
+    pts = data.min_points()
+    assert pts.dtype == np.int64 and pts.tolist() == [list(s.y) for s in solutions]
+
+
+@pytest.mark.parametrize("value", ["7.5", "1e3", str(2 ** 63), str(-(2 ** 63))])
+def test_front_refuses_a_0_1_record_value_that_is_not_int64(tmp_path, p_matrix_problem, value):
+    """A 0/1 record's objective values are integers that fit int64 in either
+    sense; the writer never writes anything else there, so the reader names
+    the line of any other."""
+    path = tmp_path / "front.txt"
+    solution = tribip.make_solution(p_matrix_problem, [1, 0, 1, 0])
+    tribip.write_front(path, p_matrix_problem, [solution])
+    text = path.read_text()
+    path.write_text(text.replace("1010 7 6 8", f"1010 {value} 6 8"))
+    with pytest.raises(ParseError) as err:
+        tribip.read_front(path)
+    assert err.value.line_no == len(text.splitlines())
+
+
+@pytest.mark.parametrize("x, text", [([2.0, -1.0, 0.0, 1.0], "~2,-1,0,1"),
+                                     ([1.0, 0.0, 1.0, 0.0], "~1,0,1,0")])
+def test_front_pair_with_integral_x_reads_back(tmp_path, p_matrix_problem, x, text):
+    """A pair (an LB export) is a '~' record whatever its x: an integral x,
+    0/1 or not, reads back as written, as float64, and so do its points."""
+    path = tmp_path / "front.txt"
+    tribip.write_front(path, p_matrix_problem, [(np.array(x), (-5, -3, -5))])
+    assert path.read_text().endswith(f"\n{text} 5 3 5\n")
+    data = tribip.read_front(path)
+    (x_read, y_read), = data.records
+    assert x_read.dtype == np.float64 and x_read.tolist() == x
+    assert y_read == (5.0, 3.0, 5.0)
+    pts = data.min_points()
+    assert pts.dtype == np.float64 and pts.tolist() == [[-5.0, -3.0, -5.0]]
+
+
+def test_front_refuses_negative_count(tmp_path, p_matrix_problem):
+    path = tmp_path / "front.txt"
+    tribip.write_front(path, p_matrix_problem, [])
+    text = path.read_text()
+    path.write_text(text.replace("count 0", "count -1"))
+    with pytest.raises(ParseError) as err:
+        tribip.read_front(path)
+    assert err.value.line_no == text.splitlines().index("count 0") + 1
+
+
+def test_front_refuses_records_past_count(tmp_path, p_matrix_problem):
+    """A record after the count-th one is refused with its line, not dropped;
+    comments and blank lines may follow the last record."""
+    path = tmp_path / "front.txt"
+    solution = tribip.make_solution(p_matrix_problem, [1, 0, 1, 0])
+    tribip.write_front(path, p_matrix_problem, [solution])
+    text = path.read_text() + "\n# end\n"
+    path.write_text(text)
+    assert len(tribip.read_front(path).records) == 1
+    path.write_text(text + "0101 8 11 11\n")
+    with pytest.raises(ParseError) as err:
+        tribip.read_front(path)
+    assert err.value.line_no == len(text.splitlines()) + 1
+
+
+@pytest.mark.parametrize("x, y, error", [([1, 0, 1], (0, 0, 0), DimensionError),
+                                         ([1, 0, 1, 0, 1], (0, 0, 0), DimensionError),
+                                         ([1, 0, 1, 0], (2 ** 63, 0, 0), ValidationError),
+                                         ([1, 0, 1, 0], (0, -(2 ** 63), 0), ValidationError)])
+def test_write_front_refuses_what_its_reader_refuses(tmp_path, p_matrix_problem, x, y, error):
+    """A Solution whose length is not n, or whose y does not fit int64 in
+    either sense, is refused before any file is written."""
+    path = tmp_path / "front.txt"
+    with pytest.raises(error):
+        tribip.write_front(path, p_matrix_problem, [tribip.Solution(x, y)])
+    assert not path.exists()
 
 
 # int() reads "2" and the Arabic-Indic digits; the others are not digits
@@ -267,8 +371,8 @@ def test_front_fractional_flag(tmp_path, p_matrix_problem):
 
 @pytest.mark.parametrize("y", [(-50000.25, -60000.5, -70000.75), (-1e20, -2.0, -3.0)])
 def test_front_min_points_stay_float_unless_int64(tmp_path, y):
-    """A front reads back as its float points when a value is fractional,
-    even within a relative 1e-5 of an integer, or lies beyond int64."""
+    """A '~' record reads back as its float points: a fractional value, even
+    within a relative 1e-5 of an integer, or one beyond int64."""
     path = tmp_path / "lb.txt"
     problem = tribip.knapsack_problem([[1], [2], [3]], [1], 1)
     tribip.write_front(path, problem, [(np.array([0.5]), y)])
@@ -282,9 +386,9 @@ _objective = st.integers(-1000, 1000) | st.sampled_from([0, -(2 ** 60), 2 ** 60]
 @st.composite
 def _front_case(draw):
     """A general problem with mixed senses, and front entries of every kind
-    `write_front` takes: `Solution`s, (x, y) pairs with integral float x
-    (some within 1e-9 of an integer, some not 0/1) or one-byte integer x,
-    and fractional LB exports."""
+    `write_front` takes: `Solution`s, and (x, y) pairs with integral float x
+    (some within 1e-9 of an integer, some not 0/1), one-byte integer x or
+    fractional x (LB exports)."""
     n = draw(st.integers(1, 12))
     senses = draw(st.lists(st.sampled_from(["min", "max"]), min_size=3, max_size=3))
     obj = draw(st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n),

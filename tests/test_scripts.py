@@ -34,3 +34,18 @@ def test_paired_runs_a_checkout_against_itself():
     assert len(labels) == len(set(labels)) == 8
     assert {label.split("__")[1].split("_")[0] for label in labels} == {"PI", "PRrand"}
     assert all(float(m[2]) > 0 and float(m[3]) > 0 for m in matches)
+
+
+def test_criterion10_runs_a_checkout():
+    """One run of this checkout: exit code 0, the run's line on stderr with
+    three ratios, and the checkout's summary line on stdout."""
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "criterion10.py"), str(REPO), "--runs", "1"],
+        capture_output=True, text=True, timeout=600,
+        env=os.environ | {"PYTHONDONTWRITEBYTECODE": "1"})
+    assert done.returncode == 0, done.stderr
+    ratio = r"\d+\.\d+% \(RD \d+\.\d+ ms, PI \d+\.\d+ s(, gen-2 in RD)?\)"
+    assert re.fullmatch(rf"run 0: {re.escape(str(REPO))}: {ratio}(, {ratio}){{2}}",
+                        done.stderr.strip())
+    assert re.fullmatch(rf"{re.escape(str(REPO))}: ratio median \d+\.\d+% \(quartiles .*, "
+                        r"3 ratios\); .* of 1 runs fail; .*", done.stdout.strip())
