@@ -8,11 +8,12 @@ loading excluded).
 `solve` groups its runs by instance: it reads each instance once and
 enumerates its LB set once, and every run (seed) of that instance starts
 from the same set.  The runs go one after another.  A row's `time_sec` is
-the instance's LB enumeration time plus the run's own `solve_from_lb` time,
-the same span `run()` reports.  A failure to read an instance or to
-enumerate its LB set, or a --ref-front of another kind or n than the
-instance, fails that instance's runs only.  --lb-front writes the LB set's
-vertices and objective points (`LbSet.x` and `LbSet.points`) row by row.
+the one `solve_from_lb` reports, as `run()` does: the instance's LB
+enumeration time (`LbSet.seconds`) plus the run's own.  A failure to read
+an instance or to enumerate its LB set, or a --ref-front of another kind
+or n than the instance, fails that instance's runs only.  --lb-front
+writes the LB set's vertices and objective points (`LbSet.x` and
+`LbSet.points`) row by row.
 
 `solve --ref-front` and `report --ref-dir` score a front with the same
 helper, `_scores`: hv and hv_pct, both 0 for an empty front.
@@ -27,14 +28,13 @@ import functools
 import logging
 import statistics
 import sys
-import time
 from pathlib import Path
 
 from . import model
 from .errors import ParseError, TribipError, ValidationError
 # `run` stays in this namespace for perfbench/tracing.py, which wraps cli.run
 from .heuristic import VARIANTS, PrConfig, run, solve_from_lb
-from .lbset import _load_scipy, compute_lb_set
+from .lbset import compute_lb_set
 from .metrics import ReferenceFront, exact_front_solutions, hv_percent, hypervolume, normalize
 
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
@@ -67,29 +67,25 @@ def cmd_generate(args) -> int:
 def _prepare(instance_path: Path, args, ref_for: tuple[str, int] | None):
     """Read one instance, check that it has the (kind, n) ref_for of the
     --ref-front, enumerate its LB set for all of its runs and, with
-    --lb-front, write that set; returns (problem, lb, enumeration seconds)."""
+    --lb-front, write that set; returns (problem, lb)."""
     problem = model.read_instance(instance_path)
     if ref_for is not None and ref_for != (problem.kind, problem.n):
         kind, n = ref_for
         raise ValidationError(f"reference front {args.ref_front} is for {kind} n={n}, "
                               f"the instance is {problem.kind} n={problem.n}")
-    _load_scipy(problem.kind)
-    t0 = time.perf_counter()
     lb = compute_lb_set(problem)
-    lb_sec = time.perf_counter() - t0
     if args.lb_front:
         model.write_front(args.lb_front, problem, zip(lb.x, lb.points))
-    return problem, lb, lb_sec
+    return problem, lb
 
 
-def _solve_one(instance_path: Path, problem, lb, lb_sec: float, seed: int, args,
+def _solve_one(instance_path: Path, problem, lb, seed: int, args,
                ref: ReferenceFront | None) -> dict:
     config = PrConfig(variant=args.variant, seed=seed,
                       iteration_multiplier=args.iter_mult,
                       best_move_prob=args.best_prob,
                       force_pr=args.force_pr)
     front, report = solve_from_lb(problem, lb, config)
-    report.time_sec += lb_sec
 
     hv = hv_pct = raw_hv = None
     if ref is not None:
@@ -161,13 +157,13 @@ def cmd_solve(args) -> int:
     failures = []          # (instance, error), one per failed run
     for inst in map(Path, args.instances):
         try:
-            problem, lb, lb_sec = _prepare(inst, args, ref_for)
+            problem, lb = _prepare(inst, args, ref_for)
         except (TribipError, OSError) as exc:
             failures += [(inst, exc)] * len(seeds)
             continue
         for seed in seeds:
             try:
-                rows.append(_solve_one(inst, problem, lb, lb_sec, seed, args, ref))
+                rows.append(_solve_one(inst, problem, lb, seed, args, ref))
             except (TribipError, OSError) as exc:
                 failures.append((inst, exc))
 

@@ -98,7 +98,7 @@ from operator import index
 import numpy as np
 
 from .errors import InsufficientSolutionsError, NoRoundedSolutionError, ValidationError
-from .lbset import LbSet, _load_scipy, compute_lb_set
+from .lbset import LbSet, compute_lb_set
 from .lp import INT_TOL
 from .model import KIND_ASSIGNMENT, P_OBJECTIVES, Problem, Solution
 from .metrics import filter_nondominated_solutions
@@ -430,8 +430,9 @@ def solve_from_lb(problem: Problem, lb: LbSet, config: PrConfig | None = None):
     """Rounding, optional path relinking and the final filter on a computed
     LB set, which is only read, so one set can serve many runs.
 
-    Returns (front, report) like `run`; report.time_sec covers this call
-    only, and report.lp_count is the LPs that enumerated `lb`.
+    Returns (front, report) like `run`; report.time_sec is `lb.seconds`
+    plus this call's own wall time, and report.lp_count is the LPs that
+    enumerated `lb`.
     """
     config = config or PrConfig()
     t0 = time.perf_counter()
@@ -452,7 +453,7 @@ def solve_from_lb(problem: Problem, lb: LbSet, config: PrConfig | None = None):
         variant=config.variant,
         seed=config.seed,
         y_count=len(front),
-        time_sec=time.perf_counter() - t0,
+        time_sec=lb.seconds + (time.perf_counter() - t0),
         lp_count=lb.lp_count,
         ir_size=ir_size,
         pr_iterations=pr_iterations,
@@ -467,11 +468,7 @@ def run(problem: Problem, config: PrConfig | None = None):
     and a RunReport with |Y|, wall time, LP count, iteration counters.
     Assignment instances skip path relinking unless config.force_pr is set;
     rounding leaves their integral LB solutions unchanged.  The wall
-    time covers the LB enumeration and `solve_from_lb`, not module loading.
+    time is that of `solve_from_lb`: the LB enumeration's plus its own, not
+    module loading.
     """
-    _load_scipy(problem.kind)
-    t0 = time.perf_counter()
-    lb = compute_lb_set(problem)
-    front, report = solve_from_lb(problem, lb, config)
-    report.time_sec = time.perf_counter() - t0
-    return front, report
+    return solve_from_lb(problem, compute_lb_set(problem), config)

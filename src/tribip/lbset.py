@@ -39,7 +39,7 @@ cached so no LP is solved twice.
 
 from __future__ import annotations
 
-import functools
+import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -66,13 +66,15 @@ class LbSet:
     (within POINT_TOL).  Row i of x (k, n) is its vertex of the relaxation
     and row i of w (k, p) the weight it is optimal for.  probes (lp_count,
     p + 1) holds one row (weight..., optimal value) per weighted-sum LP, in
-    the order they were solved, and lp_count is their number.
+    the order they were solved, and lp_count is their number.  seconds is
+    the wall time `compute_lb_set` took, module loading excluded.
     """
 
     points: np.ndarray
     x: np.ndarray
     w: np.ndarray
     probes: np.ndarray
+    seconds: float
 
     def __len__(self):
         return len(self.points)
@@ -82,33 +84,18 @@ class LbSet:
         return len(self.probes)
 
 
-@functools.cache
-def _load_scipy(kind: str = KIND_KNAPSACK):
-    """Import the scipy modules that LB enumeration of a `kind` problem
-    uses, and return scipy.spatial (the hull of every round).
-
-    The one place that decides what gets loaded.  scipy.spatial costs about
-    0.4 s on first import, and scipy.optimize (the assignment and general LP
-    oracles in `lp`, whose local imports then find it loaded) about 0.1 s
-    more, so `import tribip` loads neither: `run` and `cli._prepare` call
-    this before their timers start, and later calls are cache hits."""
-    import scipy.spatial
-    if kind != KIND_KNAPSACK:
-        import scipy.optimize  # noqa: F401
-    return scipy.spatial
-
-
 def _lower_facet_weights(nodes: np.ndarray) -> np.ndarray:
     """Normalised nonnegative normals of the lower facets of conv(nodes),
     deduplicated and lexicographically sorted (rows of the result)."""
-    spatial = _load_scipy()            # bound before the try: the except clause reads it
+    from scipy.spatial import ConvexHull, QhullError   # loaded by compute_lb_set
+
     try:
         # Q5 skips Qhull's last pass, which tests every point against the
         # finished hull to widen its outer planes; facets and equations are
         # the same without it
-        hull = spatial.ConvexHull(nodes, qhull_options="Q5")
-    except spatial.QhullError:
-        hull = spatial.ConvexHull(nodes, qhull_options="QJ")   # joggle degenerate input
+        hull = ConvexHull(nodes, qhull_options="Q5")
+    except QhullError:
+        hull = ConvexHull(nodes, qhull_options="QJ")   # joggle degenerate input
     normals = hull.equations[:, :3]
     w = np.clip(-normals[normals.max(axis=1) <= 1e-9], 0.0, None)
     totals = w.sum(axis=1)
@@ -175,8 +162,17 @@ def compute_lb_set(problem: Problem) -> LbSet:
     """Enumerate the extreme supported nondominated points of the relaxation.
 
     Raises InfeasibleProblemError when the relaxation has no feasible point.
-    Deterministic: re-running yields the identical point set.
+    Deterministic: re-running yields the identical point set.  The set's
+    `seconds` is this call's wall time after the scipy imports.
     """
+    # scipy.spatial (the hull of every round) costs about 0.4 s on first
+    # import, and scipy.optimize (the assignment and general LP oracles in
+    # `lp`, whose local imports then find it loaded) about 0.1 s more, so
+    # `import tribip` loads neither; they load here, before the timer starts
+    import scipy.spatial  # noqa: F401
+    if problem.kind != KIND_KNAPSACK:
+        import scipy.optimize  # noqa: F401
+    t0 = time.perf_counter()
     solver = RelaxationSolver(problem)
     c_float = problem.C.astype(np.float64)
     # every LP solved: its rounded weight, and per batch its (weight, value) rows
@@ -259,7 +255,7 @@ def compute_lb_set(problem: Problem) -> LbSet:
     kept = np.flatnonzero(~_tolerant_dropped(y_arr, POINT_TOL))
     kept = kept[_lex_order(y_arr[kept])]
     lb = LbSet(points=y_arr[kept], x=np.concatenate(xs)[kept], w=np.concatenate(ws)[kept],
-               probes=np.concatenate(probes))
+               probes=np.concatenate(probes), seconds=time.perf_counter() - t0)
     for array in (lb.points, lb.x, lb.w, lb.probes):
         array.setflags(write=False)
     return lb

@@ -101,8 +101,8 @@ class RelaxationSolver:
         return x.reshape(k, n)
 
     def _assignment(self, c: np.ndarray) -> np.ndarray:
-        # imported here, not at start-up; `run` and `cli` load it before their timers
-        # (lbset._load_scipy), so this is a cache hit there
+        # imported here, not at start-up; `compute_lb_set` loads it before its
+        # timer starts, so this is a cache hit there
         from scipy.optimize import linear_sum_assignment
 
         t = self.problem.tasks
@@ -112,8 +112,8 @@ class RelaxationSolver:
         return x
 
     def _general(self, c: np.ndarray) -> np.ndarray:
-        # imported here, not at start-up; `run` and `cli` load it before their timers
-        # (lbset._load_scipy), so this is a cache hit there
+        # imported here, not at start-up; `compute_lb_set` loads it before its
+        # timer starts, so this is a cache hit there
         from scipy.optimize import linprog
 
         p = self.problem

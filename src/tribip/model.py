@@ -42,6 +42,8 @@ FRONT_MAGIC = "tribip-front v1"
 
 DEFAULT_COEFF_RANGE = (1, 1000)
 
+_INT64_BOUND = 2 ** 63      # int64 holds every integer of smaller magnitude, and its negation
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -65,6 +67,9 @@ class Problem:
     b : (m,) int64 right-hand sides.
     row_sense : per-row sense, ``<=`` / ``>=`` / ``=``.
     original_sense : per-objective ingested sense, ``min`` / ``max``.
+
+    The absolute coefficients of each row of C and of A add up to less than
+    2**63, so no int64 sum of a row's terms over any 0/1 x can wrap.
     """
 
     kind: str
@@ -96,6 +101,11 @@ class Problem:
             raise ValidationError(f"original_sense must be {P_OBJECTIVES} of {OBJ_SENSES}")
         if self.kind not in KINDS:
             raise ValidationError(f"unknown kind {self.kind!r}")
+        for what, rows in (("objective", C), ("constraint", A)):
+            for i, row in enumerate(rows.tolist()):
+                if sum(map(abs, row)) >= _INT64_BOUND:       # exact: Python ints
+                    raise ValidationError(f"{what} row {i + 1}: absolute coefficients add up "
+                                          "to 2**63 or more, beyond int64")
         object.__setattr__(self, "C", _frozen(C))
         object.__setattr__(self, "A", _frozen(A))
         object.__setattr__(self, "b", _frozen(b))
@@ -469,9 +479,12 @@ class _LineReader:
         if count is not None and len(tokens) != count:
             raise ParseError(self.path, no, f"{what}: expected {count} values, got {len(tokens)}")
         try:
-            return [int(t) for t in tokens]
+            values = [int(t) for t in tokens]
         except ValueError as exc:
             raise ParseError(self.path, no, f"{what}: not an integer: {exc}") from None
+        if any(not -_INT64_BOUND <= v < _INT64_BOUND for v in values):
+            raise ParseError(self.path, no, f"{what}: value outside int64")
+        return values
 
 
 def _read_header(path: Path, magic: str) -> tuple[_LineReader, str, int, list[str]]:
@@ -518,7 +531,8 @@ def write_instance(problem: Problem, path) -> None:
 
 
 def read_instance(path) -> Problem:
-    """Parse an instance file; malformed content raises ParseError with the
+    """Parse an instance file; malformed content, a value outside int64 or a
+    line after the last one expected included, raises ParseError with the
     offending line, semantic violations raise ValidationError."""
     path = Path(path)
     rd, kind, n, senses = _read_header(path, INSTANCE_MAGIC)
@@ -535,21 +549,22 @@ def read_instance(path) -> Problem:
         rd.section("weights")
         weights = rd.int_row("weights row", n)
         capacity = rd.ints("capacity", 1)[0]
-        return knapsack_problem(obj, weights, capacity)
-
-    if kind == KIND_ASSIGNMENT:
+        problem = knapsack_problem(obj, weights, capacity)
+    elif kind == KIND_ASSIGNMENT:
         if tasks is None or tasks * tasks != n:
             raise ValidationError(f"{path}: tasks^2 must equal n")
         if senses != ["min"] * P_OBJECTIVES:
             raise ValidationError(f"{path}: assignment objectives must all be min")
-        return assignment_problem(obj.reshape(P_OBJECTIVES, tasks, tasks))
-
-    m = rd.ints("m", 1)[0]
-    row_sense = rd.choices("rowsense", m, ROW_SENSES)
-    rd.section("A")
-    a = [rd.int_row(f"constraint row {i + 1}", n) for i in range(m)]
-    b = rd.ints("b", m)
-    return general_problem(obj, senses, a, tuple(row_sense), b)
+        problem = assignment_problem(obj.reshape(P_OBJECTIVES, tasks, tasks))
+    else:
+        m = rd.ints("m", 1)[0]
+        row_sense = rd.choices("rowsense", m, ROW_SENSES)
+        rd.section("A")
+        a = [rd.int_row(f"constraint row {i + 1}", n) for i in range(m)]
+        b = rd.ints("b", m)
+        problem = general_problem(obj, senses, a, tuple(row_sense), b)
+    rd.end(f"the {kind} instance")
+    return problem
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +597,6 @@ def _format_number(v) -> str:
 
 
 _BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")      # a Solution's key -> its 0/1 digits
-_EXACT_BOUND = 2 ** 63      # a 0/1 record's values lie below it in magnitude: int64 in either sense
 
 
 def write_front(path, problem: Problem, entries: Iterable) -> None:
@@ -594,8 +608,9 @@ def write_front(path, problem: Problem, entries: Iterable) -> None:
     pair (an LB-set export) is flagged with '~' and its x written as
     comma-separated numbers, its y as numbers, integral values without a
     fraction.  Objective points are written in the original senses.  An
-    entry whose x does not have length n is refused with DimensionError, a
-    Solution with a value of magnitude 2**63 or more with ValidationError.
+    entry whose x does not have length n, or a pair whose y does not have 3
+    values, is refused with DimensionError, a Solution with a value of
+    magnitude 2**63 or more with ValidationError; nothing is written then.
     """
     signs = problem.sense_signs().tolist()
     records = []
@@ -604,10 +619,12 @@ def write_front(path, problem: Problem, entries: Iterable) -> None:
             key, y = entry
             width, xs = len(key), key.translate(_BIT_DIGITS).decode("ascii")
             ys = [str(s * v) for s, v in zip(signs, y)]
-            if max(map(abs, y)) >= _EXACT_BOUND:
+            if max(map(abs, y)) >= _INT64_BOUND:
                 raise ValidationError(f"objective point {y} does not fit int64")
         else:
             x, y = entry
+            if len(y) != P_OBJECTIVES:
+                raise DimensionError(f"objective point must have {P_OBJECTIVES} entries, got {y!r}")
             width, xs = len(x), "~" + ",".join(map(_format_number, x))
             ys = [_format_number(s * float(v)) for s, v in zip(signs, y)]
         if width != problem.n:
@@ -650,7 +667,7 @@ def read_front(path) -> FrontData:
             raise ParseError(path, no, f"bad solution record: {exc}") from None
         if len(x) != n:
             raise ParseError(path, no, f"solution vector length {len(x)} != n={n}")
-        if not fractional and max(map(abs, y)) >= _EXACT_BOUND:
+        if not fractional and max(map(abs, y)) >= _INT64_BOUND:
             raise ParseError(path, no, "objective value does not fit int64")
         records.append((x, y))
     rd.end(f"{count} solution records")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import importlib
 import logging
@@ -253,8 +254,26 @@ def test_solve_enumerates_lb_once_per_instance(tmp_path, monkeypatch):
     assert len(tribip.read_front(lb_path).records) == len(lb.points)
 
 
+def test_time_sec_includes_the_lb_set_seconds(tmp_path, monkeypatch):
+    # the LB set times itself; solve_from_lb, in Python and in a `solve` row,
+    # adds that time to its own
+    p = tribip.generate_knapsack(8, seed=3)
+    lb = tribip.compute_lb_set(p)
+    assert lb.seconds > 0
+    slow = dataclasses.replace(lb, seconds=1000.0)
+    _, report = tribip.solve_from_lb(p, slow, tribip.PrConfig(variant="PI"))
+    assert report.time_sec >= 1000
+
+    inst, csv_path = tmp_path / "k.txt", tmp_path / "runs.csv"
+    tribip.write_instance(p, inst)
+    monkeypatch.setattr(cli, "compute_lb_set", lambda problem: slow)
+    assert main(["solve", str(inst), "--variant", "PI", "--report-csv", str(csv_path)]) == 0
+    [row] = _rows(csv_path)
+    assert float(row["time_sec"]) >= 1000
+
+
 @pytest.mark.parametrize("runs", [1, 2])
-@pytest.mark.parametrize("bad_kind", ["malformed", "infeasible"])
+@pytest.mark.parametrize("bad_kind", ["malformed", "infeasible", "beyond-int64"])
 def test_solve_failure_fails_only_its_instance(tmp_path, capsys, runs, bad_kind):
     main(["generate", "--kind", "knapsack", "--n", "6", "--count", "1",
           "--seed", "15", "--out-dir", str(tmp_path / "inst")])
@@ -262,6 +281,11 @@ def test_solve_failure_fails_only_its_instance(tmp_path, capsys, runs, bad_kind)
     bad = tmp_path / "bad.txt"
     if bad_kind == "malformed":
         bad.write_text("not an instance\n")
+    elif bad_kind == "beyond-int64":      # a weight that int64 cannot hold
+        lines = good.read_text().splitlines()
+        at = lines.index("weights") + 1
+        lines[at] = " ".join([str(2 ** 63)] + lines[at].split()[1:])
+        bad.write_text("\n".join(lines) + "\n")
     else:       # the LP relaxation has no point with x1 + x2 >= 3
         tribip.write_instance(tribip.general_problem(
             objectives=[[1, 1], [1, 0], [0, 1]], senses=["max"] * 3,

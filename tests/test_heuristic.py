@@ -20,7 +20,8 @@ from conftest import (dominates, naive_improved_nd, naive_path_relink, naive_pat
 def _lbset_from(problem, xs):
     x = np.array(xs, dtype=float).reshape(-1, problem.n)
     points = x @ problem.C.astype(float).T
-    return LbSet(points=points, x=x, w=np.full_like(points, 1 / 3), probes=np.empty((0, 4)))
+    return LbSet(points=points, x=x, w=np.full_like(points, 1 / 3), probes=np.empty((0, 4)),
+                 seconds=0.0)
 
 
 def _ir_from(problem, xs):

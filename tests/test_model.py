@@ -225,6 +225,47 @@ def test_instance_parse_error_names_line(tmp_path):
     assert err.value.line_no == 7
 
 
+_KNAPSACK_TEXT = ("tribip-instance v1\nkind knapsack\nn 2\np 3\nsense max max max\n"
+                  "objectives\n1 2\n3 4\n5 6\nweights\n1 1\ncapacity 1\n")
+
+
+def test_instance_refuses_lines_after_the_last(tmp_path):
+    """A line after the capacity line is refused with its number, not
+    ignored; comments and blank lines may follow."""
+    path = tmp_path / "inst.txt"
+    path.write_text(_KNAPSACK_TEXT + "\n# end\n")
+    assert tribip.read_instance(path).capacity == 1
+    path.write_text(_KNAPSACK_TEXT + "capacity 7\n")
+    with pytest.raises(ParseError) as err:
+        tribip.read_instance(path)
+    assert err.value.line_no == len(_KNAPSACK_TEXT.splitlines()) + 1
+
+
+@pytest.mark.parametrize("value", [2 ** 63, -(2 ** 63) - 1])
+def test_instance_refuses_a_value_outside_int64(tmp_path, value):
+    path = tmp_path / "inst.txt"
+    path.write_text(_KNAPSACK_TEXT.replace("objectives\n1 2\n", f"objectives\n{value} 2\n"))
+    with pytest.raises(ParseError) as err:
+        tribip.read_instance(path)
+    assert err.value.line_no == 7
+
+
+def test_problem_refuses_a_row_whose_absolute_sum_leaves_int64():
+    """A @ x and C @ x cannot wrap: a row whose absolute coefficients add up
+    to 2**63 or more is refused; one just below the bound is kept."""
+    big = 2 ** 62
+    with pytest.raises(ValidationError):
+        tribip.general_problem(objectives=[[1, 1, 1]] * 3, senses=["min"] * 3,
+                               a=[[big, big, big]], row_sense=["<="], b=[big])
+    with pytest.raises(ValidationError):
+        tribip.knapsack_problem([[big, big, big], [1, 1, 1], [1, 1, 1]], [1, 1, 1], 1)
+    with pytest.raises(ValidationError):
+        tribip.general_problem(objectives=[[big, -big, 0], [1, 1, 1], [1, 1, 1]],
+                               senses=["min"] * 3, a=[[1, 1, 1]], row_sense=["<="], b=[3])
+    p = tribip.knapsack_problem([[big, big - 1], [1, 1], [1, 1]], [1, 1], 2)
+    assert evaluate(p, [1, 1]) == (1 - 2 ** 63, -2, -2)      # minimisation form
+
+
 def test_front_roundtrip(tmp_path, p_matrix_problem):
     sols = [tribip.make_solution(p_matrix_problem, x)
             for x in ([1, 0, 1, 0], [0, 1, 0, 1])]
@@ -341,6 +382,14 @@ def test_write_front_refuses_what_its_reader_refuses(tmp_path, p_matrix_problem,
     path = tmp_path / "front.txt"
     with pytest.raises(error):
         tribip.write_front(path, p_matrix_problem, [tribip.Solution(x, y)])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("y", [(-1.0, -2.0), (-1.0, -2.0, -3.0, -4.0)])
+def test_write_front_refuses_a_pair_whose_y_is_not_3_values(tmp_path, p_matrix_problem, y):
+    path = tmp_path / "front.txt"
+    with pytest.raises(DimensionError):
+        tribip.write_front(path, p_matrix_problem, [([0.5, 1.0, 1.0, 1.0], y)])
     assert not path.exists()
 
 

@@ -49,3 +49,24 @@ def test_criterion10_runs_a_checkout():
                         done.stderr.strip())
     assert re.fullmatch(rf"{re.escape(str(REPO))}: ratio median \d+\.\d+% \(quartiles .*, "
                         r"3 ratios\); .* of 1 runs fail; .*", done.stdout.strip())
+
+
+def test_startup_runs_a_checkout():
+    """One run of this checkout: exit code 0, the header line, and one line
+    per timed command, the two `solve` lines with their row's time_sec."""
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "startup.py"), str(REPO), "--runs", "1"],
+        capture_output=True, text=True, timeout=600,
+        env=os.environ | {"PYTHONDONTWRITEBYTECODE": "1"})
+    assert done.returncode == 0, done.stderr
+    header, *lines = done.stdout.splitlines()
+    assert header == ("command              checkout: wall s median (quartiles); "
+                      "solve time_sec median")
+    names = [f"{command} {kind}" for kind in ("knapsack", "assignment")
+             for command in ("generate", "oracle", "solve")]
+    assert len(lines) == len(names)
+    for name, line in zip(names, lines):
+        timed = rf"{re.escape(f'{name:20} {REPO}')}: \d+\.\d{{3}}"
+        if name.startswith("solve"):
+            timed += r"; time_sec \d+\.\d{4}"
+        assert re.fullmatch(timed, line), line
