@@ -9,10 +9,11 @@ package name (tribip_parent, tribip_change) and imported, and the
 checkout's perfbench/workloads.py is loaded against that package: its
 `import tribip` binds the copy.  Both sides build the workload from the
 same --seed.  After one untimed warm-up round per side, rounds of the
-workload's job list alternate between the sides, the parent leading on
-even rounds and the change on odd ones, so that host drift reaches both
-alike.  A round's CPU time is the sum of its calls' CPU seconds, which
-leaves out the host speed probe the workload runs before each call.
+workload's job list alternate between the sides as in `criterion10.py`,
+the parent leading on even rounds and the change on odd ones, so that host
+drift reaches both alike.  A round's CPU time is the sum of its calls' CPU
+seconds, which leaves out the host speed probe the workload runs before
+each call.
 
 Every round's fronts are checked by the workload, and each front file must
 hash alike on both sides; a failed call, a failed check or a differing
@@ -34,6 +35,8 @@ import statistics
 import sys
 import tempfile
 from pathlib import Path
+
+from criterion10 import alternate
 
 # One BLAS thread, as perfbench/run.py sets; before numpy is first imported.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -129,12 +132,13 @@ def main(argv=None) -> int:
         for side in SIDES:                 # warm-up, untimed
             run_round(workloads[side])
         ratios, rounds = [], {side: [] for side in SIDES}
-        for r in range(args.rounds):
-            cpu, hashes = {}, {}
-            for side in SIDES if r % 2 == 0 else SIDES[::-1]:
-                ops, hashes[side] = run_round(workloads[side])
-                rounds[side].append(ops)
-                cpu[side] = sum(ops.values())
+        cpu, hashes = {}, {}
+        for r, side in alternate(SIDES, args.rounds):
+            ops, hashes[side] = run_round(workloads[side])
+            rounds[side].append(ops)
+            cpu[side] = sum(ops.values())
+            if len(rounds["parent"]) != len(rounds["change"]):     # the other side runs next
+                continue
             if hashes["parent"] != hashes["change"]:
                 differ = sorted(name for name in hashes["parent"].keys() | hashes["change"].keys()
                                 if hashes["parent"].get(name) != hashes["change"].get(name))

@@ -36,9 +36,9 @@ Walk kernel
 `path_relink_walk` is one loop for every relinking variant.  Its state comes
 from the problem's cached per-column moves (`Problem.flip_moves`) as Python
 ints, with x a `bytearray` flipped in place, y started from the initiating
-row's y, and the row sums A.x packed into one int (`Problem.packed_rows`): a
-flip adds one packed displacement, and the row test is one add and two
-masks.  It rests on four facts:
+row's y, and the row sums A.x packed into one int (`Problem.packed_rows`),
+which only the walk uses: a flip adds one packed displacement, and the row
+test is one add and two masks.  It rests on four facts:
 
 * D, the ascending positions where x differs from the guide, loses only the
   flipped entry per step, so it stays ``np.flatnonzero(x != x_g)`` in order
@@ -236,21 +236,19 @@ def round_down(lb: LbSet, problem: Problem) -> IrSet:
     vector and keep the feasible ones.
 
     Components within INT_TOL of 1 stay 1, everything else drops to 0
-    (integral components are preserved, fractional ones floored).  Infeasible
-    results are dropped with a warning count, duplicates are merged.
+    (integral components are preserved, fractional ones floored).  Results
+    whose row sums fail `Problem.rows_hold` are dropped with a warning
+    count, duplicates are merged.
     """
     ir = IrSet()
     xs = (lb.x >= 1.0 - INT_TOL).astype(np.int8)
     keys = xs.view(f"V{problem.n}").ravel().tolist()      # x.tobytes() of each row
-    ys = (xs.astype(np.int64) @ problem.C.T).tolist()
-    # the walk's packed row sums and row test
-    columns, offset, add_lo, add_hi, guards = problem.packed_rows
-    for key, y in zip(keys, ys):
-        s = offset + sum(compress(columns, key))
-        if (s + add_lo) & guards == guards and (add_hi - s) & guards == guards:
-            ir._add(key, y)
-        else:
-            ir.dropped_infeasible += 1
+    x64 = xs.astype(np.int64)
+    ys = (x64 @ problem.C.T).tolist()
+    feasible = problem.rows_hold(x64 @ problem.A.T).tolist()
+    for key, y in compress(zip(keys, ys), feasible):
+        ir._add(key, y)
+    ir.dropped_infeasible = len(keys) - sum(feasible)
     if ir.dropped_infeasible:
         log.warning("round_down dropped %d infeasible rounded solutions", ir.dropped_infeasible)
     if len(ir) == 0:

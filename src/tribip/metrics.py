@@ -22,7 +22,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -273,13 +272,7 @@ def _enumerate_binary_front(problem: Problem):
     id_run = np.zeros(0, dtype=np.int64)
     for high, shift in enumerate(high_sums):
         block = low_sums + shift
-        feas = np.ones(block.shape[0], dtype=bool)
-        for lhs, (lo, hi) in zip(block[:, P_OBJECTIVES:].T, problem.row_bounds):
-            if lo > -math.inf:
-                feas &= lhs >= lo
-            if hi < math.inf:
-                feas &= lhs <= hi
-        ids = np.flatnonzero(feas)
+        ids = np.flatnonzero(problem.rows_hold(block[:, P_OBJECTIVES:]))
         if not ids.size:
             continue
         y = np.concatenate([y_run, block[ids, :P_OBJECTIVES]])

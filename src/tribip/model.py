@@ -35,6 +35,7 @@ KIND_GENERAL = "general"
 KINDS = (KIND_KNAPSACK, KIND_ASSIGNMENT, KIND_GENERAL)
 
 ROW_SENSES = ("<=", ">=", "=")
+_ROW_TESTS = {"<=": np.less_equal, ">=": np.greater_equal, "=": np.equal}     # A_i.x vs b_i
 OBJ_SENSES = ("min", "max")
 
 INSTANCE_MAGIC = "tribip-instance v1"
@@ -48,6 +49,16 @@ _INT64_BOUND = 2 ** 63      # int64 holds every integer of smaller magnitude, an
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _int64_array(values, what: str) -> np.ndarray:
+    """values as int64; a value beyond int64 (OverflowError, or a uint64 wrap) is refused."""
+    try:
+        if getattr(values, "dtype", None) != np.uint64 or (values < _INT64_BOUND).all():
+            return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        pass
+    raise ValidationError(f"{what}: a value of magnitude 2**63 or more, beyond int64")
 
 
 def _sense_signs(senses) -> np.ndarray:
@@ -80,14 +91,14 @@ class Problem:
     original_sense: tuple[str, ...]
 
     def __post_init__(self):
-        C = np.asarray(self.C, dtype=np.int64)
+        C = _int64_array(self.C, "objective matrix")
         if C.ndim != 2 or C.shape[0] != P_OBJECTIVES:
             raise ValidationError(f"objective matrix must have {P_OBJECTIVES} rows, got shape {C.shape}")
         n = C.shape[1]
         if n < 1:
             raise ValidationError("need at least one variable")
-        A = np.asarray(self.A, dtype=np.int64)
-        b = np.asarray(self.b, dtype=np.int64)
+        A = _int64_array(self.A, "constraint matrix")
+        b = _int64_array(self.b, "right-hand sides")
         if A.ndim != 2 or A.shape[1] != n:
             raise ValidationError(f"constraint matrix shape {A.shape} inconsistent with n={n}")
         m = A.shape[0]
@@ -171,18 +182,18 @@ class Problem:
             raise ValidationError("tasks only defined for assignment problems")
         return math.isqrt(self.n)
 
-    @cached_property
-    def row_bounds(self) -> tuple[tuple[float, float], ...]:
-        """Per-row (lo, hi) with lo <= A.x <= hi meaning feasible; an open
-        side is infinite.  Built once per problem."""
-        inf = float("inf")
-        return tuple((-inf if sense == "<=" else rhs, inf if sense == ">=" else rhs)
-                     for sense, rhs in zip(self.row_sense, self.b.tolist()))
+    def rows_hold(self, sums) -> np.ndarray:
+        """Mask of the rows of `sums`, (k, m) int64 row sums A.x, that meet each
+        bound b_i in the sense row_sense[i]; exact, as no row sum can wrap."""
+        held = np.ones(len(sums), dtype=bool)
+        for lhs, sense, rhs in zip(sums.T, self.row_sense, self.b.tolist()):
+            held &= _ROW_TESTS[sense](lhs, rhs)
+        return held
 
     @cached_property
     def packed_rows(self) -> tuple:
-        """The row sums A.x packed into one Python int, built once per problem:
-        (columns, offset, add_lo, add_hi, guards).
+        """The row sums A.x packed into one Python int for the walk, built
+        once per problem: (columns, offset, add_lo, add_hi, guards).
 
         Row i owns a field of w_i = span_i.bit_length() bits, span_i the
         distance between the least and the greatest A_i.x over 0/1 vectors,
@@ -195,18 +206,18 @@ class Problem:
             (s + add_lo) & guards == guards and (add_hi - s) & guards == guards
 
         add_lo holds 2^w_i - l_i and add_hi holds 2^w_i + u_i per field, where
-        [l_i, u_i] are the row's bounds in field units, clamped to
-        [0, span_i + 1] and [-1, span_i]: an open side always passes, and a
-        row that no 0/1 vector can meet always fails."""
+        [l_i, u_i] are the row's bounds in field units, read off row_sense
+        and b and clamped to [0, span_i + 1] and [-1, span_i]: an open side
+        always passes, and a row that no 0/1 vector can meet always fails."""
         columns = [0] * self.n
         offset = add_lo = add_hi = guards = 0
         shift = 0
-        for row, (lo, hi) in zip(self.A.tolist(), self.row_bounds):
+        for row, sense, rhs in zip(self.A.tolist(), self.row_sense, self.b.tolist()):
             least = sum(a for a in row if a < 0)
             span = sum(a for a in row if a > 0) - least
             width = span.bit_length()
-            low = 0 if lo == -math.inf else min(max(lo - least, 0), span + 1)
-            high = span if hi == math.inf else min(max(hi - least, -1), span)
+            low = 0 if sense == "<=" else min(max(rhs - least, 0), span + 1)
+            high = span if sense == ">=" else min(max(rhs - least, -1), span)
             columns = [c + (a << shift) for c, a in zip(columns, row)]
             offset += -least << shift
             add_lo += ((1 << width) - low) << shift
@@ -316,9 +327,8 @@ def evaluate(problem: Problem, x) -> tuple[int, int, int]:
 
 
 def is_feasible(problem: Problem, x) -> bool:
-    """Exact integer check lo <= A_i.x <= hi of every row over `Problem.row_bounds`."""
-    lhs = problem.A @ _check_binary(x, problem.n)
-    return all(lo <= v <= hi for v, (lo, hi) in zip(lhs.tolist(), problem.row_bounds))
+    """Whether the binary vector x meets every row: `Problem.rows_hold` on A.x."""
+    return bool(problem.rows_hold((problem.A @ _check_binary(x, problem.n))[None])[0])
 
 
 def make_solution(problem: Problem, x) -> Solution:
@@ -327,18 +337,18 @@ def make_solution(problem: Problem, x) -> Solution:
 
 def knapsack_problem(profits, weights, capacity) -> Problem:
     """Build a knapsack problem from native (max) profits."""
-    profits = np.asarray(profits, dtype=np.int64)
+    profits = _int64_array(profits, "profits")
     if profits.ndim != 2 or profits.shape[0] != P_OBJECTIVES:
         raise ValidationError(f"profits must have {P_OBJECTIVES} rows")
     n = profits.shape[1]
-    weights = np.asarray(weights, dtype=np.int64)
+    weights = _int64_array(weights, "weights")
     if weights.shape != (n,):
         raise DimensionError(f"weights must have length {n}")
     return Problem(
         kind=KIND_KNAPSACK,
         C=-profits,
         A=weights[None, :],
-        b=np.array([int(capacity)], dtype=np.int64),
+        b=[int(capacity)],
         row_sense=("<=",),
         original_sense=("max",) * P_OBJECTIVES,
     )
@@ -358,7 +368,7 @@ def _assignment_rows(tasks: int):
 
 def assignment_problem(costs) -> Problem:
     """Build an assignment problem from three tasks x tasks cost matrices."""
-    costs = np.asarray(costs, dtype=np.int64)
+    costs = _int64_array(costs, "costs")
     if costs.ndim != 3 or costs.shape[0] != P_OBJECTIVES or costs.shape[1] != costs.shape[2]:
         raise ValidationError("costs must have shape (3, tasks, tasks)")
     t = costs.shape[1]
@@ -375,17 +385,15 @@ def assignment_problem(costs) -> Problem:
 
 def general_problem(objectives, senses, a, row_sense, b) -> Problem:
     """Build a general binary program; max objectives are negated internally."""
-    obj = np.asarray(objectives, dtype=np.int64)
+    obj = _int64_array(objectives, "objectives")
     senses = tuple(senses)
     if obj.ndim != 2 or obj.shape[0] != P_OBJECTIVES or len(senses) != P_OBJECTIVES:
         raise ValidationError(f"need {P_OBJECTIVES} objective rows and senses")
-    if any(s not in OBJ_SENSES for s in senses):
-        raise ValidationError(f"objective senses must be in {OBJ_SENSES}")
     return Problem(
         kind=KIND_GENERAL,
         C=_sense_signs(senses)[:, None] * obj,
-        A=np.asarray(a, dtype=np.int64),
-        b=np.asarray(b, dtype=np.int64),
+        A=a,
+        b=b,
         row_sense=tuple(row_sense),
         original_sense=senses,
     )

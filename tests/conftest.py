@@ -126,7 +126,7 @@ def brute_force_front(problem):
             pts.add(tribip.evaluate(problem, x))
     else:
         for bits in itertools.product((0, 1), repeat=problem.n):
-            if tribip.is_feasible(problem, bits):
+            if naive_rows_hold(problem, bits):
                 pts.add(tribip.evaluate(problem, bits))
     return naive_filter(pts)
 
@@ -135,7 +135,7 @@ def brute_force_feasible_points(problem):
     """All feasible binary vectors with their objective points."""
     out = []
     for bits in itertools.product((0, 1), repeat=problem.n):
-        if tribip.is_feasible(problem, bits):
+        if naive_rows_hold(problem, bits):
             out.append((np.array(bits, dtype=np.int8), tribip.evaluate(problem, bits)))
     return out
 
@@ -241,7 +241,9 @@ def naive_improved_nd(obj_s_i, nd):
 def naive_rows_hold(problem, x) -> bool:
     """Whether lo <= A_i.x <= hi holds for every row i, one row at a time,
     with (lo, hi) read off the row's sense (an open side is infinite): the
-    oracle of the walk's and rounding's packed test, `Problem.packed_rows`."""
+    oracle of `Problem.rows_hold`, which rounding, `is_feasible` and the
+    binary front oracle use, and of the walk's packed test,
+    `Problem.packed_rows`."""
     inf = float("inf")
     for row, sense, rhs in zip(problem.A.tolist(), problem.row_sense, problem.b.tolist()):
         lhs = sum(a * int(v) for a, v in zip(row, x))

@@ -615,7 +615,7 @@ def test_walk_appends_rows_without_tracked_objects():
 def test_move_tables_cached_per_problem():
     """Two problems with the same n and different coefficients, walked
     alternately at best_move_prob 0: each matches the reference walk, so
-    neither walk reads the other problem's cached moves or bounds."""
+    neither walk reads the other problem's cached moves or packed rows."""
     problems = [tribip.generate_knapsack(12, seed=0), tribip.generate_knapsack(12, seed=1),
                 tribip.general_problem(objectives=[[3, -1, 2] * 4, [-2, 0, 1] * 4, [1, 1, -3] * 4],
                                        senses=("min", "max", "min"),
@@ -642,7 +642,7 @@ def test_move_tables_cached_per_problem():
             assert side == ref
     for problem in problems:
         assert problem.flip_moves is problem.flip_moves
-        assert problem.row_bounds is problem.row_bounds
+        assert problem.packed_rows is problem.packed_rows
 
 
 @settings(max_examples=100, deadline=None)

@@ -266,6 +266,31 @@ def test_problem_refuses_a_row_whose_absolute_sum_leaves_int64():
     assert evaluate(p, [1, 1]) == (1 - 2 ** 63, -2, -2)      # minimisation form
 
 
+_BEYOND = 2 ** 63
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: tribip.knapsack_problem([[1, 1]] * 3, [1, 1], _BEYOND), id="capacity"),
+    pytest.param(lambda: tribip.knapsack_problem([[1, _BEYOND]] * 3, [1, 1], 1), id="profit"),
+    pytest.param(lambda: tribip.knapsack_problem([[1, 1]] * 3, [1, -_BEYOND - 1], 1), id="weight"),
+    pytest.param(lambda: tribip.general_problem([[1]] * 3, ["min"] * 3,
+                                                np.array([[2 ** 64 - 1]], np.uint64), ["<="], [0]),
+                 id="uint64-coefficient"),       # the cast would wrap it to -1
+    pytest.param(lambda: tribip.assignment_problem([[[_BEYOND]]] * 3), id="cost"),
+    pytest.param(lambda: tribip.general_problem([[1]] * 3, ["min"] * 3, [[1]], ["<="], [_BEYOND]),
+                 id="rhs"),
+    pytest.param(lambda: tribip.general_problem([[1]] * 3, ["min"] * 3, [[-_BEYOND - 1]], ["<="],
+                                                [0]), id="coefficient"),
+    pytest.param(lambda: tribip.Problem("general", [[_BEYOND]] * 3, [[1]], [1], ("<=",),
+                                        ("min",) * 3), id="problem-objective"),
+])
+def test_builders_refuse_a_value_beyond_int64(build):
+    """A value of magnitude 2**63 or more is refused with ValidationError,
+    not a bare OverflowError from the int64 cast, nor wrapped."""
+    with pytest.raises(ValidationError, match="beyond int64"):
+        build()
+
+
 def test_front_roundtrip(tmp_path, p_matrix_problem):
     sols = [tribip.make_solution(p_matrix_problem, x)
             for x in ([1, 0, 1, 0], [0, 1, 0, 1])]
@@ -507,9 +532,11 @@ def _rows_only(a, row_sense, b):
 @example(problem=_rows_only(np.zeros((0, 2), dtype=np.int64), (), []))           # m = 0
 @example(problem=_rows_only([[2, 2], [0, 0]], ("=", ">="), [1, 0]))    # no 0/1 vector fits row 0
 @example(problem=_rows_only([[3, -2, 0], [-1, -1, 4]], ("<=", ">="), [3, -2]))   # bounds at max, min
-def test_row_bounds_test_matches_row_by_row_check(problem):
-    """The packed row test of the walk and the rounding, and `is_feasible`,
-    agree with the row-by-row check on every 0/1 vector.  The packed sum holds, in the
+@example(problem=_rows_only([[2 ** 62 - 1, 2 ** 62 - 1]], ("<=",), [2 ** 63 - 3]))  # beyond float64
+def test_row_checks_match_row_by_row_check(problem):
+    """`Problem.rows_hold`, called once on the stacked row sums of all 2^n
+    vectors, `is_feasible` and the packed row test of the walk agree with the
+    row-by-row check on every 0/1 vector.  The packed sum holds, in the
     field below each guard bit, the row's left-hand side minus its least
     reachable value, and flipping x_j by the packed displacement
     flip_moves[x_j][j][1] moves every field by the row-by-row difference."""
@@ -528,7 +555,11 @@ def test_row_bounds_test_matches_row_by_row_check(problem):
     def row_fields(bits):
         return [sum(a * v for a, v in zip(row, bits)) - low for row, low in zip(rows, least)]
 
-    for bits in itertools.product((0, 1), repeat=problem.n):
+    vectors = list(itertools.product((0, 1), repeat=problem.n))
+    held = problem.rows_hold(np.array(vectors, dtype=np.int64) @ problem.A.T)
+    assert held.shape == (len(vectors),)
+    for bits, holds in zip(vectors, held.tolist()):
+        assert holds == naive_rows_hold(problem, bits)
         s = offset + sum(c for c, v in zip(columns, bits) if v)
         assert fields(s) == row_fields(bits)
         assert ((s + add_lo) & guards == guards and (add_hi - s) & guards == guards) == \
