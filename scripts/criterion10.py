@@ -4,15 +4,17 @@ checkouts of this repository.
 Each run starts a new interpreter with PYTHONPATH=<checkout>/src that runs
 the loop of `test_criterion_10_relative_cost_trend`: knapsack n=50 at
 instance seeds 0, 1 and 2, RD then PI at seed 0, so one run gives three
-ratios RD time_sec / PI time_sec.  Runs alternate between the checkouts,
-the first checkout leading on even runs and the last on odd ones, so that
-host drift reaches every side alike.  Prints, per checkout, the median,
-quartiles and maximum of its ratios, the medians of RD and PI time, and
-how many runs would fail the criterion: a run fails when one of its ratios
-is 10% or more, or one of its RD times is 1 s or more.  It also prints,
-per instance seed, the median headroom 0.1 x PI - RD in ms over the runs:
-how many milliseconds RD may grow on that instance before its ratio
-reaches 10%.
+ratios RD time_sec / PI time_sec.  The PI run reuses the LB set that the
+RD run enumerated on the same Problem (`tribip.run` keeps it with the
+Problem), and its time_sec still includes that set's `lb.seconds`.  Runs
+alternate between the checkouts, the first checkout leading on even runs
+and the last on odd ones, so that host drift reaches every side alike.
+Prints, per checkout, the median, quartiles and maximum of its ratios, the
+medians of RD and PI time, and how many runs would fail the criterion: a
+run fails when one of its ratios is 10% or more, or one of its RD times is
+1 s or more.  It also prints, per instance seed, the median headroom
+0.1 x PI - RD in ms over the runs: how many milliseconds RD may grow on
+that instance before its ratio reaches 10%.
 
 Each run also counts, through `gc.callbacks`, the generation-2 collections
 that start during each `tribip.run` call.  Per checkout it prints how many

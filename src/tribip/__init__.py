@@ -16,8 +16,7 @@ from .model import (P_OBJECTIVES, FrontData, Problem, Solution, assignment_probl
 from .lp import RelaxationSolver
 from .lbset import LbSet, compute_lb_set
 from .metrics import (ReferenceFront, exact_front, exact_front_solutions, filter_nondominated,
-                      filter_nondominated_solutions, hv_percent, hypervolume, hypervolume_mc,
-                      normalize)
+                      filter_nondominated_solutions, hv_percent, hypervolume, normalize)
 from .heuristic import (VARIANTS, IrSet, PrArchives, PrConfig, RunReport,
                         path_relink, path_relink_walk, round_down, run, select_pair,
                         solve_from_lb)
@@ -34,7 +33,7 @@ __all__ = [
     "RelaxationSolver",
     "LbSet", "compute_lb_set",
     "ReferenceFront", "filter_nondominated", "filter_nondominated_solutions",
-    "normalize", "hypervolume", "hypervolume_mc", "exact_front", "exact_front_solutions",
+    "normalize", "hypervolume", "exact_front", "exact_front_solutions",
     "hv_percent",
     "VARIANTS", "PrConfig", "IrSet", "PrArchives", "RunReport",
     "round_down", "select_pair",

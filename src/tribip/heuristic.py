@@ -465,8 +465,18 @@ def run(problem: Problem, config: PrConfig | None = None):
     Returns (front, report): the mutually nondominated feasible solutions
     and a RunReport with |Y|, wall time, LP count, iteration counters.
     Assignment instances skip path relinking unless config.force_pr is set;
-    rounding leaves their integral LB solutions unchanged.  The wall
-    time is that of `solve_from_lb`: the LB enumeration's plus its own, not
-    module loading.
+    rounding leaves their integral LB solutions unchanged.
+
+    The LB set is enumerated once per `Problem` object, by the first call
+    on it, and then kept with that object, like `Problem.flip_moves`: a
+    Problem is immutable and `compute_lb_set` deterministic, so every later
+    call, whatever its variant or seed, reads the same set.  An equal but
+    distinct Problem enumerates its own.  The wall time is that of
+    `solve_from_lb`: the LB enumeration's (`lb.seconds`, also on the calls
+    that reuse the set) plus its own, not module loading.
     """
-    return solve_from_lb(problem, compute_lb_set(problem), config)
+    lb = problem.__dict__.get("_lb_set")
+    if lb is None:
+        lb = compute_lb_set(problem)
+        object.__setattr__(problem, "_lb_set", lb)      # Problem is frozen
+    return solve_from_lb(problem, lb, config)

@@ -1,5 +1,5 @@
-"""Quality metrics: dominance filtering, exact and Monte-Carlo hypervolume,
-normalisation, and a brute-force exact Pareto oracle for desk-scale instances.
+"""Quality metrics: dominance filtering, exact hypervolume, normalisation,
+and a brute-force exact Pareto oracle for desk-scale instances.
 
 Three kernels carry the work, and all of them are exact (integer points
 compare exactly, floats compare bitwise):
@@ -225,24 +225,6 @@ def hypervolume(points, ref_point=(1.0, 1.0, 1.0)) -> float:
         xs[left:stop] = [x]
         ys[left:stop] = [y]
     return volume + area * (r3 - z_prev)
-
-
-def hypervolume_mc(points, n_samples: int = 1_000_000, seed: int = 0) -> float:
-    """Monte-Carlo hypervolume estimate against reference (1,1,1): the
-    fraction of uniform samples of [0,1)^3 dominated by some point."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, P_OBJECTIVES)
-    if pts.shape[0] == 0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    covered = 0
-    remaining = n_samples
-    while remaining > 0:
-        c = min(remaining, 100_000)
-        samples = rng.random((c, P_OBJECTIVES))
-        hit = (samples[:, None, :] >= pts[None, :, :]).all(axis=2).any(axis=1)
-        covered += int(hit.sum())
-        remaining -= c
-    return covered / n_samples
 
 
 # ---------------------------------------------------------------------------

@@ -52,13 +52,26 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _int64_array(values, what: str) -> np.ndarray:
-    """values as int64; a value beyond int64 (OverflowError, or a uint64 wrap) is refused."""
+    """values as a new int64 array, so that a later write to the caller's
+    array cannot change it.  A value that is not an integer (1.5, nan) is
+    refused rather than truncated, as is one of magnitude 2**63 or more
+    rather than wrapped (OverflowError, or a uint64 or float beyond the
+    bound); integral floats such as 2.0 pass."""
+    raw = np.asarray(values)
     try:
-        if getattr(values, "dtype", None) != np.uint64 or (values < _INT64_BOUND).all():
-            return np.asarray(values, dtype=np.int64)
+        if raw.dtype.kind in "uf" and (abs(raw) >= _INT64_BOUND).any():
+            raise OverflowError
+        with np.errstate(invalid="ignore"):         # nan: refused below
+            out = raw.astype(np.int64)
     except OverflowError:
-        pass
-    raise ValidationError(f"{what}: a value of magnitude 2**63 or more, beyond int64")
+        raise ValidationError(f"{what}: a value of magnitude 2**63 or more, beyond int64") from None
+    except (TypeError, ValueError) as exc:      # None, 'a', or nan among Python ints
+        raise ValidationError(f"{what}: a value is not an integer ({exc})") from None
+    if raw.dtype.kind in "fO":
+        off = out != raw            # a fraction, or nan, differs from its cast
+        if off.any():
+            raise ValidationError(f"{what}: {raw[off].tolist()[0]!r} is not an integer")
+    return out
 
 
 def _sense_signs(senses) -> np.ndarray:
@@ -348,7 +361,7 @@ def knapsack_problem(profits, weights, capacity) -> Problem:
         kind=KIND_KNAPSACK,
         C=-profits,
         A=weights[None, :],
-        b=[int(capacity)],
+        b=_int64_array([capacity], "capacity"),
         row_sense=("<=",),
         original_sense=("max",) * P_OBJECTIVES,
     )

@@ -114,6 +114,24 @@ def naive_hypervolume(points, ref_point) -> float:
     return total
 
 
+def hypervolume_mc(points, n_samples: int = 1_000_000, seed: int = 0) -> float:
+    """Monte-Carlo hypervolume estimate against reference (1,1,1): the
+    fraction of uniform samples of [0,1)^3 dominated by some point."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    if pts.shape[0] == 0:
+        return 0.0
+    rng = np.random.default_rng(seed)
+    covered = 0
+    remaining = n_samples
+    while remaining > 0:
+        c = min(remaining, 100_000)
+        samples = rng.random((c, 3))
+        hit = (samples[:, None, :] >= pts[None, :, :]).all(axis=2).any(axis=1)
+        covered += int(hit.sum())
+        remaining -= c
+    return covered / n_samples
+
+
 def brute_force_front(problem):
     """Exact front by itertools enumeration (independent of metrics)."""
     pts = set()

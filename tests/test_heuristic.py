@@ -821,6 +821,52 @@ def test_run_deterministic():
     assert r1.lp_count == r2.lp_count
 
 
+def _count_lb_sets(monkeypatch) -> list:
+    """Route heuristic.compute_lb_set, the name `run` calls, through a
+    wrapper that records each (problem, LB set) it enumerates."""
+    made = []
+
+    def counting(problem):
+        lb = tribip.compute_lb_set(problem)
+        made.append((problem, lb))
+        return lb
+
+    monkeypatch.setattr(heuristic, "compute_lb_set", counting)
+    return made
+
+
+def test_run_enumerates_the_lb_set_once_per_problem(monkeypatch):
+    """The first run on a Problem enumerates its LB set and every later one
+    reuses it, whatever the variant or seed; each report still counts the
+    set's time and LPs.  An equal but distinct Problem enumerates its own."""
+    made = _count_lb_sets(monkeypatch)
+    p = tribip.generate_knapsack(10, seed=3)
+    reports = [run(p, PrConfig(variant=variant, seed=seed))[1]
+               for variant in ("RD", "PRrand", "PI") for seed in (0, 1)]
+    assert len(made) == 1 and made[0][0] is p
+    lb = made[0][1]
+    assert all(r.time_sec >= lb.seconds and r.lp_count == lb.lp_count > 0 for r in reports)
+    q = tribip.generate_knapsack(10, seed=3)
+    run(q, PrConfig(variant="PI", seed=0))
+    run(q, PrConfig(variant="RD"))
+    assert len(made) == 2 and made[1][0] is q
+
+
+def test_run_on_a_reused_lb_set_matches_a_fresh_enumeration(monkeypatch):
+    """Every variant's front from the kept set equals `solve_from_lb` on an
+    independent enumeration for a freshly built equal Problem."""
+    made = _count_lb_sets(monkeypatch)
+    p = tribip.generate_knapsack(12, seed=5)
+    run(p, PrConfig(variant="RD"))
+    for variant in tribip.VARIANTS:
+        config = PrConfig(variant=variant, seed=2)
+        q = tribip.generate_knapsack(12, seed=5)
+        want, _ = tribip.solve_from_lb(q, tribip.compute_lb_set(q), config)
+        got, _ = run(p, config)
+        assert [(s.key(), s.y) for s in got] == [(s.key(), s.y) for s in want]
+    assert len(made) == 1
+
+
 def test_run_iteration_discipline():
     p = tribip.generate_knapsack(10, seed=6)
     for variant in ("PRrand", "PI"):

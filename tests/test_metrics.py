@@ -11,12 +11,12 @@ import tribip
 from tribip import (DimensionError, EnumerationLimitError, ReferenceFront,
                     ValidationError, exact_front, exact_front_solutions,
                     filter_nondominated, filter_nondominated_solutions, hv_percent,
-                    hypervolume, hypervolume_mc, normalize)
+                    hypervolume, normalize)
 from tribip import metrics
 from tribip.metrics import _first_nondominated
 
-from conftest import (brute_force_feasible_points, brute_force_front, dominates, naive_filter,
-                      naive_hypervolume)
+from conftest import (brute_force_feasible_points, brute_force_front, dominates,
+                      hypervolume_mc, naive_filter, naive_hypervolume)
 
 
 def test_dominates_basic():

@@ -291,6 +291,47 @@ def test_builders_refuse_a_value_beyond_int64(build):
         build()
 
 
+@pytest.mark.parametrize("build, what", [
+    pytest.param(lambda: tribip.knapsack_problem([[1.9, 2]] * 3, [1, 1], 1.7), "profits",
+                 id="knapsack"),
+    pytest.param(lambda: tribip.knapsack_problem([[1, 2]] * 3, [1, 1], 1.7), "capacity",
+                 id="capacity"),
+    pytest.param(lambda: tribip.assignment_problem([[[1, 2], [3, 4.5]]] * 3), "costs",
+                 id="assignment"),
+    pytest.param(lambda: tribip.general_problem([[1, 1]] * 3, ["min"] * 3,
+                                                np.array([[1.0, np.nan]]), ["<="], [1]),
+                 "constraint matrix", id="general"),
+    pytest.param(lambda: tribip.knapsack_problem([[1, 2]] * 3, [None, 1], 1), "weights",
+                 id="none"),
+    pytest.param(lambda: tribip.knapsack_problem([[float("nan"), 2 ** 70]] * 3, [1, 1], 1),
+                 "profits", id="nan-beside-a-big-int"),
+])
+def test_builders_refuse_a_value_that_is_not_an_integer(build, what):
+    """A value that is not an integer is refused with ValidationError naming
+    its array, not truncated."""
+    with pytest.raises(ValidationError, match=f"^{what}: .*is not an integer"):
+        build()
+
+
+def test_problem_owns_its_arrays():
+    """A Problem copies what it is built from: a later write to the caller's
+    arrays does not change the Problem, and the caller's arrays stay
+    writable."""
+    weights, a, b = np.array([3, 4]), np.array([[1, 1]]), np.array([1])
+    knap = tribip.knapsack_problem([[1, 2]] * 3, weights, 4)
+    general = tribip.general_problem([[1, 2]] * 3, ["min"] * 3, a, ["<="], b)
+    weights[0], a[0, 0], b[0] = 9, 9, 9
+    assert knap.A.tolist() == [[3, 4]] and general.A.tolist() == [[1, 1]]
+    assert general.b.tolist() == [1]
+    assert weights.flags.writeable and a.flags.writeable and b.flags.writeable
+
+
+def test_builders_take_integral_floats():
+    p = tribip.knapsack_problem(np.array([[4.0, 2.0]] * 3), [1.0, 3.0], 2.0)
+    assert p.C.tolist() == [[-4, -2]] * 3 and p.A.tolist() == [[1, 3]] and p.b.tolist() == [2]
+    assert p.C.dtype == p.A.dtype == p.b.dtype == np.int64
+
+
 def test_front_roundtrip(tmp_path, p_matrix_problem):
     sols = [tribip.make_solution(p_matrix_problem, x)
             for x in ([1, 0, 1, 0], [0, 1, 0, 1])]
