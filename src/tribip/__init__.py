@@ -11,8 +11,8 @@ from .errors import (DimensionError, EnumerationLimitError, InfeasibleProblemErr
                      TribipError, ValidationError)
 from .model import (P_OBJECTIVES, FrontData, Problem, Solution, assignment_problem,
                     evaluate, general_problem, generate_assignment, generate_knapsack,
-                    is_feasible, knapsack_problem, make_solution, read_front,
-                    read_instance, write_front, write_instance)
+                    is_feasible, knapsack_problem, read_front, read_instance,
+                    write_front, write_instance)
 from .lp import RelaxationSolver
 from .lbset import LbSet, compute_lb_set
 from .metrics import (ReferenceFront, exact_front, exact_front_solutions, filter_nondominated,
@@ -28,7 +28,7 @@ __all__ = [
     "P_OBJECTIVES", "Problem", "Solution", "FrontData",
     "assignment_problem", "general_problem", "knapsack_problem",
     "generate_assignment", "generate_knapsack",
-    "evaluate", "is_feasible", "make_solution",
+    "evaluate", "is_feasible",
     "read_instance", "write_instance", "read_front", "write_front",
     "RelaxationSolver",
     "LbSet", "compute_lb_set",

@@ -34,23 +34,41 @@ walked pair is recorded, so each walk starts at a pair not recorded yet.
 Walk kernel
 -----------
 `path_relink_walk` is one loop for every relinking variant.  Its state comes
-from the problem's cached per-column moves (`Problem.flip_moves`) as Python
-ints, with x a `bytearray` flipped in place, y started from the initiating
-row's y, and the row sums A.x packed into one int (`Problem.packed_rows`),
-which only the walk uses: a flip adds one packed displacement, and the row
-test is one add and two masks.  It rests on four facts:
+from the walk tables of the problem (`_walk_tables`): per-column moves as
+Python ints, and the row sums A.x packed into one int, which only the walk
+uses.  x is a `bytearray` flipped in place and y starts from the initiating
+row's y; a flip adds one packed displacement, and the row test is one add
+and two masks.
+
+The packed encoding: row i owns a field of w_i = span_i.bit_length() bits,
+span_i the distance between the least and the greatest A_i.x over 0/1
+vectors, with a guard bit above it.  The field holds A_i.x minus that least
+value, so it lies in [0, span_i] and never borrows from or carries into its
+neighbours.  s = offset + sum of columns[j] over x_j = 1 is the packed sum
+of x, and flipping x_j adds or subtracts columns[j].  x meets every row
+exactly when
+
+    (s + add_lo) & guards == guards and (add_hi - s) & guards == guards
+
+add_lo holds 2^w_i - l_i and add_hi holds 2^w_i + u_i per field, where
+[l_i, u_i] are the row's bounds in field units, read off row_sense and b
+and clamped to [0, span_i + 1] and [-1, span_i]: an open side always
+passes, and a row that no 0/1 vector can meet always fails.
+
+The kernel rests on four facts:
 
 * D, the ascending positions where x differs from the guide, loses only the
   flipped entry per step, so it stays ``np.flatnonzero(x != x_g)`` in order
   and every index drawn or tie broken over it picks the same position.
 * A flip at j moves y by the displacement s_j c_j, with s_j = 1 - 2 x_j fixed
   until j is flipped, so neighbour dominance is displacement dominance.
-  `Problem.flip_dominators` caches, per (value, column), the int bitmask of
-  the 2n signed displacements that strictly dominate it.  At its first
+  `_flip_dominators` holds, per (value, column), the int bitmask of the 2n
+  signed displacements that strictly dominate it.  At its first
   best-move step a walk reads those masks for D and sets a `live` bitmask of
   D's signed columns; a position is nondominated when its mask and `live`
   share no bit, and a flip clears its bit.  Walks that never take a
-  best-move step (every PR* walk, at best_move_prob 0) read no mask.
+  best-move step (every PR* walk, at best_move_prob 0) read no mask, so
+  runs of the PR* variants alone never build them.
 * The improvement-ratio ranks depend on y only through sign(y_k):
   (y_k + d)/y_k orders candidates as d for y_k > 0 and as -d otherwise (a
   zero y_k ranks by the raw value, smaller first, which is -d too), so the
@@ -159,7 +177,7 @@ class IrSet:
         self.keys: list[bytes] = []
         self.ys = array("q")
         self.dropped_infeasible = 0
-        self._index: dict[bytes, int] = {}
+        self._index: set[bytes] = set()
         self._w = np.zeros((0, 0), dtype="<u8")     # row k < _filled packs keys[k]
         self._filled = 0
         # (initiating row, rule) -> (guide row, its Hamming distance, rows scanned)
@@ -178,14 +196,11 @@ class IrSet:
     def __iter__(self):
         return map(self.__getitem__, range(len(self.keys)))
 
-    def add(self, solution: Solution) -> bool:
-        """Add a `Solution` unless its x vector is already present."""
-        return self._add(*solution)
-
     def _add(self, key: bytes, y) -> bool:
+        """Add the row (key, y) unless its x vector is already present."""
         if key in self._index:
             return False
-        self._index[key] = len(self.keys)
+        self._index.add(key)
         self.keys.append(key)
         self.ys.extend(y)
         return True
@@ -324,6 +339,59 @@ def _rank_winner(keys) -> int:
     return score.index(max(score))
 
 
+def _kept(problem: Problem, name: str, build):
+    """build(problem), built by the first call for `name` on this Problem
+    object and kept in its `__dict__`: the LB set of `run` and the walk
+    tables.  A Problem is immutable and each builder deterministic, so the
+    kept value stays valid; an equal but distinct Problem builds its own."""
+    value = problem.__dict__.get(name)
+    if value is None:
+        value = build(problem)
+        object.__setattr__(problem, name, value)        # Problem is frozen
+    return value
+
+
+def _walk_tables(problem: Problem) -> tuple:
+    """The walk's tables, built in one pass over the rows: (moves, columns,
+    offset, add_lo, add_hi, guards).  columns[j] is column j of A packed as
+    the module docstring describes, offset, add_lo, add_hi and guards are
+    the packed constants, and moves[v][j] is (dy, ds), the objective and the
+    packed displacement of flipping x_j away from the value v."""
+    columns = [0] * problem.n
+    offset = add_lo = add_hi = guards = 0
+    shift = 0
+    for row, sense, rhs in zip(problem.A.tolist(), problem.row_sense, problem.b.tolist()):
+        least = sum(a for a in row if a < 0)
+        span = sum(a for a in row if a > 0) - least
+        width = span.bit_length()
+        low = 0 if sense == "<=" else min(max(rhs - least, 0), span + 1)
+        high = span if sense == ">=" else min(max(rhs - least, -1), span)
+        columns = [c + (a << shift) for c, a in zip(columns, row)]
+        offset += -least << shift
+        add_lo += ((1 << width) - low) << shift
+        add_hi += ((1 << width) + high) << shift
+        guards += 1 << (shift + width)
+        shift += width + 1
+    up = [(tuple(c), d) for c, d in zip(problem.C.T.tolist(), columns)]
+    down = [(tuple(-v for v in c), -d) for c, d in up]
+    return (up, down), columns, offset, add_lo, add_hi, guards
+
+
+def _flip_dominators(problem: Problem) -> tuple:
+    """Strict dominance among the 2n objective displacements of the walk's
+    moves.  The displacement of flipping x_j away from v is bit j + v*n;
+    dominators[v][j] is the int bitmask of the displacements that strictly
+    dominate it (<= everywhere, < once)."""
+    n = problem.n
+    disp = np.concatenate([problem.C.T, -problem.C.T])          # row j + v*n
+    masks = []
+    for row in disp:          # one row at a time: memory stays linear in n
+        beats_row = (disp <= row).all(axis=1) & (disp < row).any(axis=1)
+        masks.append(int.from_bytes(np.packbits(beats_row, bitorder="little").tobytes(),
+                                    "little"))
+    return masks[:n], masks[n:]
+
+
 def path_relink_walk(problem: Problem, s_i, s_g, ir: IrSet,
                      archives: PrArchives, rng: Xoshiro256StarStar,
                      best_move_prob: float, collect_visits: bool = False):
@@ -344,8 +412,7 @@ def path_relink_walk(problem: Problem, s_i, s_g, ir: IrSet,
     pairs = archives.ig_pairs
     if key == key_g or (key, key_g) in pairs:
         return []
-    moves = problem.flip_moves
-    columns, offset, add_lo, add_hi, guards = problem.packed_rows
+    moves, columns, offset, add_lo, add_hi, guards = _kept(problem, "_walk_tables", _walk_tables)
     n = len(key)
     x = bytearray(key)
     # 0/1 bytes: the XOR of the keys read as ints is 1 at each byte that differs
@@ -361,7 +428,7 @@ def path_relink_walk(problem: Problem, s_i, s_g, ir: IrSet,
     while True:
         if random() < best_move_prob:
             if masks is None:
-                dominators = problem.flip_dominators
+                dominators = _kept(problem, "_flip_dominators", _flip_dominators)
                 masks = [dominators[x[j]][j] for j in rest]
                 disps = [moves[x[j]][j][0] for j in rest]
                 live = sum(1 << (j + n * x[j]) for j in rest)
@@ -392,7 +459,7 @@ def path_relink_walk(problem: Problem, s_i, s_g, ir: IrSet,
             if (key, key_g) in pairs:
                 break
         elif (packed + add_lo) & guards == guards and (add_hi - packed) & guards == guards:
-            known[key] = len(keys)
+            known.add(key)
             keys.append(key)
             ys.append(y0)
             ys.append(y1)
@@ -468,15 +535,11 @@ def run(problem: Problem, config: PrConfig | None = None):
     rounding leaves their integral LB solutions unchanged.
 
     The LB set is enumerated once per `Problem` object, by the first call
-    on it, and then kept with that object, like `Problem.flip_moves`: a
-    Problem is immutable and `compute_lb_set` deterministic, so every later
-    call, whatever its variant or seed, reads the same set.  An equal but
-    distinct Problem enumerates its own.  The wall time is that of
+    on it, and then kept with that object by `_kept`, like the walk tables:
+    a Problem is immutable and `compute_lb_set` deterministic, so every
+    later call, whatever its variant or seed, reads the same set.  An equal
+    but distinct Problem enumerates its own.  The wall time is that of
     `solve_from_lb`: the LB enumeration's (`lb.seconds`, also on the calls
     that reuse the set) plus its own, not module loading.
     """
-    lb = problem.__dict__.get("_lb_set")
-    if lb is None:
-        lb = compute_lb_set(problem)
-        object.__setattr__(problem, "_lb_set", lb)      # Problem is frozen
-    return solve_from_lb(problem, lb, config)
+    return solve_from_lb(problem, _kept(problem, "_lb_set", compute_lb_set), config)

@@ -305,9 +305,11 @@ def exact_front(problem: Problem) -> ReferenceFront:
 
 def exact_front_solutions(problem: Problem) -> list[Solution]:
     """The exact front with one representative solution per point (the
-    first-discovered one in enumeration order)."""
+    first-discovered one in enumeration order), built unchecked, as the IR
+    set builds its rows: x and y come from the validated problem."""
     points, xs = _enumerate_front(problem)
-    return [Solution(x, y) for x, y in zip(xs, points.tolist())]
+    return [tuple.__new__(Solution, (x.tobytes(), tuple(y)))
+            for x, y in zip(xs, points.tolist())]
 
 
 HV_PERCENT_REF_POINT = (2.0, 2.0, 2.0)

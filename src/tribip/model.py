@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from operator import index, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -53,11 +52,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _int64_array(values, what: str) -> np.ndarray:
     """values as a new int64 array, so that a later write to the caller's
-    array cannot change it.  A value that is not an integer (1.5, nan) is
-    refused rather than truncated, as is one of magnitude 2**63 or more
-    rather than wrapped (OverflowError, or a uint64 or float beyond the
-    bound); integral floats such as 2.0 pass."""
-    raw = np.asarray(values)
+    array cannot change it.  Ragged rows are refused, as is a value that is
+    not an integer (1.5, nan, 1+5j, the string '1') rather than truncated or
+    parsed, and one of magnitude 2**63 or more, -2**63 included, rather than
+    wrapped (OverflowError, or a uint64 or float beyond the bound); integral
+    floats such as 2.0 and numpy ints pass."""
+    try:
+        raw = np.asarray(values)
+    except ValueError as exc:                   # ragged rows
+        raise ValidationError(f"{what}: not an array of equal rows ({exc})") from None
+    if raw.dtype.kind not in "biufO":           # strings, bytes, complex numbers
+        raise ValidationError(f"{what}: a value of dtype {raw.dtype} is not an integer")
     try:
         if raw.dtype.kind in "uf" and (abs(raw) >= _INT64_BOUND).any():
             raise OverflowError
@@ -68,9 +73,11 @@ def _int64_array(values, what: str) -> np.ndarray:
     except (TypeError, ValueError) as exc:      # None, 'a', or nan among Python ints
         raise ValidationError(f"{what}: a value is not an integer ({exc})") from None
     if raw.dtype.kind in "fO":
-        off = out != raw            # a fraction, or nan, differs from its cast
+        off = out != raw            # a fraction, nan or string differs from its cast
         if off.any():
             raise ValidationError(f"{what}: {raw[off].tolist()[0]!r} is not an integer")
+    if (out == -_INT64_BOUND).any():        # after the nan test: nan casts to -2**63
+        raise ValidationError(f"{what}: a value of magnitude 2**63 or more, beyond int64")
     return out
 
 
@@ -203,66 +210,6 @@ class Problem:
             held &= _ROW_TESTS[sense](lhs, rhs)
         return held
 
-    @cached_property
-    def packed_rows(self) -> tuple:
-        """The row sums A.x packed into one Python int for the walk, built
-        once per problem: (columns, offset, add_lo, add_hi, guards).
-
-        Row i owns a field of w_i = span_i.bit_length() bits, span_i the
-        distance between the least and the greatest A_i.x over 0/1 vectors,
-        with a guard bit above it.  The field holds A_i.x minus that least
-        value, so it lies in [0, span_i] and never borrows from or carries
-        into its neighbours.  s = offset + sum of columns[j] over x_j = 1 is
-        the packed sum of x, and flipping x_j adds or subtracts columns[j].
-        x meets every row exactly when
-
-            (s + add_lo) & guards == guards and (add_hi - s) & guards == guards
-
-        add_lo holds 2^w_i - l_i and add_hi holds 2^w_i + u_i per field, where
-        [l_i, u_i] are the row's bounds in field units, read off row_sense
-        and b and clamped to [0, span_i + 1] and [-1, span_i]: an open side
-        always passes, and a row that no 0/1 vector can meet always fails."""
-        columns = [0] * self.n
-        offset = add_lo = add_hi = guards = 0
-        shift = 0
-        for row, sense, rhs in zip(self.A.tolist(), self.row_sense, self.b.tolist()):
-            least = sum(a for a in row if a < 0)
-            span = sum(a for a in row if a > 0) - least
-            width = span.bit_length()
-            low = 0 if sense == "<=" else min(max(rhs - least, 0), span + 1)
-            high = span if sense == ">=" else min(max(rhs - least, -1), span)
-            columns = [c + (a << shift) for c, a in zip(columns, row)]
-            offset += -least << shift
-            add_lo += ((1 << width) - low) << shift
-            add_hi += ((1 << width) + high) << shift
-            guards += 1 << (shift + width)
-            shift += width + 1
-        return columns, offset, add_lo, add_hi, guards
-
-    @cached_property
-    def flip_moves(self) -> tuple:
-        """Per-column moves as Python ints, built once per problem:
-        moves[v][j] is (dy, ds), the objective displacement and the
-        `packed_rows` displacement of flipping x_j away from the value v."""
-        columns = self.packed_rows[0]
-        up = [(tuple(c), d) for c, d in zip(self.C.T.tolist(), columns)]
-        down = [(tuple(-v for v in c), -d) for c, d in up]
-        return up, down
-
-    @cached_property
-    def flip_dominators(self) -> tuple:
-        """Strict dominance among the 2n objective displacements of
-        `flip_moves`, built once per problem.  The displacement of flipping
-        x_j away from v is bit j + v*n; dominators[v][j] is the int bitmask of
-        the displacements that strictly dominate it (<= everywhere, < once)."""
-        disp = np.concatenate([self.C.T, -self.C.T])          # row j + v*n
-        masks = []
-        for row in disp:          # one row at a time: memory stays linear in n
-            beats_row = (disp <= row).all(axis=1) & (disp < row).any(axis=1)
-            masks.append(int.from_bytes(np.packbits(beats_row, bitorder="little").tobytes(),
-                                        "little"))
-        return masks[:self.n], masks[self.n:]
-
     def sense_signs(self) -> np.ndarray:
         """+1 for min rows, -1 for max rows (native = sign * internal)."""
         return _sense_signs(self.original_sense)
@@ -285,39 +232,26 @@ def _check_binary(x, n: int | None = None) -> np.ndarray:
     return arr.astype(np.int8)
 
 
-def _integral(v) -> int:
-    """An objective value as an int: ints, numpy ints and integral floats
-    pass, anything else is refused rather than truncated."""
-    try:
-        return index(v)
-    except TypeError:
-        pass
-    try:
-        as_int = int(v)
-    except (TypeError, ValueError, OverflowError):
-        as_int = None
-    if as_int is None or as_int != v:
-        raise ValidationError(f"objective values must be integers, got {v!r}")
-    return as_int
-
-
 class Solution(tuple):
     """A binary solution with its objective point (minimisation form), as
     the tuple (key, y) in which the IR set stores its rows: `key()` is x as
     int8 bytes, `.y` three ints and `.x` a read-only int8 view of the key.
 
-    `Solution(x, y)` checks x and y once.  The IR set builds its rows with
-    ``tuple.__new__(Solution, (key, y))``, unchecked, as rounding and flips
-    only make 0/1 vectors.
+    `Solution(x, y)` checks x and y once: y holds three integers of
+    magnitude below 2**63, the rule of `Problem`'s arrays, so y and its
+    negation fit int64.  The IR set and the exact oracle build their rows
+    with ``tuple.__new__(Solution, (key, y))``, unchecked, as their x and y
+    come from a validated Problem.
     """
 
     __slots__ = ()
 
     def __new__(cls, x, y):
-        y = tuple(map(_integral, y))
-        if len(y) != P_OBJECTIVES:
-            raise DimensionError(f"objective point must have {P_OBJECTIVES} entries, got {y!r}")
-        return tuple.__new__(cls, (_check_binary(x).tobytes(), y))
+        y = _int64_array(y, "objective point")
+        if y.shape != (P_OBJECTIVES,):
+            raise DimensionError(f"objective point must have {P_OBJECTIVES} entries, "
+                                 f"got {y.tolist()!r}")
+        return tuple.__new__(cls, (_check_binary(x).tobytes(), tuple(y.tolist())))
 
     def __getnewargs__(self):
         return self.x, self[1]
@@ -342,10 +276,6 @@ def evaluate(problem: Problem, x) -> tuple[int, int, int]:
 def is_feasible(problem: Problem, x) -> bool:
     """Whether the binary vector x meets every row: `Problem.rows_hold` on A.x."""
     return bool(problem.rows_hold((problem.A @ _check_binary(x, problem.n))[None])[0])
-
-
-def make_solution(problem: Problem, x) -> Solution:
-    return Solution(x, evaluate(problem, x))
 
 
 def knapsack_problem(profits, weights, capacity) -> Problem:
@@ -630,8 +560,9 @@ def write_front(path, problem: Problem, entries: Iterable) -> None:
     comma-separated numbers, its y as numbers, integral values without a
     fraction.  Objective points are written in the original senses.  An
     entry whose x does not have length n, or a pair whose y does not have 3
-    values, is refused with DimensionError, a Solution with a value of
-    magnitude 2**63 or more with ValidationError; nothing is written then.
+    values, is refused with DimensionError, and nothing is written then.  A
+    Solution's y needs no check here: its values and their negations fit
+    int64, which the reader asks of a 0/1 record.
     """
     signs = problem.sense_signs().tolist()
     records = []
@@ -640,8 +571,6 @@ def write_front(path, problem: Problem, entries: Iterable) -> None:
             key, y = entry
             width, xs = len(key), key.translate(_BIT_DIGITS).decode("ascii")
             ys = [str(s * v) for s, v in zip(signs, y)]
-            if max(map(abs, y)) >= _INT64_BOUND:
-                raise ValidationError(f"objective point {y} does not fit int64")
         else:
             x, y = entry
             if len(y) != P_OBJECTIVES:

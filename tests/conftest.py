@@ -26,6 +26,17 @@ def p_matrix_problem():
         [[4, 2, 3, 6], [5, 3, 1, 8], [6, 4, 2, 7]], [1, 1, 1, 1], 4)
 
 
+def solution_of(problem, x):
+    """The checked `Solution` of the 0/1 vector x and its objective point."""
+    return tribip.Solution(x, tribip.evaluate(problem, x))
+
+
+def ir_add(ir, solution) -> bool:
+    """Add a `Solution` to the IR set unless its x vector is already
+    present, as rounding and the walk add their rows."""
+    return ir._add(*solution)
+
+
 class NaiveXoshiro256StarStar:
     """xoshiro256** stream seeded from a single integer via splitmix64, one
     output at a time on Python integers: the oracle of the block-generated
@@ -260,8 +271,8 @@ def naive_rows_hold(problem, x) -> bool:
     """Whether lo <= A_i.x <= hi holds for every row i, one row at a time,
     with (lo, hi) read off the row's sense (an open side is infinite): the
     oracle of `Problem.rows_hold`, which rounding, `is_feasible` and the
-    binary front oracle use, and of the walk's packed test,
-    `Problem.packed_rows`."""
+    binary front oracle use, and of the walk's packed test, built by
+    `heuristic._walk_tables`."""
     inf = float("inf")
     for row, sense, rhs in zip(problem.A.tolist(), problem.row_sense, problem.b.tolist()):
         lhs = sum(a * int(v) for a, v in zip(row, x))
@@ -283,7 +294,7 @@ def naive_round_down(lb, problem):
         if not naive_rows_hold(problem, x):
             ir.dropped_infeasible += 1
             continue
-        ir.add(tribip.Solution(x, y))
+        ir_add(ir, tribip.Solution(x, y))
     if ir.dropped_infeasible:
         tribip.heuristic.log.warning("round_down dropped %d infeasible rounded solutions",
                                      ir.dropped_infeasible)
@@ -406,7 +417,7 @@ def naive_path_relink_walk(problem, s_i, s_g, ir, archives, rng, best_move_prob,
         if state.feasible():
             key_new = state.x.tobytes()
             if key_new not in ir:
-                ir.add(tribip.Solution(state.x.copy(), tuple(int(v) for v in state.y)))
+                ir_add(ir, tribip.Solution(state.x.copy(), tuple(int(v) for v in state.y)))
     return visits
 
 

@@ -13,7 +13,7 @@ import tribip
 from tribip import PrConfig, PrArchives, Xoshiro256StarStar
 from tribip.cli import main as cli_main
 
-from conftest import hypervolume_mc, naive_filter
+from conftest import hypervolume_mc, ir_add, naive_filter, solution_of
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = ""):
@@ -24,11 +24,11 @@ def _verdict(num: int, name: str, ok: bool, detail: str = ""):
 
 def test_criterion_01_relink_trace_replay(p_matrix_problem):
     t0 = time.perf_counter()
-    s_i = tribip.make_solution(p_matrix_problem, [0, 0, 1, 0])
-    s_g = tribip.make_solution(p_matrix_problem, [1, 1, 0, 0])
+    s_i = solution_of(p_matrix_problem, [0, 0, 1, 0])
+    s_g = solution_of(p_matrix_problem, [1, 1, 0, 0])
     ir = tribip.IrSet()
-    ir.add(s_i)
-    ir.add(s_g)
+    ir_add(ir, s_i)
+    ir_add(ir, s_g)
     visits = tribip.path_relink_walk(
         p_matrix_problem, s_i, s_g, ir, PrArchives(), Xoshiro256StarStar(0),
         best_move_prob=1.0, collect_visits=True)

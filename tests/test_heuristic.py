@@ -13,8 +13,9 @@ from tribip import (InsufficientSolutionsError, IrSet, NoRoundedSolutionError,
 from tribip import heuristic
 from tribip.lbset import LbSet
 
-from conftest import (dominates, naive_improved_nd, naive_path_relink, naive_path_relink_walk,
-                      naive_round_down, naive_select_pair, next_outputs, similarity)
+from conftest import (dominates, ir_add, naive_improved_nd, naive_path_relink,
+                      naive_path_relink_walk, naive_round_down, naive_select_pair, next_outputs,
+                      similarity, solution_of)
 
 
 def _lbset_from(problem, xs):
@@ -27,8 +28,18 @@ def _lbset_from(problem, xs):
 def _ir_from(problem, xs):
     ir = IrSet()
     for x in xs:
-        ir.add(tribip.make_solution(problem, x))
+        ir_add(ir, solution_of(problem, x))
     return ir
+
+
+def _walk_tables(problem):
+    """The walk tables of `problem`, read through its cache as the walk reads them."""
+    return heuristic._kept(problem, "_walk_tables", heuristic._walk_tables)
+
+
+def _flip_dominators(problem):
+    """The dominator masks of `problem`, read through its cache as the walk reads them."""
+    return heuristic._kept(problem, "_flip_dominators", heuristic._flip_dominators)
 
 
 def _ints(lo, hi, size):
@@ -243,7 +254,7 @@ def test_select_pair_matches_full_scan(ops, n):
                 x[:len(bits)] = bits
             else:
                 x[n - len(bits):] = bits
-            ir.add(tribip.Solution(x, (0, 0, 0)))
+            ir_add(ir, tribip.Solution(x, (0, 0, 0)))
             continue
         if len(ir) < 2:
             continue
@@ -346,8 +357,8 @@ def test_flip_dominators_match_pairwise_dominance(problem):
     n = problem.n
     disp = {(v, j): tuple((1 - 2 * v) * int(c) for c in problem.C[:, j])
             for v in (0, 1) for j in range(n)}
-    table = problem.flip_dominators
-    assert problem.flip_dominators is table
+    table = _flip_dominators(problem)
+    assert _flip_dominators(problem) is table
     assert [len(row) for row in table] == [n, n]
     for (v, j), d in disp.items():
         want = sum(1 << (k + n * u) for (u, k), e in disp.items() if dominates(e, d))
@@ -357,8 +368,8 @@ def test_flip_dominators_match_pairwise_dominance(problem):
 # -- path relinking -----------------------------------------------------------
 
 def test_walk_reproduces_worked_path(p_matrix_problem):
-    s_i = tribip.make_solution(p_matrix_problem, [0, 0, 1, 0])
-    s_g = tribip.make_solution(p_matrix_problem, [1, 1, 0, 0])
+    s_i = solution_of(p_matrix_problem, [0, 0, 1, 0])
+    s_g = solution_of(p_matrix_problem, [1, 1, 0, 0])
     ir = _ir_from(p_matrix_problem, [[0, 0, 1, 0], [1, 1, 0, 0]])
     archives = PrArchives()
     visits = path_relink_walk(p_matrix_problem, s_i, s_g, ir, archives,
@@ -370,7 +381,7 @@ def test_walk_reproduces_worked_path(p_matrix_problem):
 
 
 def test_walk_identical_pair_no_steps(p_matrix_problem):
-    s = tribip.make_solution(p_matrix_problem, [1, 0, 1, 0])
+    s = solution_of(p_matrix_problem, [1, 0, 1, 0])
     ir = _ir_from(p_matrix_problem, [[1, 0, 1, 0], [1, 1, 0, 0]])
     archives = PrArchives()
     visits = path_relink_walk(p_matrix_problem, s, s, ir, archives,
@@ -381,11 +392,11 @@ def test_walk_identical_pair_no_steps(p_matrix_problem):
 
 def test_walk_zero_capacity_archives_nothing():
     p = tribip.knapsack_problem([[4, 2, 3], [5, 3, 1], [6, 4, 2]], [1, 1, 1], 0)
-    s_i = tribip.make_solution(p, [0, 0, 0])
+    s_i = solution_of(p, [0, 0, 0])
     # an infeasible guiding solution still guides the walk
     s_g = tribip.Solution(np.array([1, 1, 0], dtype=np.int8), tribip.evaluate(p, [1, 1, 0]))
     ir = IrSet()
-    ir.add(s_i)
+    ir_add(ir, s_i)
     archives = PrArchives()
     path_relink_walk(p, s_i, s_g, ir, archives, Xoshiro256StarStar(1), 0.7)
     assert len(ir) == 1
@@ -596,9 +607,9 @@ def test_walk_appends_rows_without_tracked_objects():
     n = 40
     problem = tribip.knapsack_problem([[3] * n, [5] * n, [7] * n], [1] * n, n)
     s_i = tribip.Solution(np.zeros(n, dtype=np.int8), (0, 0, 0))
-    s_g = tribip.make_solution(problem, np.ones(n, dtype=np.int8))
+    s_g = solution_of(problem, np.ones(n, dtype=np.int8))
     ir, archives, rng = _ir_from(problem, [s_i.x, s_g.x]), PrArchives(), Xoshiro256StarStar(3)
-    problem.flip_moves, problem.packed_rows          # cached before counting
+    _walk_tables(problem)          # cached before counting
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -641,8 +652,7 @@ def test_move_tables_cached_per_problem():
                          for _, _, ir, archives, rng_, visits in pair]
             assert side == ref
     for problem in problems:
-        assert problem.flip_moves is problem.flip_moves
-        assert problem.packed_rows is problem.packed_rows
+        assert _walk_tables(problem) is _walk_tables(problem)
 
 
 @settings(max_examples=100, deadline=None)
@@ -660,7 +670,7 @@ def test_walk_from_rows_matches_walk_from_solutions(problem, data, prob, seed):
     for as_rows in (False, True):
         ir, rng = _ir_from(problem, starts), Xoshiro256StarStar(seed)
         pair = (ir[i], ir[g]) if as_rows else \
-            (tribip.make_solution(problem, starts[i]), tribip.make_solution(problem, starts[g]))
+            (solution_of(problem, starts[i]), solution_of(problem, starts[g]))
         visits = path_relink_walk(problem, *pair, ir, PrArchives(), rng, prob,
                                   collect_visits=True)
         outcomes.append(([v.tobytes() for v in visits], list(ir),
@@ -674,9 +684,9 @@ def _row(x, y):
 
 
 def test_ir_rows_and_provenance(p_matrix_problem):
-    sol = tribip.make_solution(p_matrix_problem, [1, 0, 1, 0])
+    sol = solution_of(p_matrix_problem, [1, 0, 1, 0])
     ir = IrSet()
-    assert ir.add(sol) and not ir.add(_row([1, 0, 1, 0], sol.y))
+    assert ir_add(ir, sol) and not ir_add(ir, _row([1, 0, 1, 0], sol.y))
     row, = ir
     assert type(row) is tribip.Solution and row == sol and hash(row) == hash(sol)
     assert sol.key() in ir and len(ir) == 1
@@ -687,7 +697,7 @@ def test_ir_add_rejects_point_of_other_length():
     is refused before it can shift the rows after it."""
     ir = IrSet()
     with pytest.raises(tribip.DimensionError):
-        ir.add(tribip.Solution([1, 0], (1, 2)))
+        ir_add(ir, tribip.Solution([1, 0], (1, 2)))
     assert len(ir) == 0 and len(ir.ys) == 0
 
 
@@ -763,7 +773,7 @@ def test_ir_words_grow_with_adds():
     for n in (9, 64, 130):
         ir = IrSet()
         for bits in rng.integers(0, 2, size=(40, n)):
-            ir.add(tribip.Solution(bits, (0, 0, 0)))
+            ir_add(ir, tribip.Solution(bits, (0, 0, 0)))
             ws = ir._words()[:len(ir)]
             assert np.array_equal(ws, _packed_rows_by_bit(ir.keys))
 
@@ -773,7 +783,7 @@ def test_ir_words_fill_rows_added_since_last_call():
     ir = IrSet()
     views = []
     for step, bits in enumerate(rng.integers(0, 2, size=(120, 70))):
-        ir.add(tribip.Solution(bits, (0, 0, 0)))
+        ir_add(ir, tribip.Solution(bits, (0, 0, 0)))
         if step % 7 == 3 or step == 0:
             views.append((ir._words()[:len(ir)], list(ir.keys)))
     for view, keys in views:              # earlier views keep their rows, later adds do not show
@@ -821,17 +831,19 @@ def test_run_deterministic():
     assert r1.lp_count == r2.lp_count
 
 
-def _count_lb_sets(monkeypatch) -> list:
-    """Route heuristic.compute_lb_set, the name `run` calls, through a
-    wrapper that records each (problem, LB set) it enumerates."""
+def _count_builds(monkeypatch, name) -> list:
+    """Route the builder heuristic.<name>, which `run` or the walk calls by
+    that name, through a wrapper that records each (problem, value) it
+    builds."""
     made = []
+    build = getattr(heuristic, name)
 
     def counting(problem):
-        lb = tribip.compute_lb_set(problem)
-        made.append((problem, lb))
-        return lb
+        value = build(problem)
+        made.append((problem, value))
+        return value
 
-    monkeypatch.setattr(heuristic, "compute_lb_set", counting)
+    monkeypatch.setattr(heuristic, name, counting)
     return made
 
 
@@ -839,7 +851,7 @@ def test_run_enumerates_the_lb_set_once_per_problem(monkeypatch):
     """The first run on a Problem enumerates its LB set and every later one
     reuses it, whatever the variant or seed; each report still counts the
     set's time and LPs.  An equal but distinct Problem enumerates its own."""
-    made = _count_lb_sets(monkeypatch)
+    made = _count_builds(monkeypatch, "compute_lb_set")
     p = tribip.generate_knapsack(10, seed=3)
     reports = [run(p, PrConfig(variant=variant, seed=seed))[1]
                for variant in ("RD", "PRrand", "PI") for seed in (0, 1)]
@@ -852,10 +864,29 @@ def test_run_enumerates_the_lb_set_once_per_problem(monkeypatch):
     assert len(made) == 2 and made[1][0] is q
 
 
+def test_run_builds_the_walk_tables_once_per_problem(monkeypatch):
+    """Six runs on one Problem, three variants by two seeds, build its LB set,
+    walk tables and dominator masks once each.  An equal but distinct
+    Problem builds its own, and PRrand runs alone never build the masks."""
+    lbs, tables, masks = (_count_builds(monkeypatch, name)
+                          for name in ("compute_lb_set", "_walk_tables", "_flip_dominators"))
+    p = tribip.generate_knapsack(10, seed=3)
+    for variant in ("RD", "PRrand", "PI"):
+        for seed in (0, 1):
+            run(p, PrConfig(variant=variant, seed=seed))
+    assert [len(made) for made in (lbs, tables, masks)] == [1, 1, 1]
+    assert all(made[0][0] is p for made in (lbs, tables, masks))
+    q = tribip.generate_knapsack(10, seed=3)
+    for seed in (0, 1):
+        run(q, PrConfig(variant="PRrand", seed=seed))
+    assert [len(made) for made in (lbs, tables, masks)] == [2, 2, 1]
+    assert lbs[1][0] is q and tables[1][0] is q
+
+
 def test_run_on_a_reused_lb_set_matches_a_fresh_enumeration(monkeypatch):
     """Every variant's front from the kept set equals `solve_from_lb` on an
     independent enumeration for a freshly built equal Problem."""
-    made = _count_lb_sets(monkeypatch)
+    made = _count_builds(monkeypatch, "compute_lb_set")
     p = tribip.generate_knapsack(12, seed=5)
     run(p, PrConfig(variant="RD"))
     for variant in tribip.VARIANTS:

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import tribip
 from tribip import (DimensionError, ParseError, TribipError, ValidationError,
-                    evaluate, is_feasible)
+                    evaluate, heuristic, is_feasible)
 
-from conftest import brute_force_front, naive_rows_hold, naive_write_front
+from conftest import brute_force_front, ir_add, naive_rows_hold, naive_write_front, solution_of
 
 
 def test_evaluate_p_matrix(p_matrix_problem):
@@ -39,7 +39,7 @@ def test_evaluate_matches_cached_y():
         p = tribip.generate_knapsack(8, seed=seed)
         for _ in range(20):
             x = rng.integers(0, 2, p.n)
-            sol = tribip.make_solution(p, x)
+            sol = solution_of(p, x)
             assert sol.y == evaluate(p, x)
 
 
@@ -60,9 +60,9 @@ def test_solution_is_a_value():
 
 
 def test_solution_x_is_a_read_only_int8_view_of_the_key(p_matrix_problem):
-    sol = tribip.make_solution(p_matrix_problem, [1, 0, 1, 0])
+    sol = solution_of(p_matrix_problem, [1, 0, 1, 0])
     ir = tribip.IrSet()
-    ir.add(sol)
+    ir_add(ir, sol)
     for s in (sol, ir[0]):
         assert s.x.dtype == np.int8 and s.x.tolist() == [1, 0, 1, 0]
         assert s.x.tobytes() == s.key() and s.y == (-7, -6, -8)
@@ -283,10 +283,15 @@ _BEYOND = 2 ** 63
                                                 [0]), id="coefficient"),
     pytest.param(lambda: tribip.Problem("general", [[_BEYOND]] * 3, [[1]], [1], ("<=",),
                                         ("min",) * 3), id="problem-objective"),
+    pytest.param(lambda: tribip.general_problem([[1]] * 3, ["min"] * 3, [[1]], ["<="], [-_BEYOND]),
+                 id="rhs-int64-min"),        # int64 holds it, but not its negation
+    pytest.param(lambda: tribip.Solution([1, 0], (2 ** 70, 0, 0)), id="solution-y"),
+    pytest.param(lambda: tribip.Solution([1, 0], (0, -_BEYOND, 0)), id="solution-y-int64-min"),
 ])
 def test_builders_refuse_a_value_beyond_int64(build):
-    """A value of magnitude 2**63 or more is refused with ValidationError,
-    not a bare OverflowError from the int64 cast, nor wrapped."""
+    """A value of magnitude 2**63 or more, -2**63 included, in a Problem's
+    arrays or a Solution's y, is refused with ValidationError when it is
+    built, not a bare OverflowError from the int64 cast, nor wrapped."""
     with pytest.raises(ValidationError, match="beyond int64"):
         build()
 
@@ -305,12 +310,25 @@ def test_builders_refuse_a_value_beyond_int64(build):
                  id="none"),
     pytest.param(lambda: tribip.knapsack_problem([[float("nan"), 2 ** 70]] * 3, [1, 1], 1),
                  "profits", id="nan-beside-a-big-int"),
+    pytest.param(lambda: tribip.general_problem([["1", "2"]] * 3, ("min",) * 3, [[b"1", b"1"]],
+                                                ("<=",), ["1"]), "objectives", id="digit-strings"),
+    pytest.param(lambda: tribip.general_problem([[1, 2]] * 3, ("min",) * 3, [[b"1", b"1"]],
+                                                ("<=",), [1]), "constraint matrix", id="bytes"),
+    pytest.param(lambda: tribip.knapsack_problem([[1 + 5j, 2]] * 3, [1, 1], 1), "profits",
+                 id="complex"),
 ])
 def test_builders_refuse_a_value_that_is_not_an_integer(build, what):
     """A value that is not an integer is refused with ValidationError naming
     its array, not truncated."""
     with pytest.raises(ValidationError, match=f"^{what}: .*is not an integer"):
         build()
+
+
+def test_builders_refuse_ragged_rows():
+    """Rows of unequal length are refused with ValidationError naming the
+    array, not a bare ValueError from numpy."""
+    with pytest.raises(ValidationError, match="^profits: "):
+        tribip.knapsack_problem([[1, 2], [3], [4, 5]], [1, 1], 1)
 
 
 def test_problem_owns_its_arrays():
@@ -333,7 +351,7 @@ def test_builders_take_integral_floats():
 
 
 def test_front_roundtrip(tmp_path, p_matrix_problem):
-    sols = [tribip.make_solution(p_matrix_problem, x)
+    sols = [solution_of(p_matrix_problem, x)
             for x in ([1, 0, 1, 0], [0, 1, 0, 1])]
     path = tmp_path / "front.txt"
     tribip.write_front(path, p_matrix_problem, sols)
@@ -388,7 +406,7 @@ def test_front_refuses_a_0_1_record_value_that_is_not_int64(tmp_path, p_matrix_p
     sense; the writer never writes anything else there, so the reader names
     the line of any other."""
     path = tmp_path / "front.txt"
-    solution = tribip.make_solution(p_matrix_problem, [1, 0, 1, 0])
+    solution = solution_of(p_matrix_problem, [1, 0, 1, 0])
     tribip.write_front(path, p_matrix_problem, [solution])
     text = path.read_text()
     path.write_text(text.replace("1010 7 6 8", f"1010 {value} 6 8"))
@@ -427,7 +445,7 @@ def test_front_refuses_records_past_count(tmp_path, p_matrix_problem):
     """A record after the count-th one is refused with its line, not dropped;
     comments and blank lines may follow the last record."""
     path = tmp_path / "front.txt"
-    solution = tribip.make_solution(p_matrix_problem, [1, 0, 1, 0])
+    solution = solution_of(p_matrix_problem, [1, 0, 1, 0])
     tribip.write_front(path, p_matrix_problem, [solution])
     text = path.read_text() + "\n# end\n"
     path.write_text(text)
@@ -444,7 +462,8 @@ def test_front_refuses_records_past_count(tmp_path, p_matrix_problem):
                                          ([1, 0, 1, 0], (0, -(2 ** 63), 0), ValidationError)])
 def test_write_front_refuses_what_its_reader_refuses(tmp_path, p_matrix_problem, x, y, error):
     """A Solution whose length is not n, or whose y does not fit int64 in
-    either sense, is refused before any file is written."""
+    either sense, is refused before any file is written: the y as the
+    Solution is built."""
     path = tmp_path / "front.txt"
     with pytest.raises(error):
         tribip.write_front(path, p_matrix_problem, [tribip.Solution(x, y)])
@@ -465,7 +484,7 @@ def test_front_refuses_x_digits_other_than_0_1(tmp_path, p_matrix_problem, digit
     """A digit string is x itself, one 0/1 entry per character: any other
     character is refused with the line of its record, not read as an entry."""
     path = tmp_path / "front.txt"
-    solution = tribip.make_solution(p_matrix_problem, [1, 0, 1, 0])
+    solution = solution_of(p_matrix_problem, [1, 0, 1, 0])
     tribip.write_front(path, p_matrix_problem, [solution])
     text = path.read_text().replace("count 1", "count 2")
     path.write_text(text + f"{digits} 7 6 8\n")
@@ -580,9 +599,8 @@ def test_row_checks_match_row_by_row_check(problem):
     row-by-row check on every 0/1 vector.  The packed sum holds, in the
     field below each guard bit, the row's left-hand side minus its least
     reachable value, and flipping x_j by the packed displacement
-    flip_moves[x_j][j][1] moves every field by the row-by-row difference."""
-    columns, offset, add_lo, add_hi, guards = problem.packed_rows
-    moves = problem.flip_moves
+    moves[x_j][j][1] moves every field by the row-by-row difference."""
+    moves, columns, offset, add_lo, add_hi, guards = heuristic._walk_tables(problem)
     rows = problem.A.tolist()
     least = [sum(a for a in row if a < 0) for row in rows]
     marks = [at for at in range(guards.bit_length()) if guards >> at & 1]
