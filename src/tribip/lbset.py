@@ -1,29 +1,38 @@
 """Lower bound sets: extreme supported points of the LP relaxation frontier.
 
-The enumeration is a weight-space exploration over candidate facets of the
-lower convex hull.  Three seed LPs with lexicographic-leaning weights
-(permutations of (1, eps, eps)) provide the first points.  Then, round by
-round, the convex hull of the known points plus three anchor points (each
-placed high above the ideal corner along one objective axis, standing in
-for the recession directions of the dominance hull) is built; every hull
-facet whose normal is a nonnegative weight vector is probed with a weighted
-LP, and any point strictly below the current hull is added.  The rounds
-repeat until no probe improves the hull.  Facets with mixed-sign normals
-are skipped: only nonnegative weights are valid scalarisations.
+The enumeration is the weight-space step of Benson's dual algorithm, as
+Bensolve, the paper's LB solver, runs it (Ehrgott, Loehne & Shao, "A dual
+variant of Benson's 'outer approximation algorithm' for multiple objective
+linear programming", J. Global Optim. 2012; Loehne & Weissing, "The vector
+linear program solver Bensolve - notes on theoretical background", EJOR
+2017).  The LPs at the three corner weights e_k give the first points.  The
+known points y_i define the dual envelope {(w, v): v <= w.y_i for every i}
+over the closed weight triangle, and each vertex of it is a weight to probe:
+one LP per vertex, boundary vertices (a weight 0 exactly) included, and any
+point strictly below the envelope at its weight is added.  The rounds repeat
+until no probe improves the envelope.  One incremental
+`scipy.spatial.HalfspaceIntersection` holds the envelope, in (w1, w2, v)
+with w3 = 1 - w1 - w2, and takes each round's new points as halfspaces.  It
+works on z = (y - lo) / scale, lo the smallest coordinate of the corner
+points and scale their range (at least 1), so that v is of the order of
+the weights whatever the objective values.  As the weights sum to 1,
+w.z = (w.y - lo) / scale, so the vertex weights are the same, and every top
+vertex has v >= 0, above the floor v >= -1 that closes the envelope.
 
-Every facet weight of a round is known before any of them is solved, so
+Every vertex weight of a round is known before any of them is solved, so
 the round's new weights (those not probed in an earlier round) go to the LP
 oracle in one call (for knapsacks one greedy pass over all their cost rows)
 in round order; `lp_count` and `probes` are those of solving them one by
 one.  One vectorised comparison per round finds the improving probes among
 the new weights.  A weight probed in an earlier round cannot improve: its
-point is on the hull or near a kept point, or it was not below a hull
-that has only come down since.  An improving
+point is on the envelope or near a kept point, or it was not below an
+envelope that has only come down since.  An improving
 probe's point is accepted unless a known point lies within POINT_TOL of it;
 that test reads the known points kept in order of their first coordinate,
 in a window around the candidate's.  So no two accepted points lie within
 POINT_TOL of each other, and at the end a point is kept unless another
-dominates it by more than POINT_TOL: a pairwise test that every coordinate
+dominates it by more than POINT_TOL (a weight with a 0 component can
+return a weakly dominated point): a pairwise test that every coordinate
 difference of a pair is at most POINT_TOL, run one block of points at a
 time so that its memory stays linear in the number of points, and then,
 on the few pairs that pass it, a test of the smallest difference.
@@ -49,10 +58,8 @@ from .lp import RelaxationSolver
 from .metrics import _lex_order, unique_rows
 from .model import KIND_KNAPSACK, Problem
 
-SEED_EPSILON = 1e-4
 POINT_TOL = 1e-6          # two points closer than this in every coordinate are one
-_FACET_REL_TOL = 1e-7     # relative improvement needed to call a point "below" the hull
-_ANCHOR_SCALE = 1e6       # anchor reach beyond the objective range, in range units
+_FACET_REL_TOL = 1e-7     # relative improvement needed to call a point "below" the envelope
 _FILTER_BLOCK = 1 << 16   # pairs per block of the final filter
 
 
@@ -82,27 +89,6 @@ class LbSet:
     @property
     def lp_count(self) -> int:
         return len(self.probes)
-
-
-def _lower_facet_weights(nodes: np.ndarray) -> np.ndarray:
-    """Normalised nonnegative normals of the lower facets of conv(nodes),
-    deduplicated and lexicographically sorted (rows of the result)."""
-    from scipy.spatial import ConvexHull, QhullError   # loaded by compute_lb_set
-
-    try:
-        # Q5 skips Qhull's last pass, which tests every point against the
-        # finished hull to widen its outer planes; facets and equations are
-        # the same without it
-        hull = ConvexHull(nodes, qhull_options="Q5")
-    except QhullError:
-        hull = ConvexHull(nodes, qhull_options="QJ")   # joggle degenerate input
-    normals = hull.equations[:, :3]
-    w = np.clip(-normals[normals.max(axis=1) <= 1e-9], 0.0, None)
-    totals = w.sum(axis=1)
-    w = w[totals > 0] / totals[totals > 0, None]
-    if w.shape[0] == 0:
-        return np.empty((0, nodes.shape[1]))
-    return unique_rows(np.round(w, 12))
 
 
 def _tolerant_dropped(y: np.ndarray, point_tol: float) -> np.ndarray:
@@ -165,11 +151,11 @@ def compute_lb_set(problem: Problem) -> LbSet:
     Deterministic: re-running yields the identical point set.  The set's
     `seconds` is this call's wall time after the scipy imports.
     """
-    # scipy.spatial (the hull of every round) costs about 0.4 s on first
-    # import, and scipy.optimize (the assignment and general LP oracles in
-    # `lp`, whose local imports then find it loaded) about 0.1 s more, so
-    # `import tribip` loads neither; they load here, before the timer starts
-    import scipy.spatial  # noqa: F401
+    # scipy.spatial (the envelope) costs about 0.4 s on first import, and
+    # scipy.optimize (the assignment and general LP oracles in `lp`, whose
+    # local imports then find it loaded) about 0.1 s more, so `import tribip`
+    # loads neither; they load here, before the timer starts
+    from scipy.spatial import HalfspaceIntersection
     if problem.kind != KIND_KNAPSACK:
         import scipy.optimize  # noqa: F401
     t0 = time.perf_counter()
@@ -211,45 +197,48 @@ def compute_lb_set(problem: Problem) -> LbSet:
                 accepted.append(at)
         return np.array(accepted, dtype=np.intp)
 
-    seeds = np.full((problem.p, problem.p), SEED_EPSILON)
-    np.fill_diagonal(seeds, 1.0)
-    seeds = seeds / seeds.sum(axis=1, keepdims=True)
-    rows, batch, _, x_batch, y_batch = solve(seeds)
+    rows, batch, _, x_batch, y_batch = solve(np.eye(problem.p))
     accepted = accept(np.arange(len(rows)), y_batch)          # in the order found
     y_arr = y_batch[accepted]
     xs.append(x_batch[accepted])
     ws.append(batch[accepted])
 
-    # anchors: one per objective, high above the ideal corner along that
-    # objective's axis.  They stand in for the recession directions of the
-    # dominance hull: side facets (one anchor, two real points) then carry
-    # valid near-boundary weights instead of mixed-sign normals.  The unit
-    # margin below the seed minima keeps this sound when the epsilon-mixed
-    # seeds sit a hair above the true per-objective ideals.
-    upper = np.maximum(c_float, 0.0).sum(axis=1)
-    lower = -np.maximum(-c_float, 0.0).sum(axis=1)
-    reach = _ANCHOR_SCALE * (upper - lower + 1.0)
-    anchors = np.repeat(y_arr.min(axis=0, keepdims=True) - 1.0, problem.p, axis=0)
-    np.fill_diagonal(anchors, upper + reach)
+    # the envelope in (w1, w2, v) over z (module docstring): a point's row
+    # reads v <= w.z, the walls w1, w2, w3 >= 0 and v >= -1, and the inner
+    # point lies halfway between the floor and the lowest point at w = 1/3
+    lo = y_arr.min()
+    scale = max(1.0, y_arr.max() - lo)
 
-    while True:
-        nodes = np.concatenate([y_arr, anchors])
-        weights = _lower_facet_weights(nodes)
-        if weights.shape[0] == 0:
-            break
-        # only the new weights can improve (module docstring)
-        rows, batch, values, x_batch, y_batch = solve(weights)
-        if not rows:
-            break
-        hull_values = (nodes @ weights.T).min(axis=0)[rows]
-        improving = hull_values - values > _FACET_REL_TOL * np.maximum(1.0, np.abs(hull_values))
-        accepted = accept(np.flatnonzero(improving), y_batch)
-        if not accepted.size:
-            break
-        accepted = accepted[_lex_order(y_batch[accepted])]
-        y_arr = np.concatenate([y_arr, y_batch[accepted]])
-        xs.append(x_batch[accepted])
-        ws.append(batch[accepted])
+    def halfspaces(y: np.ndarray) -> np.ndarray:
+        z = (y - lo) / scale
+        return np.column_stack((z[:, 2] - z[:, 0], z[:, 2] - z[:, 1], np.ones(len(z)), -z[:, 2]))
+
+    walls = np.array([[-1.0, 0, 0, 0], [0, -1, 0, 0], [1, 1, 0, -1], [0, 0, -1, -1]])
+    inner = np.array([1 / 3, 1 / 3, ((y_arr - lo) / scale).sum(axis=1).min() / 6 - 1 / 2])
+    envelope = HalfspaceIntersection(np.concatenate([walls, halfspaces(y_arr)]), inner,
+                                     incremental=True)
+    try:
+        while True:
+            # the top vertices (v >= 0) as weights; the bottom face v = -1 bears none
+            top = envelope.intersections[envelope.intersections[:, 2] > -0.5, :2]
+            weights = np.clip(np.column_stack((top, 1.0 - top.sum(axis=1))), 0.0, None)
+            weights = unique_rows(np.round(weights / weights.sum(axis=1, keepdims=True), 12))
+            # only the new weights can improve (module docstring)
+            rows, batch, values, x_batch, y_batch = solve(weights)
+            if not rows:
+                break
+            env = (y_arr @ batch.T).min(axis=0)
+            improving = env - values > _FACET_REL_TOL * np.maximum(1.0, np.abs(env))
+            accepted = accept(np.flatnonzero(improving), y_batch)
+            if not accepted.size:
+                break
+            accepted = accepted[_lex_order(y_batch[accepted])]
+            y_arr = np.concatenate([y_arr, y_batch[accepted]])
+            xs.append(x_batch[accepted])
+            ws.append(batch[accepted])
+            envelope.add_halfspaces(halfspaces(y_batch[accepted]))
+    finally:
+        envelope.close()
 
     # keep the nondominated points, sorted for determinism
     kept = np.flatnonzero(~_tolerant_dropped(y_arr, POINT_TOL))

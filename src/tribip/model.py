@@ -433,8 +433,8 @@ class _LineReader:
             values = [int(t) for t in tokens]
         except ValueError as exc:
             raise ParseError(self.path, no, f"{what}: not an integer: {exc}") from None
-        if any(not -_INT64_BOUND <= v < _INT64_BOUND for v in values):
-            raise ParseError(self.path, no, f"{what}: value outside int64")
+        if any(abs(v) >= _INT64_BOUND for v in values):    # -2**63 included, as in Problem
+            raise ParseError(self.path, no, f"{what}: a value of magnitude 2**63 or more")
         return values
 
 
@@ -482,9 +482,10 @@ def write_instance(problem: Problem, path) -> None:
 
 
 def read_instance(path) -> Problem:
-    """Parse an instance file; malformed content, a value outside int64 or a
-    line after the last one expected included, raises ParseError with the
-    offending line, semantic violations raise ValidationError."""
+    """Parse an instance file; malformed content, a value of magnitude 2**63
+    or more or a line after the last one expected included, raises
+    ParseError with the offending line, semantic violations raise
+    ValidationError."""
     path = Path(path)
     rd, kind, n, senses = _read_header(path, INSTANCE_MAGIC)
     tasks = None

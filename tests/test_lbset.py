@@ -11,12 +11,19 @@ import tribip
 from tribip import InfeasibleProblemError, compute_lb_set, lbset
 from tribip.metrics import unique_rows
 
-from conftest import (NEAR_AXIS_WEIGHTS, highs_lp_value, is_integral, naive_near,
-                      naive_tolerant_dropped)
+from conftest import (NEAR_AXIS_WEIGHTS, highs_lp_value, is_integral, naive_knapsack,
+                      naive_near, naive_tolerant_dropped)
 
-# knapsack and assignment instances of the LB-set completeness certificate
+# knapsack and assignment instances of the LB-set completeness checks, then
+# degenerate envelopes: three identical objective rows (every point on one
+# line), two identical rows (every point in one plane), one item, and zero
+# capacity
 CERTIFICATE_PROBLEMS = [tribip.generate_knapsack(9, seed=s) for s in range(4)] + [
-    tribip.generate_assignment(6, seed=6)]
+    tribip.generate_assignment(6, seed=6),
+    tribip.knapsack_problem([[3, 5, 4, 2]] * 3, [2, 3, 3, 1], 4),
+    tribip.knapsack_problem([[3, 5, 4, 2], [6, 1, 2, 5], [3, 5, 4, 2]], [2, 3, 3, 1], 4),
+    tribip.knapsack_problem([[4], [5], [6]], [2], 1),
+    tribip.knapsack_problem([[4, 2], [5, 1], [6, 3]], [2, 1], 0)]
 
 
 def test_symmetric_three_items():
@@ -29,16 +36,22 @@ def test_symmetric_three_items():
 
 
 def test_dominating_item_single_point():
-    # item 1 beats item 2 in every objective and W admits one item
-    p = tribip.knapsack_problem([[10, 1], [10, 1], [10, 1]], [1, 1], 1)
-    lb = compute_lb_set(p)
-    assert lb.points.tolist() == [[-10.0, -10.0, -10.0]]
+    # item 1 beats item 2 in every objective and W admits one item, so the
+    # three corner LPs give one point: with identical objective rows, with
+    # distinct ones, and with a single item, taken whole or in part
+    for objectives, weights, capacity, want in [
+            ([[10, 1], [10, 1], [10, 1]], [1, 1], 1, [-10.0, -10.0, -10.0]),
+            ([[10, 1], [7, 3], [5, 2]], [1, 1], 1, [-10.0, -7.0, -5.0]),
+            ([[4], [5], [6]], [2], 2, [-4.0, -5.0, -6.0]),
+            ([[4], [5], [6]], [2], 1, [-2.0, -2.5, -3.0])]:
+        lb = compute_lb_set(tribip.knapsack_problem(objectives, weights, capacity))
+        assert lb.points.tolist() == [want]
 
 
 def test_zero_capacity():
-    p = tribip.knapsack_problem([[10, 1], [10, 1], [10, 1]], [1, 1], 0)
-    lb = compute_lb_set(p)
-    assert lb.points.tolist() == [[0.0, 0.0, 0.0]]
+    for objectives, weights in [([[10, 1], [10, 1], [10, 1]], [1, 1]), ([[4], [5], [6]], [2])]:
+        lb = compute_lb_set(tribip.knapsack_problem(objectives, weights, 0))
+        assert lb.points.tolist() == [[0.0, 0.0, 0.0]]
 
 
 def test_infeasible_relaxation_raises():
@@ -94,6 +107,59 @@ def test_weighted_value_coverage():
             assert best == pytest.approx(want, abs=1e-9 * max(1, abs(want)))
 
 
+def _envelope_vertex_weights(points):
+    """Weights of the top vertices of the dual envelope {(w, v): v <= w.y for
+    every point y} over the closed weight triangle, by one halfspace
+    intersection in (w1, w2, v) with w3 = 1 - w1 - w2 and a floor one unit
+    below every coordinate; each weight clipped at 0 and renormalised."""
+    from scipy.spatial import HalfspaceIntersection
+
+    y = np.asarray(points, dtype=np.float64)
+    floor = y.min() - 1.0
+    rows = np.column_stack((y[:, 2] - y[:, 0], y[:, 2] - y[:, 1], np.ones(len(y)), -y[:, 2]))
+    walls = np.array([[-1, 0, 0, 0], [0, -1, 0, 0], [1, 1, 0, -1], [0, 0, -1, floor]])
+    inner = np.array([1 / 3, 1 / 3, (floor + y.sum(axis=1).min() / 3) / 2])
+    vertices = HalfspaceIntersection(np.concatenate([walls, rows]), inner).intersections
+    top = vertices[vertices[:, 2] > floor + 0.5, :2]
+    w = np.clip(np.column_stack((top, 1.0 - top.sum(axis=1))), 0.0, None)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _general_problem():
+    # mixed-sense rows that a random 0/1 point meets, so the relaxation is feasible
+    rng = np.random.default_rng(3)
+    a = rng.integers(-5, 10, size=(3, 10))
+    lhs = a @ rng.integers(0, 2, size=10)
+    return tribip.general_problem(objectives=rng.integers(-20, 20, size=(3, 10)),
+                                  senses=("min", "max", "min"), a=a,
+                                  row_sense=("<=", ">=", "<="),
+                                  b=[lhs[0] + 3, lhs[1] - 2, lhs[2]])
+
+
+_ENVELOPE_PROBLEMS = CERTIFICATE_PROBLEMS + [_general_problem()] + [
+    tribip.generate_knapsack(n, seed=s) for n, s in [(50, 0), (100, 1), (200, 1)]]
+
+
+@pytest.mark.parametrize("problem", _ENVELOPE_PROBLEMS,
+                         ids=[f"{i}-{p.kind}-n{p.n}" for i, p in enumerate(_ENVELOPE_PROBLEMS)])
+def test_lb_set_certificate_at_every_envelope_vertex(problem):
+    """Benson's stopping test: at every vertex of the final set's dual
+    envelope over the closed weight triangle, boundary vertices included, no
+    LP value lies below the envelope by more than the enumeration's
+    improvement tolerance.  Knapsack LPs come from the one-at-a-time greedy,
+    the others from HiGHS."""
+    points = compute_lb_set(problem).points
+    c_float = problem.C.astype(np.float64)
+    for w in _envelope_vertex_weights(points):
+        env = float((points @ w).min())
+        if problem.kind == "knapsack":
+            c = w @ c_float
+            lp = float(c @ naive_knapsack(problem, c))
+        else:
+            lp = highs_lp_value(problem, w)
+        assert env - lp <= lbset._FACET_REL_TOL * max(1.0, abs(env)), (w.tolist(), env, lp)
+
+
 def test_assignment_points_integral():
     for tasks in (3, 4, 5):
         p = tribip.generate_assignment(tasks, seed=tasks)
@@ -143,25 +209,24 @@ def _generate(kind, size, seed):
 # recorded with numpy 2.4 on x86-64; an LP tie that resolves to another vertex,
 # or a cost or value that changes in its last bit, changes the digest
 _LB_DIGESTS = {
-    ("knapsack", 10, 0): "1fa038c46ebe869b40f9bbdd2aea2d46caf1a521c3f474645b0c75c5bd0f64ed",
-    ("knapsack", 10, 1): "0b5f5c5d26e7019fb3e41851d8861fcb411eedf8fc4f6e68bd41cc2bb3836be1",
-    ("knapsack", 10, 2): "1ffbc96e7d70de46428790329eb399052bd8ca97d65d01d87ef9678279daff27",
-    ("knapsack", 34, 0): "12d23fbddea7019e0a7ecbfc3ab9605822077472387df0f8525f99dd0c0d8cb7",
-    ("knapsack", 34, 1): "f886eb4fcf009a9d965955dbfe321dc6c8f73129d29781ceb6b4840bad53f35f",
-    ("knapsack", 34, 2): "fcbbea25605584e94c04a9019dfddbc25587f710c00b68b2007a7ba7d67933de",
-    ("knapsack", 50, 0): "422dba9a1037a8211b9039ff509e4cb7a95f076deb853a33cafde5194cee368e",
-    ("knapsack", 50, 1): "f59559316570799c07614336a6a358769ebb8956cc043ea61e133d25a77de055",
-    ("knapsack", 50, 2): "b09044b3edc282f639217c0104ebb303a4c3341e19ae04456228e1b235c92663",
-    ("assignment", 5, 5): "1e2770a88bd6b826f892bf4644fa01f3373546c8250c7a19c7ab1ab623fa193e",
-    ("assignment", 7, 7): "0ddfc208d878356dd54db397befe7f62f7b090d4b241d418830c504f7bfa2d8d",
+    ("knapsack", 10, 0): "2b5375f8846f4bf18faff078280d6d2123613e7059af5da758a78708cd5eeb5a",
+    ("knapsack", 10, 1): "2a8e4a0e4de21c40bfe7ff270a8ee016a7a44c106532c8fa0634d1cbf7ecdc79",
+    ("knapsack", 10, 2): "99e39c4b843c83358a3a742f8316bf39343b503c7391a13440a63f8c3e094fce",
+    ("knapsack", 34, 0): "ea016dd0bee6fe9b77c211489574d5c2feed0a5bd7e6b5bbf56b87548c0c7fe6",
+    ("knapsack", 34, 1): "e2d45d6606457ef3c4be38518d5cc66020f61ca4f4b0d682e74d208f4c032132",
+    ("knapsack", 34, 2): "cd1bf9364bef3b99025f05a58b35b24f4f5dd0784e391ecffadf3c9a36ef7b9e",
+    ("knapsack", 50, 0): "7f88cff8434bd6a813c3e1b957deaf48c09dee8f6acd3c105517b6d1711edd82",
+    ("knapsack", 50, 1): "54c68830af0276cc35779bb57be01687aa8134afb8ae1e383eab7910c14dfdf8",
+    ("knapsack", 50, 2): "8f8499ffb17aa18847c878f0f2c0909fade8f2b8fc1fbc28caba76fd0a1f591c",
+    ("assignment", 5, 5): "129104344286e39126ff35fe682888dcf73755d99490452a04ed475ce64da590",
+    ("assignment", 7, 7): "370ea601529ecf0501ad261a7df52d976c79e52d6db11c064f572b7f18004837",
 }
 
 
 @pytest.mark.parametrize("kind, size, seed", list(_LB_DIGESTS))
 def test_lb_set_matches_recorded_digest(kind, size, seed):
-    """The LB points, lp_count and probes are bit for bit those recorded
-    before the batched LP results, the vectorised improvement test and the
-    LB set as arrays; every array is float64 and read-only."""
+    """The LB points, lp_count and probes are bit for bit those recorded;
+    every array is float64 and read-only."""
     lb = compute_lb_set(_generate(kind, size, seed))
     assert _lb_digest(lb) == _LB_DIGESTS[kind, size, seed]
     k, n = len(lb), lb.x.shape[1]

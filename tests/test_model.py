@@ -241,7 +241,7 @@ def test_instance_refuses_lines_after_the_last(tmp_path):
     assert err.value.line_no == len(_KNAPSACK_TEXT.splitlines()) + 1
 
 
-@pytest.mark.parametrize("value", [2 ** 63, -(2 ** 63) - 1])
+@pytest.mark.parametrize("value", [2 ** 63, -(2 ** 63), -(2 ** 63) - 1])
 def test_instance_refuses_a_value_outside_int64(tmp_path, value):
     path = tmp_path / "inst.txt"
     path.write_text(_KNAPSACK_TEXT.replace("objectives\n1 2\n", f"objectives\n{value} 2\n"))

@@ -118,29 +118,3 @@ def test_no_module_is_loaded_inside_a_timer(tmp_path, kind, entry):
         assert "scipy.spatial" in calls[0], name
         changes = [(a, b) for a, b in zip(calls, calls[1:]) if a != b]
         assert not changes, (name, [sorted(set(b) - set(a)) for a, b in changes])
-
-
-QJ_FALLBACK = """
-import numpy as np
-from tribip import lbset
-assert not scipy_modules()
-nodes = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
-weights = lbset._lower_facet_weights(nodes)
-from scipy.spatial import ConvexHull, QhullError
-try:
-    ConvexHull(nodes)
-    raised = False
-except QhullError:
-    raised = True
-print(json.dumps({"raised": raised, "weights": weights.tolist()}))
-"""
-
-
-def test_coplanar_nodes_take_the_joggle_fallback():
-    # four points in the plane y3 = 0 have no full-dimensional hull, so Qhull
-    # raises and the `QJ` (joggle) retry gives the plane's upward normal
-    out = _fresh(QJ_FALLBACK)
-    assert out["raised"]
-    assert out["weights"]
-    for w in out["weights"]:
-        assert w == pytest.approx([0.0, 0.0, 1.0], abs=1e-9)
