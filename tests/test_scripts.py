@@ -15,18 +15,19 @@ _OP_LINE = re.compile(r"  (knapsack_n\d+__\w+): parent (\d+\.\d+) s, change (\d+
 
 def test_paired_runs_a_checkout_against_itself():
     """One round of kp-relink with this checkout on both sides: exit code 0,
-    the round's line on stderr, and on stdout the summary and one median
-    line per op of the job list, both sides timed."""
+    the round's line on stderr, and on stdout the CPU and wall summaries and
+    one median line per op of the job list, both sides timed."""
     done = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "paired.py"), str(REPO), str(REPO),
          "--workload", "kp-relink", "--rounds", "1"],
         capture_output=True, text=True, timeout=600,
         env=os.environ | {"PYTHONDONTWRITEBYTECODE": "1"})
     assert done.returncode == 0, done.stderr
-    assert re.fullmatch(r"round 0: parent \d+\.\d+ s, change \d+\.\d+ s, ratio \d+\.\d+",
-                        done.stderr.strip())
-    summary, header, *ops = done.stdout.splitlines()
+    assert re.fullmatch(r"round 0: parent \d+\.\d+ s, change \d+\.\d+ s, ratio \d+\.\d+, "
+                        r"wall ratio \d+\.\d+", done.stderr.strip())
+    summary, wall, header, *ops = done.stdout.splitlines()
     assert summary.startswith("CPU ratio change/parent over 1 rounds: median ")
+    assert wall.startswith("wall ratio change/parent over 1 rounds: median ")
     assert header == "median CPU per op:"
     matches = [_OP_LINE.fullmatch(line) for line in ops]
     assert all(matches), ops

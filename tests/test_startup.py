@@ -1,4 +1,6 @@
-"""Module loading: which commands load scipy, and that no timer covers it.
+"""Module loading: which commands load scipy, that no timer covers it, and
+that the random stream's lane table is built by the first stream, outside
+any timer.
 
 Each test runs a fresh interpreter, because a module that an earlier test
 loaded stays in this process's `sys.modules`.
@@ -73,6 +75,35 @@ def test_cli_loads_no_thread_pool():
     # `solve` runs serially, so the CLI needs no executor
     code = "import tribip.cli\nprint(json.dumps('concurrent.futures' in sys.modules))"
     assert _fresh(code) is False
+
+
+LANE_TABLE = """
+import time
+import tribip
+from tribip import heuristic, rng
+built = {"import tribip": rng._lane_starts is not None}
+import tribip.cli
+built["import tribip.cli"] = rng._lane_starts is not None
+seen = []
+class Clock:
+    '''time as heuristic sees it, noting at each perf_counter call whether the table is built'''
+    def perf_counter(self):
+        seen.append(rng._lane_starts is not None)
+        return time.perf_counter()
+heuristic.time = Clock()
+problem = tribip.generate_knapsack(8, seed=0)
+for variant in ("RD", "PI"):
+    tribip.run(problem, tribip.PrConfig(variant=variant))
+    built[variant], seen = seen, []
+print(json.dumps(built))
+"""
+
+
+def test_lane_table_is_built_by_the_first_stream_before_its_clock():
+    # neither import builds it, an RD run makes no stream, and the first
+    # relinking run builds it before its clock starts
+    assert _fresh(LANE_TABLE) == {"import tribip": False, "import tribip.cli": False,
+                                  "RD": [False, False], "PI": [True, True]}
 
 
 TIMED = """
